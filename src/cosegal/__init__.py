@@ -1,7 +1,7 @@
 """Exact computations with truncated co-Segal commutative premonoids valued
 in bounded chain complexes over a prime field or the rationals."""
 
-from .field_linalg import Field, Matrix, GF2, GF3, GF5, QQ, quotient
+from .field_linalg import Field, Matrix, GF2, GF3, GF5, QQ, InvariantError, quotient
 from .chain import (
     ChainComplex,
     ChainMap,

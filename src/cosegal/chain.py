@@ -13,11 +13,12 @@ degrees are never silently truncated.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field_linalg import Field, Matrix, quotient
+from .field_linalg import Field, InvariantError, Matrix, quotient
 
 __all__ = [
     "ChainComplex",
@@ -148,10 +149,19 @@ class ChainMap:
             if not m.is_zero():
                 comps[n] = m
         object.__setattr__(self, "components", comps)
+        # d.f = f.d in every degree.  Zero blocks are stored as absent, so a
+        # product with an absent factor is zero and is never formed.
+        d_src, d_tgt = self.source.diff, self.target.diff
         for n in self._degrees():
-            lhs = self.target.d(n) @ self.component(n)
-            rhs = self.component(n - 1) @ self.source.d(n)
-            if lhs != rhs:
+            lhs = _product(d_tgt.get(n), comps.get(n))
+            rhs = _product(comps.get(n - 1), d_src.get(n))
+            if lhs is None:
+                ok = rhs is None or rhs.is_zero()
+            elif rhs is None:
+                ok = lhs.is_zero()
+            else:
+                ok = lhs == rhs
+            if not ok:
                 raise ValueError(f"not a chain map at degree {n}")
 
     def _degrees(self):
@@ -177,23 +187,28 @@ class ChainMap:
         """self after other."""
         if other.target != self.source:
             raise ValueError("non-composable chain maps")
-        comps = {
-            n: self.component(n) @ other.component(n)
-            for n in other.source.dims
-        }
+        comps = {}
+        for n, m in other.components.items():
+            outer = self.components.get(n)
+            if outer is not None:
+                comps[n] = outer @ m
         return ChainMap(other.source, self.target, comps)
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return self.compose(other)
 
+    def _check_parallel(self, other: "ChainMap"):
+        if self.source != other.source or self.target != other.target:
+            raise ValueError("chain maps have different endpoints")
+
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        assert self.source == other.source and self.target == other.target
+        self._check_parallel(other)
         degs = set(self.components) | set(other.components)
         comps = {n: self.component(n) + other.component(n) for n in degs}
         return ChainMap(self.source, self.target, comps)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        assert self.source == other.source and self.target == other.target
+        self._check_parallel(other)
         degs = set(self.components) | set(other.components)
         comps = {n: self.component(n) - other.component(n) for n in degs}
         return ChainMap(self.source, self.target, comps)
@@ -209,6 +224,13 @@ class ChainMap:
     @staticmethod
     def zero(source: ChainComplex, target: ChainComplex) -> "ChainMap":
         return ChainMap(source, target, {})
+
+
+def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
+    """a @ b, or None (zero) when either stored block is absent."""
+    if a is None or b is None:
+        return None
+    return a @ b
 
 
 def homology_dims(c: ChainComplex) -> dict:
@@ -240,8 +262,31 @@ def _tensor_blocks(c: ChainComplex, d: ChainComplex, n: int):
     return blocks
 
 
+# tensor(c, d) -> its product, keyed by operand identity.  The memo holds
+# products weakly and each product holds its operands weakly, so the memo
+# never extends a lifetime; checking the operands catches a recycled id().
+_TENSOR_MEMO: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """Tensor product with Koszul signs: d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy."""
+    """Tensor product with Koszul signs: d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
+
+    The product is shared while it is alive: a second call on the same two
+    operand objects returns the same complex.
+    """
+    key = (id(c), id(d))
+    hit = _TENSOR_MEMO.get(key)
+    if hit is not None:
+        left, right = hit._tensor_operands
+        if left() is c and right() is d:
+            return hit
+    out = _build_tensor(c, d)
+    object.__setattr__(out, "_tensor_operands", (weakref.ref(c), weakref.ref(d)))
+    _TENSOR_MEMO[key] = out
+    return out
+
+
+def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     if c.field != d.field:
         raise ValueError("field mismatch in tensor")
     fld = c.field
@@ -364,7 +409,8 @@ def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
 
 def direct_sum(summands: list[ChainComplex]):
     """Direct sum with inclusion and projection chain maps."""
-    assert summands
+    if not summands:
+        raise ValueError("direct sum of no complexes")
     fld = summands[0].field
     degs = sorted({n for s in summands for n in s.dims})
     dims = {n: sum(s.dim(n) for s in summands) for n in degs}
@@ -565,7 +611,8 @@ def solve_lifting(
             for n in var_deg
         }
         k = ChainMap(v, x, comps)
-    assert k @ alpha == top and g @ k == bottom
+    if k @ alpha != top or g @ k != bottom:
+        raise InvariantError("lift does not solve the lifting problem")
     return k
 
 
@@ -783,7 +830,8 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]):
     along f.  Returns (Q, legs) where legs[i] : nodes[i] -> Q.  The quotient
     basis is deterministic in the node order.
     """
-    assert nodes
+    if not nodes:
+        raise ValueError("colimit of an empty diagram")
     fld = nodes[0].field
     degs = sorted({n for c in nodes for n in c.dims})
     offsets = {}
@@ -848,7 +896,8 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]):
 def induced_matrix(through: Matrix, composite: Matrix) -> Matrix:
     """The unique m with m @ through = composite, for surjective `through`."""
     sol = through.transpose().solve(composite.transpose())
-    assert sol is not None, "map does not descend through the projection"
+    if sol is None:
+        raise ValueError("map does not descend through the projection")
     return sol.transpose()
 
 
@@ -874,7 +923,8 @@ def pushout_universal(leg_b: ChainMap, leg_c: ChainMap, u: ChainMap, v: ChainMap
 
 def wide_pushout(maps: list[ChainMap]):
     """Wide pushout of a family sharing one source; returns (P, source_leg, legs)."""
-    assert maps
+    if not maps:
+        raise ValueError("wide pushout of no maps")
     src = maps[0].source
     if any(m.source != src for m in maps):
         raise ValueError("wide pushout maps must share their source")

@@ -27,7 +27,7 @@ from .chain import (
     tensor,
     tensor_map,
 )
-from .field_linalg import Field, Matrix, quotient
+from .field_linalg import Field, InvariantError, Matrix, quotient
 
 __all__ = ["SymPower", "sym_power", "tensor_power", "disc", "demo_char_p"]
 
@@ -75,7 +75,8 @@ def _adjacent_swap(c: ChainComplex, n: int, k: int) -> ChainMap:
         out = tensor_map(out, ChainMap.identity(c))
     src = tensor_power(c, n)
     # the nesting of `out`'s endpoints agrees with tensor_power's nesting
-    assert out.source == src and out.target == src
+    if out.source != src or out.target != src:
+        raise InvariantError("swap nesting disagrees with the tensor power")
     return out
 
 

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 semantic failure (an axiom or postcondition does
 not hold), 2 input error (unreadable file, malformed JSON, schema problem).
 Reports are byte-reproducible given the same inputs and --seed; the safety
-cap COSEGAL_MAX_DIM bounds per-degree dimensions of loaded complexes.
+cap COSEGAL_MAX_DIM (a positive integer, default 512) bounds per-degree
+dimensions of loaded complexes.  A failed internal consistency check
+(InvariantError) is reported as a semantic failure, never as a traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from . import documents as docs
 from .charp_lab import demo_char_p
 from .chain import ChainMap, homology_dims, is_cofibration
 from .documents import DocumentError, ValidationFailure, canonical_dumps
+from .field_linalg import Field, InvariantError
 from .free_gamma import gamma_na, validate_diagram_morphism, validate_na
 from .phi_epi import enumerate_surjections
 from .premonoid import is_cosegal, validate, validate_morphism
@@ -41,9 +44,20 @@ SEMANTIC_ERROR = 1
 def _max_dim() -> int:
     raw = os.environ.get("COSEGAL_MAX_DIM", "512")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return 512
+        cap = 0
+    if cap < 1:
+        raise DocumentError(f"COSEGAL_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _characteristic(raw: str) -> int:
+    """argparse type for --field: 0 for Q or a supported prime."""
+    try:
+        return Field(int(raw)).characteristic
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _read_json(path: str) -> dict:
@@ -98,7 +112,7 @@ def cmd_validate(args) -> int:
     for path in args.paths:
         try:
             payload = _read_json(path)
-            kind, obj = docs.load_document(payload, _max_dim())
+            kind, obj = docs.load_document(payload, args.max_dim)
             violations = []
             if kind == "premonoid":
                 violations = validate(obj)
@@ -145,9 +159,9 @@ def cmd_surjections(args) -> int:
     return 0
 
 
-def _load_two_constant(path: str) -> tuple[TwoConstantPremonoid, str]:
+def _load_two_constant(path: str, max_dim: int) -> tuple[TwoConstantPremonoid, str]:
     payload = _read_json(path)
-    kind, obj = docs.load_document(payload, _max_dim())
+    kind, obj = docs.load_document(payload, max_dim)
     if kind == "two_constant":
         return obj, kind
     if kind == "premonoid":
@@ -171,7 +185,7 @@ def _emit_like_input(result: TwoConstantPremonoid, kind: str, level: int, out: s
 
 
 def cmd_cosegalify(args) -> int:
-    f, in_kind = _load_two_constant(args.input)
+    f, in_kind = _load_two_constant(args.input, args.max_dim)
     level = args.level
     s, tau = cosegalify_two_constant(f, level)
     expanded = expand_to_premonoid(s, level)
@@ -198,7 +212,7 @@ def cmd_cosegalify(args) -> int:
 
 
 def cmd_pushout_k2(args) -> int:
-    f, in_kind = _load_two_constant(args.input)
+    f, in_kind = _load_two_constant(args.input, args.max_dim)
     if args.instruction:
         ins = docs.instruction_from_dict(_read_json(args.instruction), f)
     else:
@@ -254,7 +268,7 @@ def _shape_adjacency(n: int) -> dict:
 
 def cmd_gamma(args) -> int:
     payload = _read_json(args.input)
-    kind, diagram = docs.load_document(payload, _max_dim())
+    kind, diagram = docs.load_document(payload, args.max_dim)
     if kind != "diagram":
         raise DocumentError(f"expected a diagram document, got {kind!r}")
     from .free_gamma import validate_plain
@@ -343,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pushout_k2)
 
     p = sub.add_parser("demo-charp", help="symmetric power of an acyclic disc")
-    p.add_argument("--field", type=int, default=2, help="0 for Q, else a prime")
+    p.add_argument(
+        "--field", type=_characteristic, default=2, help="0 for Q, else a prime below 2^31"
+    )
     p.add_argument("--exponent", type=int, default=2)
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -356,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.max_dim = _max_dim()
         return args.func(args)
     except ValidationFailure as exc:
         for v in exc.violations:
@@ -364,7 +381,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except ValueError as exc:
+    except (ValueError, InvariantError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
 

@@ -2,9 +2,12 @@
 
 Matrices over F_p are stored as int64 numpy arrays with entries reduced to
 [0, p); matrices over Q are object arrays of `fractions.Fraction` (always in
-lowest terms).  Everything downstream (homology, lifting problems, colimits)
-reduces to the four primitives here: rank, solve, kron, quotient.  All
-algorithms are deterministic, so identical inputs give bit-identical outputs.
+lowest terms).  Primes are bounded by ``MAX_PRIME`` so that every entrywise
+product fits int64; matrix products whose dot products could exceed int64
+fall back to exact Python integers.  Everything downstream (homology,
+lifting problems, colimits) reduces to the four primitives here: rank,
+solve, kron, quotient.  All algorithms are deterministic, so identical
+inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,26 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["Field", "Matrix", "GF2", "GF3", "GF5", "QQ", "quotient"]
+__all__ = [
+    "Field",
+    "Matrix",
+    "GF2",
+    "GF3",
+    "GF5",
+    "QQ",
+    "MAX_PRIME",
+    "InvariantError",
+    "quotient",
+]
+
+# exclusive bound on p: (p - 1)^2 < 2^62, so entrywise products, the row
+# updates of rref and kron stay inside int64
+MAX_PRIME = 2**31
+
+
+class InvariantError(AssertionError):
+    """An internal consistency check failed: the library computed something
+    its own postcondition rejects.  Raised explicitly, so it survives -O."""
 
 
 def _is_prime(n: int) -> bool:
@@ -36,6 +58,8 @@ class Field:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= MAX_PRIME:
+            raise ValueError(f"characteristic must be below 2^31, got {p}")
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
@@ -80,7 +104,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data: np.ndarray):
-        assert data.ndim == 2
+        if data.ndim != 2:
+            raise ValueError(f"matrix data must be 2-dimensional, got {data.ndim}")
         self.field = field
         self.rows, self.cols = data.shape
         if field.is_rational:
@@ -157,12 +182,21 @@ class Matrix:
             return a
         return a % self.field.characteristic
 
+    def _check_field(self, other: "Matrix", op: str):
+        if self.field != other.field:
+            raise ValueError(f"field mismatch {self.field} {op} {other.field}")
+
+    def _check_same_shape(self, other: "Matrix", op: str):
+        self._check_field(other, op)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field and self.shape == other.shape
+        self._check_same_shape(other, "+")
         return Matrix(self.field, self.reduce(self.data + other.data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field and self.shape == other.shape
+        self._check_same_shape(other, "-")
         return Matrix(self.field, self.reduce(self.data - other.data))
 
     def __neg__(self) -> "Matrix":
@@ -173,17 +207,23 @@ class Matrix:
         return Matrix(self.field, self.reduce(self.data * c))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field
+        self._check_field(other, "@")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
         p = self.field.characteristic
-        # integer matmul in numpy is not BLAS-backed; for small p the product
-        # fits float64 exactly, which is orders of magnitude faster
-        if p and (p - 1) * (p - 1) * self.cols < 2**52:
+        # delayed reduction: a dot product is at most (p - 1)^2 * cols before
+        # the final mod.  Integer matmul in numpy is not BLAS-backed; while
+        # that bound fits float64 exactly it is orders of magnitude faster,
+        # and beyond int64 the product is taken over Python integers
+        bound = (p - 1) * (p - 1) * self.cols
+        if p and bound < 2**52:
             prod = self.data.astype(np.float64) @ other.data.astype(np.float64)
             return Matrix(self.field, prod.astype(np.int64) % p)
+        if p and bound >= 2**63:
+            prod = (self.data.astype(object) @ other.data.astype(object)) % p
+            return Matrix(self.field, prod.astype(np.int64))
         return Matrix(self.field, self.reduce(self.data @ other.data))
 
     def transpose(self) -> "Matrix":
@@ -197,7 +237,8 @@ class Matrix:
         if not blocks:
             return Matrix.zeros(field, 0, 0)
         rows = blocks[0].rows
-        assert all(b.rows == rows for b in blocks)
+        if any(b.rows != rows for b in blocks):
+            raise ValueError("hstack blocks have different row counts")
         return Matrix(field, np.hstack([b.data for b in blocks]))
 
     @staticmethod
@@ -205,7 +246,8 @@ class Matrix:
         if not blocks:
             return Matrix.zeros(field, 0, 0)
         cols = blocks[0].cols
-        assert all(b.cols == cols for b in blocks)
+        if any(b.cols != cols for b in blocks):
+            raise ValueError("vstack blocks have different column counts")
         return Matrix(field, np.vstack([b.data for b in blocks]))
 
     @staticmethod
@@ -303,7 +345,7 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, left factor index major."""
-        assert self.field == other.field
+        self._check_field(other, "(x)")
         rows = self.rows * other.rows
         cols = self.cols * other.cols
         if rows == 0 or cols == 0:

@@ -30,7 +30,7 @@ from .chain import (
     tensor_map,
     wide_pushout,
 )
-from .field_linalg import Field
+from .field_linalg import Field, InvariantError
 from .phi_epi import (
     PairObject,
     PlusObject,
@@ -412,7 +412,8 @@ def universal_extension(
         )
         lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, below, eta, n)
         q, legs = colimit(nodes, arrows)
-        assert q == free.objects[n]
+        if q != free.objects[n]:
+            raise InvariantError(f"joint colimit at level {n} differs from the free object")
         cocone = []
         for ob in lshape.objects:
             if isinstance(ob, PairObject):

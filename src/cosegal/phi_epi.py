@@ -4,11 +4,16 @@ construction.
 An arrow m -> n of the opposite-surjection index category is stored as the
 surjection n ->> m (array of length n with values in {0..m-1}).  Bijections
 n ->> n stay in every enumeration: the symmetry data lives exactly there.
+
+Enumerations and shapes are pure functions of small integers; they are
+cached and returned as tuples of frozen objects, so no caller can change
+what the next caller gets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 __all__ = [
@@ -88,16 +93,17 @@ def block_swap(p: int, q: int) -> Surjection:
     return Surjection(p + q, p + q, m)
 
 
-def enumerate_surjections(m: int, n: int) -> list[Surjection]:
+@lru_cache(maxsize=256)
+def enumerate_surjections(m: int, n: int) -> tuple[Surjection, ...]:
     """All surjections m ->> n in lexicographic order of their image arrays."""
     if m < 1 or n < 1 or n > m:
-        return []
-    out = []
+        return ()
     targets = set(range(n))
-    for arr in product(range(n), repeat=m):
-        if set(arr) == targets:
-            out.append(Surjection(m, n, arr))
-    return out
+    return tuple(
+        Surjection(m, n, arr)
+        for arr in product(range(n), repeat=m)
+        if set(arr) == targets
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +172,11 @@ def latching_shape(n: int, classical: bool = False) -> LatchingDiagramShape:
     """
     if n < 2:
         raise ValueError("latching shapes start at level 2")
+    return _latching_shape(n, bool(classical))
+
+
+@lru_cache(maxsize=16)
+def _latching_shape(n: int, classical: bool) -> LatchingDiagramShape:
     objects: list = []
     if not classical:
         for p in range(1, n):

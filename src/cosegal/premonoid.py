@@ -14,6 +14,7 @@ with the indices of the offending square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chain import (
     ChainComplex,
@@ -109,13 +110,16 @@ def validate_strict(m: StrictMonoid) -> list[Violation]:
     return out
 
 
-def all_surjections_upto(level: int):
+@lru_cache(maxsize=16)
+def all_surjections_upto(level: int) -> tuple[Surjection, ...]:
     """All non-identity surjections n ->> m with n <= level, deterministic order."""
-    for n in range(1, level + 1):
-        for m in range(1, n + 1):
-            for v in enumerate_surjections(n, m):
-                if not v.is_identity():
-                    yield v
+    return tuple(
+        v
+        for n in range(1, level + 1)
+        for m in range(1, n + 1)
+        for v in enumerate_surjections(n, m)
+        if not v.is_identity()
+    )
 
 
 @dataclass

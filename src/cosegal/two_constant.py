@@ -32,7 +32,7 @@ from .chain import (
     unit_complex,
     wide_pushout,
 )
-from .field_linalg import Matrix
+from .field_linalg import InvariantError, Matrix
 from .phi_epi import unique_to_one
 from .premonoid import (
     PremonoidMorphism,
@@ -329,7 +329,8 @@ def is_k_injective(f, level: int | None = None, cross_check: bool = False) -> bo
                 has_rlp(gen.inclusion, g)
                 for gen in generating_cofibrations(f.field, lo, hi)
             )
-            assert direct == via_rlp, "lifting characterisation out of sync"
+            if direct != via_rlp:
+                raise InvariantError("lifting characterisation out of sync")
         if not direct:
             answer = False
             if not cross_check:

@@ -286,3 +286,42 @@ def oracle_sym_power_dims(dim_by_degree, n, p):
         if h:
             hom[d] = h
     return dims, hom
+
+
+# ---------------------------------------------------------------------------
+# chain maps
+# ---------------------------------------------------------------------------
+
+
+def _dense_product(a, b, rows, inner, cols, p):
+    """a @ b for list-of-rows matrices of the given shapes; None means zero."""
+    out = [[0] * cols for _ in range(rows)]
+    if a is None or b is None:
+        return out
+    for i in range(rows):
+        for j in range(cols):
+            s = sum(a[i][k] * b[k][j] for k in range(inner))
+            out[i][j] = s % p if p else Fraction(s)
+    return out
+
+
+def oracle_chain_map_defects(src_dims, src_diff, tgt_dims, tgt_diff, comps, p):
+    """Degrees n where d_n . f_n != f_{n-1} . d_n, checked densely in every
+    degree from one below the lowest to one above the highest.
+
+    Dimensions map degree -> size; differentials (d_n : n -> n-1) and
+    components map degree -> list of rows, an absent entry being the zero
+    matrix of the right shape.
+    """
+    degs = set(src_dims) | set(tgt_dims)
+    if not degs:
+        return []
+    bad = []
+    for n in range(min(degs) - 1, max(degs) + 2):
+        s_n, s_m = src_dims.get(n, 0), src_dims.get(n - 1, 0)
+        t_n, t_m = tgt_dims.get(n, 0), tgt_dims.get(n - 1, 0)
+        lhs = _dense_product(tgt_diff.get(n), comps.get(n), t_m, t_n, s_n, p)
+        rhs = _dense_product(comps.get(n - 1), src_diff.get(n), t_m, s_m, s_n, p)
+        if lhs != rhs:
+            bad.append(n)
+    return bad

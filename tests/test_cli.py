@@ -243,3 +243,122 @@ def test_max_dim_cap_env(tmp_path, monkeypatch, two_constant_file):
     rc, _ = run_cli(["validate", str(two_constant_file)])
     assert rc == 2
     monkeypatch.delenv("COSEGAL_MAX_DIM")
+
+
+def _complex_doc(field: int) -> dict:
+    return {"kind": "complex", "field": field, "window": [0, 0], "dims": {"0": 1}, "diff": {}}
+
+
+def test_validate_rejects_huge_prime_with_exit2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_complex_doc(2305843009213693951)))
+    rc = main(["validate", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out.startswith(f"ERROR {path}") and "below 2^31" in out.out
+    assert "Traceback" not in out.err
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(_complex_doc(2**31 - 1)))
+    assert main(["validate", str(ok)]) == 0
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "1.5"])
+def test_bad_max_dim_env_is_exit2(monkeypatch, capsys, two_constant_file, raw):
+    monkeypatch.setenv("COSEGAL_MAX_DIM", raw)
+    rc = main(["validate", str(two_constant_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "COSEGAL_MAX_DIM must be a positive integer" in err
+
+
+def test_invariant_error_is_exit1(monkeypatch, capsys, two_constant_file):
+    from cosegal import cli
+    from cosegal.field_linalg import InvariantError
+
+    def broken(*args, **kwargs):
+        raise InvariantError("lifting characterisation out of sync")
+
+    monkeypatch.setattr(cli, "is_k_injective", broken)
+    rc = main(["cosegalify", str(two_constant_file), "--level", "3"])
+    assert rc == 1
+    assert "ERROR: lifting characterisation out of sync" in capsys.readouterr().err
+
+
+_OPTIMIZED_CHECKS = r"""
+import sys
+from random import Random
+
+from cosegal import chain, two_constant
+from cosegal.chain import ChainMap, GeneratingCofibration, induced_matrix, solve_lifting
+from cosegal.field_linalg import GF2, GF3, InvariantError, Matrix
+from cosegal.premonoid import from_strict
+from cosegal.sampling import random_strict_monoid
+
+print("optimize", sys.flags.optimize)
+
+
+def expect(exc, fn):
+    try:
+        fn()
+    except exc as e:
+        print("raised", type(e).__name__)
+    else:
+        raise SystemExit(f"no {exc.__name__}")
+
+
+a2, a3, b2 = Matrix.identity(GF2, 2), Matrix.identity(GF2, 3), Matrix.identity(GF3, 2)
+expect(ValueError, lambda: a2 + a3)
+expect(ValueError, lambda: a2 - b2)
+expect(ValueError, lambda: a2 @ b2)
+expect(ValueError, lambda: a2.kron(b2))
+through = Matrix.from_rows(GF2, [[1, 0]])
+expect(ValueError, lambda: induced_matrix(through, Matrix.from_rows(GF2, [[0, 1]])))
+
+gen = GeneratingCofibration(1, GF2)
+disc, alpha = gen.disc, gen.inclusion
+expect(ValueError, lambda: ChainMap.identity(disc) + alpha)
+g = ChainMap.zero(disc, chain.zero_complex(GF2))
+bottom = ChainMap.zero(disc, g.target)
+Matrix.solve = lambda self, rhs: Matrix.zeros(self.field, self.cols, rhs.cols)
+expect(InvariantError, lambda: solve_lifting(alpha, g, alpha, bottom))
+
+m = random_strict_monoid(Random(0), GF2)
+two_constant.has_rlp = lambda alpha, g: False
+expect(InvariantError, lambda: two_constant.is_k_injective(from_strict(m, 2), cross_check=True))
+"""
+
+
+def test_load_bearing_checks_survive_python_O(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import cosegal
+
+    src = os.path.dirname(os.path.dirname(cosegal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1:] == ["raised ValueError"] * 6 + ["raised InvariantError"] * 2
+    # the CLI under -O: a rejected prime is exit 2, without a traceback
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(_complex_doc(4294967291)))
+    cli = subprocess.run(
+        [sys.executable, "-O", "-m", "cosegal.cli", "validate", str(doc)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert cli.returncode == 2
+    assert "Traceback" not in cli.stderr and cli.stdout.startswith("ERROR")
+
+
+@pytest.mark.parametrize("field", ["4", "4294967291", "abc"])
+def test_demo_charp_bad_field_is_exit2(field, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo-charp", "--field", field])
+    assert exc.value.code == 2
+    assert "--field" in capsys.readouterr().err

@@ -153,3 +153,75 @@ def test_rref_idempotent_and_rank_stable(pyrng):
     red2, pivots2 = red.rref()
     assert red == red2 and pivots == pivots2
     assert m.rank() == red.rank() == len(pivots)
+
+
+# the largest supported prime, and primes beyond the bound
+P31 = 2**31 - 1
+
+
+def test_large_primes_rejected_before_primality_test():
+    import time
+
+    for p in (2**31, 4294967291, 2305843009213693951):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            Field(p)
+        assert time.perf_counter() - t0 < 0.5
+    assert Field(P31).characteristic == P31
+
+
+def _plain_matmul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_matmul_exact_at_largest_prime():
+    f = Field(P31)
+    row = Matrix.from_rows(f, [[P31 - 1] * 4])
+    col = Matrix.from_rows(f, [[P31 - 1]] * 4)
+    assert (row @ col).tolist() == [[4]]
+    rng = random.Random(31)
+    for k in (1, 2, 3, 7):
+        a = [[rng.randrange(P31) for _ in range(k)] for _ in range(3)]
+        b = [[rng.randrange(P31) for _ in range(2)] for _ in range(k)]
+        got = Matrix.from_rows(f, a) @ Matrix.from_rows(f, b)
+        assert got.tolist() == _plain_matmul(a, b, P31)
+
+
+def test_kron_rank_solve_exact_at_largest_prime():
+    f = Field(P31)
+    rng = random.Random(32)
+    a = [[rng.randrange(P31) for _ in range(3)] for _ in range(3)]
+    b = [[rng.randrange(P31) for _ in range(2)] for _ in range(2)]
+    k = Matrix.from_rows(f, a).kron(Matrix.from_rows(f, b))
+    expected = [
+        [a[i][j] * b[r][s] % P31 for j in range(3) for s in range(2)]
+        for i in range(3)
+        for r in range(2)
+    ]
+    assert k.tolist() == expected
+    assert k.rank() == gauss_rank(expected, P31)
+    rhs = Matrix.from_rows(f, [[rng.randrange(P31)] for _ in range(6)])
+    x = k.solve(rhs)
+    if x is not None:
+        assert k @ x == rhs
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a @ b,
+        lambda a, b: a.kron(b),
+    ],
+)
+def test_field_mismatch_is_a_value_error(op):
+    with pytest.raises(ValueError, match="field mismatch"):
+        op(Matrix.identity(GF2, 2), Matrix.identity(GF3, 2))
+
+
+def test_shape_mismatch_is_a_value_error():
+    a, b = Matrix.identity(GF2, 2), Matrix.identity(GF2, 3)
+    for op in (lambda: a + b, lambda: a - b, lambda: a @ b):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op()
