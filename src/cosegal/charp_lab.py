@@ -15,15 +15,16 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .chain import (
     ChainComplex,
     ChainMap,
+    associator,
     braiding,
     homology_dims,
+    induced_matrix,
     tensor,
     tensor_map,
 )
@@ -50,41 +51,37 @@ def tensor_power(c: ChainComplex, n: int) -> ChainComplex:
     return out
 
 
-def _transposition_action(c: ChainComplex, n: int, i: int, j: int) -> ChainMap:
-    """The signed permutation action of the transposition (i j) on c^(x)n,
-    built by composing adjacent braidings (Koszul signs included)."""
-    power = tensor_power(c, n)
-    action = ChainMap.identity(power)
-    # (i j) with i < j as a palindrome of adjacent swaps
-    word = list(range(i, j)) + list(range(j - 2, i - 1, -1))
-    for k in word:
-        action = _adjacent_swap(c, n, k) @ action
-    return action
-
-
 def _adjacent_swap(c: ChainComplex, n: int, k: int) -> ChainMap:
-    """Swap tensor factors k and k+1 (0-based) in the left-nested power."""
-    # left-nested: ((..(c x c) x c)..); factor swaps act through the nesting
-    left = tensor_power(c, k) if k >= 1 else None
+    """Swap tensor factors k and k+1 (0-based) of the left-nested power,
+    Koszul sign included: on ((c^k (x) c) (x) c) it is id (x) tau conjugated
+    by the associator onto c^k (x) (c (x) c), tensored with the later factors."""
     tau = braiding(c, c)
-    block = tau
-    if left is not None:
-        block = tensor_map(ChainMap.identity(left), tau)
-    out = block
+    if k == 0:
+        swap = tau
+    else:
+        left = tensor_power(c, k)
+        alpha = associator(left, c, c)
+        # the associator permutes a basis, so its inverse is its transpose
+        back = ChainMap(
+            alpha.target,
+            alpha.source,
+            {deg: m.transpose() for deg, m in alpha.components.items()},
+        )
+        swap = back @ tensor_map(ChainMap.identity(left), tau) @ alpha
     for _ in range(n - k - 2):
-        out = tensor_map(out, ChainMap.identity(c))
-    src = tensor_power(c, n)
-    # the nesting of `out`'s endpoints agrees with tensor_power's nesting
-    if out.source != src or out.target != src:
+        swap = tensor_map(swap, ChainMap.identity(c))
+    power = tensor_power(c, n)
+    if swap.source != power or swap.target != power:
         raise InvariantError("swap nesting disagrees with the tensor power")
-    return out
+    return swap
 
 
 def sym_power(c: ChainComplex, n: int) -> SymPower:
-    """Coinvariants of the n-th tensor power under all signed transpositions.
+    """Coinvariants of the n-th tensor power under the signed action of S_n.
 
-    Transpositions generate the symmetric group, so quotienting by
-    v - sign . (transposed v) over all transpositions gives the full
+    The adjacent transpositions generate S_n, and v - sigma.v for a word
+    sigma telescopes into differences across single adjacent swaps, so
+    quotienting by v - (swapped v) over the n-1 adjacent swaps gives the full
     coinvariants.  Exponents are capped to keep the tensor power small.
     """
     if n < 1:
@@ -95,9 +92,7 @@ def sym_power(c: ChainComplex, n: int) -> SymPower:
     if n == 1:
         return SymPower(c, 1, c, ChainMap.identity(c))
     fld = c.field
-    actions = [
-        _transposition_action(c, n, i, j) for i, j in combinations(range(n), 2)
-    ]
+    actions = [_adjacent_swap(c, n, k) for k in range(n - 1)]
     dims, diff, projs = {}, {}, {}
     for deg in power.dims:
         k = power.dim(deg)
@@ -109,8 +104,6 @@ def sym_power(c: ChainComplex, n: int) -> SymPower:
         if qdim:
             dims[deg] = qdim
         projs[deg] = proj
-    from .chain import induced_matrix
-
     for deg in sorted(dims):
         if dims.get(deg - 1, 0):
             diff[deg] = induced_matrix(

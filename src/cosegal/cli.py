@@ -39,6 +39,8 @@ from .two_constant import (
 
 PARSE_ERROR = 2
 SEMANTIC_ERROR = 1
+# `surjections M N` walks all N^M maps; 7^7 is under a million
+MAX_SURJECTION_SOURCE = 7
 
 
 def _max_dim() -> int:
@@ -145,6 +147,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_surjections(args) -> int:
+    if args.m > MAX_SURJECTION_SOURCE:
+        raise DocumentError(
+            f"surjections: M is at most {MAX_SURJECTION_SOURCE}, got {args.m}"
+        )
     surjs = enumerate_surjections(args.m, args.n)
     if args.json:
         _report(
@@ -184,7 +190,13 @@ def _emit_like_input(result: TwoConstantPremonoid, kind: str, level: int, out: s
         _emit(docs.dump_document(result, "two_constant"), out)
 
 
+def _check_level(level: int):
+    if level > docs.MAX_LEVEL:
+        raise DocumentError(f"--level must be at most {docs.MAX_LEVEL}, got {level}")
+
+
 def cmd_cosegalify(args) -> int:
+    _check_level(args.level)
     f, in_kind = _load_two_constant(args.input, args.max_dim)
     level = args.level
     s, tau = cosegalify_two_constant(f, level)
@@ -195,7 +207,7 @@ def cmd_cosegalify(args) -> int:
         "apex_dims": {str(k): v for k, v in sorted(s.apex.dims.items())},
         "apex_homology": {str(k): v for k, v in sorted(homology_dims(s.apex).items())},
         "is_cosegal": bool(is_cosegal(expanded)),
-        "is_k_injective": bool(is_k_injective(s, level)),
+        "is_k_injective": bool(is_k_injective(expanded)),
         "tau_level1_cofibration": bool(is_cofibration(tau.component(1))),
         "reflection_preserved": reflect(s) == reflect(f),
     }
@@ -212,6 +224,7 @@ def cmd_cosegalify(args) -> int:
 
 
 def cmd_pushout_k2(args) -> int:
+    _check_level(args.level)
     f, in_kind = _load_two_constant(args.input, args.max_dim)
     if args.instruction:
         ins = docs.instruction_from_dict(_read_json(args.instruction), f)

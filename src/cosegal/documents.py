@@ -30,6 +30,7 @@ from .premonoid import (
 from .two_constant import K2Instruction, TwoConstantPremonoid
 
 __all__ = [
+    "MAX_LEVEL",
     "DocumentError",
     "ValidationFailure",
     "canonical_dumps",
@@ -50,6 +51,11 @@ __all__ = [
     "instruction_to_dict",
     "instruction_from_dict",
 ]
+
+
+# deepest truncation level accepted: level 6 has 5,310 structure maps to cover,
+# while enumerating them near level 8 no longer finishes
+MAX_LEVEL = 6
 
 
 class DocumentError(Exception):
@@ -232,6 +238,8 @@ def _level_objects(d: dict, max_dim: int | None) -> tuple[int, dict]:
     level = d.get("level")
     if not isinstance(level, int) or isinstance(level, bool) or level < 2:
         raise DocumentError("level must be an integer >= 2")
+    if level > MAX_LEVEL:
+        raise DocumentError(f"level must be at most {MAX_LEVEL}, got {level}")
     objs_raw = d.get("objects")
     if not isinstance(objs_raw, dict):
         raise DocumentError("objects must be an object")

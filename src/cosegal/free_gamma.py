@@ -39,7 +39,7 @@ from .phi_epi import (
     enumerate_surjections,
     latching_shape,
 )
-from .premonoid import Violation, all_surjections_upto
+from .premonoid import Violation, all_surjections_upto, lax_functor_violations
 
 __all__ = [
     "PlainDiagram",
@@ -144,36 +144,11 @@ class DiagramMorphism:
 
 
 def validate_plain(f: PlainDiagram) -> list[Violation]:
-    out = []
-    for v in all_surjections_upto(f.level):
-        for u in all_surjections_upto(v.target_size):
-            if u.source_size != v.target_size:
-                continue
-            if f.structure_map(v) @ f.structure_map(u) != f.structure_map(compose(u, v)):
-                out.append(Violation("functoriality", (tuple(v.map), tuple(u.map))))
-    return out
+    return lax_functor_violations(f, laxity=False)
 
 
 def validate_na(g: NALaxDiagram) -> list[Violation]:
-    from .phi_epi import disjoint_sum
-
-    out = validate_plain(g)
-    for (p, q) in sorted(g.laxity):
-        for (pp, qq) in sorted(g.laxity):
-            for a in enumerate_surjections(pp, p):
-                for b in enumerate_surjections(qq, q):
-                    lhs = g.laxity_map(pp, qq) @ tensor_map(
-                        g.structure_map(a), g.structure_map(b)
-                    )
-                    rhs = g.structure_map(disjoint_sum(a, b)) @ g.laxity_map(p, q)
-                    if lhs != rhs:
-                        out.append(
-                            Violation(
-                                "laxity-naturality",
-                                (p, q, pp, qq, tuple(a.map), tuple(b.map)),
-                            )
-                        )
-    return out
+    return lax_functor_violations(g, laxity=True)
 
 
 def validate_diagram_morphism(s: DiagramMorphism) -> list[Violation]:

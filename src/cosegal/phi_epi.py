@@ -19,6 +19,7 @@ from itertools import product
 __all__ = [
     "Surjection",
     "enumerate_surjections",
+    "generating_surjections",
     "compose",
     "disjoint_sum",
     "unique_to_one",
@@ -104,6 +105,27 @@ def enumerate_surjections(m: int, n: int) -> tuple[Surjection, ...]:
         for arr in product(range(n), repeat=m)
         if set(arr) == targets
     )
+
+
+@lru_cache(maxsize=16)
+def generating_surjections(n: int) -> tuple[Surjection, ...]:
+    """Generators of the surjections between sets of size at most n: for each
+    2 <= k <= n, the adjacent transpositions of S_k and the codegeneracy
+    k ->> k-1 merging 0 and 1.
+
+    Every surjection is a composite of these: a permutation of its source
+    (a word in adjacent transpositions) makes it monotone, and a monotone
+    surjection merges neighbours one pair at a time, each merge being the
+    one of 0 and 1 conjugated by permutations.
+    """
+    out = []
+    for k in range(2, n + 1):
+        for i in range(k - 1):
+            arr = list(range(k))
+            arr[i], arr[i + 1] = i + 1, i
+            out.append(Surjection(k, k, tuple(arr)))
+        out.append(Surjection(k, k - 1, (0,) + tuple(range(k - 1))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

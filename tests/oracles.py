@@ -325,3 +325,114 @@ def oracle_chain_map_defects(src_dims, src_diff, tgt_dims, tgt_diff, comps, p):
         if lhs != rhs:
             bad.append(n)
     return bad
+
+
+# ---------------------------------------------------------------------------
+# lax functor squares
+# ---------------------------------------------------------------------------
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def oracle_lax_functor_failures(level, dims, structure, laxity, p):
+    """Every failing functoriality square and, unless laxity is None, every
+    failing laxity-naturality square of a lax diagram, found by trying all of
+    them in enumeration order.
+
+    dims: level -> {degree: dim}.  structure: image tuple of a non-identity
+    surjection v : n ->> m -> {degree: rows} for the map from level m to
+    level n.  laxity: (p, q) -> {degree: rows} for the map from the tensor
+    product of levels p and q (blocks by left degree ascending, Kronecker
+    order inside a block) to level p + q.  Absent blocks are zero.  Returns
+    ("functoriality", (v, u)) for F(v).F(u) != F(u.v) and
+    ("laxity-naturality", (p, q, p', q', a, b)) for
+    phi_{p',q'}.(F(a) (x) F(b)) != F(a + b).phi_{p,q}.
+    """
+
+    def dim(n, deg):
+        return dims[n].get(deg, 0)
+
+    def fmap(v, deg):
+        n, m = len(v), max(v) + 1
+        if v == tuple(range(n)):
+            return eye(dim(n, deg))
+        rows = structure[v].get(deg)
+        return rows if rows is not None else [[0] * dim(m, deg) for _ in range(dim(n, deg))]
+
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    out = []
+    for n in range(1, level + 1):
+        for m in range(1, n + 1):
+            for v in oracle_surjections(n, m):
+                if v == tuple(range(n)):
+                    continue
+                for k in range(1, m + 1):
+                    for u in oracle_surjections(m, k):
+                        if u == tuple(range(m)):
+                            continue
+                        uv = tuple(u[x] for x in v)
+                        for deg in sorted(set(dims[n]) | set(dims[k])):
+                            rows, inner, cols = dim(n, deg), dim(m, deg), dim(k, deg)
+                            lhs = _dense_product(fmap(v, deg), fmap(u, deg), rows, inner, cols, p)
+                            rhs = _dense_product(fmap(uv, deg), eye(cols), rows, cols, cols, p)
+                            if lhs != rhs:
+                                out.append(("functoriality", (v, u)))
+                                break
+    if laxity is None:
+        return out
+
+    def blocks(a, b, deg):
+        """[(i, j, size)] of the degree-deg part of level a (x) level b."""
+        return [
+            (i, deg - i, dim(a, i) * dim(b, deg - i))
+            for i in sorted(dims[a])
+            if dim(b, deg - i)
+        ]
+
+    def tensor_of(fa, fb, a, b, aa, bb, deg):
+        """F(fa) (x) F(fb) in degree deg, from a (x) b to aa (x) bb."""
+        src, tgt = blocks(a, b, deg), blocks(aa, bb, deg)
+        out = [[0] * sum(s for _, _, s in src) for _ in range(sum(s for _, _, s in tgt))]
+        t_off, off = {}, 0
+        for i, j, s in tgt:
+            t_off[(i, j)] = off
+            off += s
+        s_off = 0
+        for i, j, s in src:
+            if (i, j) in t_off:
+                for r, row in enumerate(_kron(fmap(fa, i), fmap(fb, j))):
+                    out[t_off[(i, j)] + r][s_off : s_off + s] = row
+            s_off += s
+        return out
+
+    def lax(pq, deg, rows, cols):
+        m = laxity[pq].get(deg)
+        return m if m is not None else [[0] * cols for _ in range(rows)]
+
+    keys = sorted(laxity)
+    for (lp, lq) in keys:
+        for (pp, qq) in keys:
+            for a in oracle_surjections(pp, lp):
+                for b in oracle_surjections(qq, lq):
+                    ab = tuple(a) + tuple(x + lp for x in b)
+                    degs = sorted({i + j for i in dims[lp] for j in dims[lq]})
+                    for deg in degs:
+                        src = sum(s for _, _, s in blocks(lp, lq, deg))
+                        mid = sum(s for _, _, s in blocks(pp, qq, deg))
+                        top, low = dim(lp + lq, deg), dim(pp + qq, deg)
+                        lhs = _dense_product(
+                            lax((pp, qq), deg, low, mid),
+                            tensor_of(a, b, lp, lq, pp, qq, deg),
+                            low, mid, src, p,
+                        )
+                        rhs = _dense_product(
+                            fmap(ab, deg), lax((lp, lq), deg, top, src), low, top, src, p
+                        )
+                        if lhs != rhs:
+                            out.append(("laxity-naturality", (lp, lq, pp, qq, a, b)))
+                            break
+    return out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cosegal.chain import (
@@ -10,7 +12,7 @@ from cosegal.chain import (
 from cosegal.charp_lab import demo_char_p, disc, sym_power
 from cosegal.field_linalg import GF2, GF3, QQ, Field
 from cosegal.premonoid import is_easy_weq
-from cosegal.sampling import acyclic_monoid
+from cosegal.sampling import acyclic_monoid, random_complex
 from cosegal.two_constant import (
     TwoConstantPremonoid,
     cosegalify_two_constant,
@@ -83,6 +85,37 @@ def test_oracle_agreement_exponent3():
         sp = sym_power(d1, 3)
         assert sp.result.dims == dims
         assert homology_dims(sp.result) == hom
+
+
+@pytest.mark.parametrize("p", [0, 2, 3], ids=str)
+@pytest.mark.parametrize("exponent", [3, 4])
+def test_oracle_agreement_random_complexes(p, exponent):
+    # complexes with several degrees, so the left nesting of the tensor
+    # power differs from the right nesting; sizes keep the oracle small
+    rng = random.Random(100 * exponent + p)
+    cap = {3: 4, 4: 3}[exponent] - (p == 0)
+    hi = 2 if exponent == 3 else 1
+    complexes = []
+    while len(complexes) < 6:
+        c = random_complex(rng, Field(p), 0, hi, 2)
+        if 2 <= c.total_dim() <= cap:
+            complexes.append(c)
+    assert any(c.diff for c in complexes)
+    for c in complexes:
+        dims, hom = oracle_sym_power_dims(complex_to_oracle_form(c), exponent, p)
+        sp = sym_power(c, exponent)
+        assert sp.result.dims == dims, c
+        assert homology_dims(sp.result) == hom, c
+        assert is_fibration(sp.projection)
+
+
+def test_demo_charp_exponent_four():
+    for p in (0, 2, 3):
+        rep = demo_char_p(p, exponent=4)
+        d1 = disc(Field(p), 1)
+        dims, hom = oracle_sym_power_dims(complex_to_oracle_form(d1), 4, p)
+        assert rep["power_dims"] == {str(k): v for k, v in sorted(dims.items())}
+        assert rep["homology"] == {str(k): v for k, v in sorted(hom.items())}
 
 
 def test_rational_discs_stay_acyclic():

@@ -362,3 +362,45 @@ def test_demo_charp_bad_field_is_exit2(field, capsys):
         main(["demo-charp", "--field", field])
     assert exc.value.code == 2
     assert "--field" in capsys.readouterr().err
+
+
+def test_surjections_source_cap_is_exit2(capsys):
+    from cosegal.cli import MAX_SURJECTION_SOURCE
+
+    rc = main(["surjections", str(MAX_SURJECTION_SOURCE), "2"])
+    out = capsys.readouterr()
+    assert rc == 0 and out.out.splitlines()[-1] == f"count {2 ** MAX_SURJECTION_SOURCE - 2}"
+    rc = main(["surjections", str(MAX_SURJECTION_SOURCE + 1), "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"ERROR: surjections: M is at most {MAX_SURJECTION_SOURCE}, got 8\n"
+
+
+def test_document_level_cap_is_exit2(tmp_path, capsys):
+    from cosegal.chain import single_complex
+    from cosegal.sampling import tower_diagram
+
+    # level 5 is accepted and validated
+    s0 = single_complex(GF2, 0, 1)
+    deep = tmp_path / "deep.json"
+    deep.write_text(docs.dump_document(tower_diagram([ChainMap.identity(s0)] * 4), "diagram"))
+    assert main(["validate", str(deep)]) == 0
+    assert capsys.readouterr().out == f"OK {deep}\n"
+    # a level far beyond the cap is refused before anything is enumerated
+    doc = json.loads(deep.read_text())
+    for level in (docs.MAX_LEVEL + 1, 10**9):
+        doc["level"] = level
+        huge = tmp_path / f"level{level}.json"
+        huge.write_text(json.dumps(doc))
+        assert main(["validate", str(huge)]) == 2
+        out = capsys.readouterr()
+        assert out.out == f"ERROR {huge}: level must be at most {docs.MAX_LEVEL}, got {level}\n"
+        assert out.err == ""
+
+
+@pytest.mark.parametrize("command", ["cosegalify", "pushout-k2"])
+def test_level_flag_cap_is_exit2(command, capsys, two_constant_file):
+    rc = main([command, str(two_constant_file), "--level", str(docs.MAX_LEVEL + 1)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"ERROR: --level must be at most {docs.MAX_LEVEL}, got {docs.MAX_LEVEL + 1}\n"
