@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Write a small set of example documents into ./fixtures for exercising the
-CLI by hand.  Everything is seeded, so repeated runs reproduce the same
-files byte for byte.
+"""Write a small set of example documents into ./fixtures (or the directory
+given as the first argument) for exercising the CLI.  Everything is seeded,
+so repeated runs reproduce the same files byte for byte.
+
+    python3 scripts/make_fixtures.py [OUT_DIR]
 """
 
 import pathlib
 import random
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from cosegal import documents as docs
 from cosegal.chain import ChainMap, single_complex
@@ -23,9 +25,9 @@ from cosegal.sampling import (
 from cosegal.two_constant import expand_to_premonoid
 
 
-def main():
-    out = pathlib.Path("fixtures")
-    out.mkdir(exist_ok=True)
+def main(out="fixtures"):
+    out = pathlib.Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(12345)
 
     # the one-point fixture whose free construction has dimension 3 at level 2
@@ -55,4 +57,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -2,11 +2,17 @@
 tests/golden, byte for byte, with the same exit codes.  The invalid
 documents there break functoriality, laxity naturality and the other
 premonoid axioms, so their reports pin the order and indices of every
-offending square."""
+offending square.
+
+The fixtures are not tracked: each run regenerates them with the seeded
+scripts/make_fixtures.py in a scratch directory laid out like the repository,
+so the reports name the same relative paths."""
 
 import contextlib
+import importlib.util
 import io
 import pathlib
+import shutil
 
 import pytest
 
@@ -55,9 +61,25 @@ CASES = (
 )
 
 
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", ROOT / "scripts" / "make_fixtures.py"
+    )
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    with contextlib.redirect_stdout(io.StringIO()):
+        make_fixtures.main(root / "fixtures")
+    (root / "tests" / "golden").mkdir(parents=True)
+    for name in INVALID:
+        shutil.copy(GOLDEN / f"{name}.json", root / "tests" / "golden")
+    return root
+
+
 @pytest.mark.parametrize("argv, golden, code", CASES, ids=[c[1] for c in CASES])
-def test_fixture_report_is_byte_identical(argv, golden, code, monkeypatch):
-    monkeypatch.chdir(ROOT)
+def test_fixture_report_is_byte_identical(argv, golden, code, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(argv)
