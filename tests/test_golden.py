@@ -2,7 +2,8 @@
 tests/golden, byte for byte, with the same exit codes.  The invalid
 documents there break functoriality, laxity naturality and the other
 premonoid axioms, so their reports pin the order and indices of every
-offending square.
+offending square.  The documents the `--out` commands write are pinned the
+same way.
 
 The fixtures are not tracked: each run regenerates them with the seeded
 scripts/make_fixtures.py in a scratch directory laid out like the repository,
@@ -60,6 +61,17 @@ CASES = (
     ]
 )
 
+# (argv, stdout golden, document golden): each command also writes --out
+OUT_CASES = [
+    (["gamma", "fixtures/point_diagram.json", "--json"],
+     "gamma_point_diagram.json", "out_gamma_point_diagram.json"),
+    (["cosegalify", "fixtures/premonoid_level4.json", "--json"],
+     "cosegalify_premonoid_level4.json", "out_cosegalify_premonoid_level4.json"),
+    (["pushout-k2", "fixtures/two_constant.json",
+      "--instruction", "fixtures/instruction.json", "--json"],
+     "pushout_k2_two_constant.json", "out_pushout_k2_two_constant.json"),
+]
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -85,3 +97,14 @@ def test_fixture_report_is_byte_identical(argv, golden, code, workdir, monkeypat
         rc = main(argv)
     assert rc == code
     assert buf.getvalue().encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, report, document", OUT_CASES, ids=[c[2] for c in OUT_CASES])
+def test_out_document_is_byte_identical(argv, report, document, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv + ["--out", document])
+    assert rc == 0
+    assert buf.getvalue().encode() == (GOLDEN / report).read_bytes()
+    assert (workdir / document).read_bytes() == (GOLDEN / document).read_bytes()
