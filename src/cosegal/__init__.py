@@ -40,8 +40,8 @@ from .phi_epi import (
 )
 from .premonoid import (
     StrictMonoid,
-    TruncatedPremonoid,
-    PremonoidMorphism,
+    LaxDiagram,
+    DiagramMorphism,
     Violation,
     validate,
     validate_strict,
@@ -54,9 +54,6 @@ from .premonoid import (
     h_star,
 )
 from .free_gamma import (
-    PlainDiagram,
-    NALaxDiagram,
-    DiagramMorphism,
     lax_latching,
     classical_latching,
     delta_map,
@@ -65,7 +62,6 @@ from .free_gamma import (
     lan_entry,
 )
 from .two_constant import (
-    ArrowSquare,
     TwoConstantPremonoid,
     K2Instruction,
     localizing_set,

@@ -42,7 +42,6 @@ __all__ = [
     "solve_lifting",
     "has_rlp",
     "chain_map_basis",
-    "inverse_iso",
     "generating_cofibrations",
     "rlp_window",
     "colimit",
@@ -407,6 +406,16 @@ def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
     return ChainMap(src, tgt, comps)
 
 
+def _associator_inverse(alpha: ChainMap) -> ChainMap:
+    """The inverse of an associator: it permutes a basis, so its inverse is
+    its transpose."""
+    return ChainMap(
+        alpha.target,
+        alpha.source,
+        {n: m.transpose() for n, m in alpha.components.items()},
+    )
+
+
 def direct_sum(summands: list[ChainComplex]):
     """Direct sum with inclusion and projection chain maps."""
     if not summands:
@@ -740,20 +749,6 @@ def chain_map_basis(source: ChainComplex, target: ChainComplex) -> list[ChainMap
         }
         basis.append(ChainMap(source, target, comps))
     return basis
-
-
-def inverse_iso(f: ChainMap) -> ChainMap:
-    """Inverse of a degreewise isomorphism."""
-    comps = {}
-    for n in set(f.source.dims) | set(f.target.dims):
-        m = f.component(n)
-        if m.rows != m.cols:
-            raise ValueError("not an isomorphism (shape)")
-        inv = m.solve(Matrix.identity(f.field, m.rows))
-        if inv is None or (m @ inv) != Matrix.identity(f.field, m.rows):
-            raise ValueError("not an isomorphism")
-        comps[n] = inv
-    return ChainMap(f.target, f.source, comps)
 
 
 def has_rlp(alpha: ChainMap, g: ChainMap) -> bool:

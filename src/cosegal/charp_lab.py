@@ -20,6 +20,7 @@ import numpy as np
 
 from .chain import (
     ChainComplex,
+    _associator_inverse,
     ChainMap,
     associator,
     braiding,
@@ -61,13 +62,7 @@ def _adjacent_swap(c: ChainComplex, n: int, k: int) -> ChainMap:
     else:
         left = tensor_power(c, k)
         alpha = associator(left, c, c)
-        # the associator permutes a basis, so its inverse is its transpose
-        back = ChainMap(
-            alpha.target,
-            alpha.source,
-            {deg: m.transpose() for deg, m in alpha.components.items()},
-        )
-        swap = back @ tensor_map(ChainMap.identity(left), tau) @ alpha
+        swap = _associator_inverse(alpha) @ tensor_map(ChainMap.identity(left), tau) @ alpha
     for _ in range(n - k - 2):
         swap = tensor_map(swap, ChainMap.identity(c))
     power = tensor_power(c, n)

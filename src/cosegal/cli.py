@@ -21,7 +21,7 @@ from .charp_lab import demo_char_p
 from .chain import ChainMap, homology_dims, is_cofibration
 from .documents import DocumentError, ValidationFailure, canonical_dumps
 from .field_linalg import Field, InvariantError
-from .free_gamma import gamma_na, validate_diagram_morphism, validate_na
+from .free_gamma import gamma_na
 from .phi_epi import enumerate_surjections
 from .premonoid import is_cosegal, validate, validate_morphism
 from .sampling import random_k2_instruction
@@ -116,16 +116,10 @@ def cmd_validate(args) -> int:
             payload = _read_json(path)
             kind, obj = docs.load_document(payload, args.max_dim)
             violations = []
-            if kind == "premonoid":
+            if kind in ("diagram", "na_diagram", "premonoid"):
                 violations = validate(obj)
             elif kind == "morphism":
                 violations = validate_morphism(obj)
-            elif kind == "diagram":
-                from .free_gamma import validate_plain
-
-                violations = validate_plain(obj)
-            elif kind == "na_diagram":
-                violations = validate_na(obj)
             elif kind == "two_constant":
                 violations = obj.validate()
             if violations:
@@ -284,9 +278,7 @@ def cmd_gamma(args) -> int:
     kind, diagram = docs.load_document(payload, args.max_dim)
     if kind != "diagram":
         raise DocumentError(f"expected a diagram document, got {kind!r}")
-    from .free_gamma import validate_plain
-
-    bad = validate_plain(diagram)
+    bad = validate(diagram)
     if bad:
         raise ValidationFailure(bad)
     g, eta = gamma_na(diagram)
@@ -305,7 +297,7 @@ def cmd_gamma(args) -> int:
             str(n): _shape_adjacency(n) for n in range(2, g.level + 1)
         },
         "level1_unchanged": g.objects[1] == diagram.objects[1],
-        "unit_natural": validate_diagram_morphism(eta) == [],
+        "unit_natural": validate_morphism(eta) == [],
     }
     if args.out:
         _emit(docs.dump_document(g, "na_diagram"), args.out)

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .chain import ChainComplex, ChainMap, GeneratingCofibration, tensor, unit_complex
 from .field_linalg import Field, Matrix
-from .free_gamma import NALaxDiagram, PlainDiagram
 from .phi_epi import Surjection
 from .premonoid import (
+    DiagramMorphism,
+    LaxDiagram,
     StrictMonoid,
-    TruncatedPremonoid,
-    PremonoidMorphism,
     Violation,
     all_surjections_upto,
 )
@@ -42,9 +42,6 @@ __all__ = [
     "map_from_dict",
     "diagram_to_dict",
     "diagram_from_dict",
-    "na_diagram_to_dict",
-    "premonoid_to_dict",
-    "premonoid_from_dict",
     "morphism_to_dict",
     "two_constant_to_dict",
     "two_constant_from_dict",
@@ -94,6 +91,10 @@ def _matrix_to_rows(m: Matrix) -> list:
     return [
         [_encode_entry(m.data[i, j]) for j in range(m.cols)] for i in range(m.rows)
     ]
+
+
+def _components_to_dict(f: ChainMap) -> dict:
+    return {str(n): _matrix_to_rows(m) for n, m in f.components.items()}
 
 
 def _matrix_from_rows(field: Field, rows, nrows: int, ncols: int) -> Matrix:
@@ -179,7 +180,7 @@ def map_to_dict(f: ChainMap, kind: bool = True) -> dict:
     out = {
         "source": complex_to_dict(f.source, kind=False),
         "target": complex_to_dict(f.target, kind=False),
-        "components": {str(n): _matrix_to_rows(m) for n, m in f.components.items()},
+        "components": _components_to_dict(f),
     }
     if kind:
         out["kind"] = "map"
@@ -269,27 +270,33 @@ def _structure_from(d: dict, level: int, objects: dict) -> dict:
     return structure
 
 
-def diagram_to_dict(f: PlainDiagram) -> dict:
-    return {
-        "kind": "diagram",
+# the optional sections each diagram kind writes and requires
+_SECTIONS = {
+    "diagram": (),
+    "na_diagram": ("laxity",),
+    "premonoid": ("laxity", "unit"),
+}
+
+
+def diagram_to_dict(f: LaxDiagram, kind: str = "diagram") -> dict:
+    """The document of f as a `diagram`, `na_diagram` or `premonoid`; the
+    kind names which of the laxity and unit sections are written."""
+    sections = _SECTIONS[kind]
+    out = {
+        "kind": kind,
         "level": f.level,
         "objects": {str(n): complex_to_dict(c, kind=False) for n, c in f.objects.items()},
         "structure": {
-            _surjection_key(v): {
-                str(n): _matrix_to_rows(m) for n, m in g.components.items()
-            }
-            for v, g in f.structure.items()
+            _surjection_key(v): _components_to_dict(g) for v, g in f.structure.items()
         },
     }
-
-
-def diagram_from_dict(d: dict, max_dim: int | None = None) -> PlainDiagram:
-    level, objects = _level_objects(d, max_dim)
-    structure = _structure_from(d, level, objects)
-    try:
-        return PlainDiagram(level, objects, structure)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    if "laxity" in sections:
+        out["laxity"] = {
+            f"{p},{q}": _components_to_dict(g) for (p, q), g in f.laxity.items()
+        }
+    if "unit" in sections:
+        out["unit"] = _components_to_dict(f.unit)
+    return out
 
 
 def _laxity_from(d: dict, level: int, objects: dict) -> dict:
@@ -314,74 +321,39 @@ def _laxity_from(d: dict, level: int, objects: dict) -> dict:
     return laxity
 
 
-def na_diagram_to_dict(g: NALaxDiagram) -> dict:
-    out = diagram_to_dict(g)
-    out["kind"] = "na_diagram"
-    out["laxity"] = {
-        f"{p},{q}": {str(n): _matrix_to_rows(m) for n, m in f.components.items()}
-        for (p, q), f in g.laxity.items()
-    }
-    return out
-
-
-def na_diagram_from_dict(d: dict, max_dim: int | None = None) -> NALaxDiagram:
+def diagram_from_dict(
+    d: dict, max_dim: int | None = None, kind: str = "diagram"
+) -> LaxDiagram:
+    """Load a `diagram`, `na_diagram` or `premonoid` document; the kind names
+    which of the laxity and unit sections are read, and they are required."""
+    sections = _SECTIONS[kind]
     level, objects = _level_objects(d, max_dim)
     structure = _structure_from(d, level, objects)
-    laxity = _laxity_from(d, level, objects)
+    laxity = _laxity_from(d, level, objects) if "laxity" in sections else None
+    unit = None
+    if "unit" in sections:
+        field = objects[1].field
+        unit = _components_from(
+            field, d.get("unit", {}), unit_complex(field), objects[1], ("unit",)
+        )
     try:
-        return NALaxDiagram(level, objects, structure, laxity=laxity)
+        return LaxDiagram(level, objects, structure, laxity, unit)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
 
-def premonoid_to_dict(f: TruncatedPremonoid) -> dict:
-    return {
-        "kind": "premonoid",
-        "level": f.level,
-        "objects": {str(n): complex_to_dict(c, kind=False) for n, c in f.objects.items()},
-        "structure": {
-            _surjection_key(v): {
-                str(n): _matrix_to_rows(m) for n, m in g.components.items()
-            }
-            for v, g in f.structure.items()
-        },
-        "laxity": {
-            f"{p},{q}": {str(n): _matrix_to_rows(m) for n, m in g.components.items()}
-            for (p, q), g in f.laxity.items()
-        },
-        "unit": {str(n): _matrix_to_rows(m) for n, m in f.unit.components.items()},
-    }
-
-
-def premonoid_from_dict(d: dict, max_dim: int | None = None) -> TruncatedPremonoid:
-    level, objects = _level_objects(d, max_dim)
-    structure = _structure_from(d, level, objects)
-    laxity = _laxity_from(d, level, objects)
-    field = objects[1].field
-    unit = _components_from(
-        field, d.get("unit", {}), unit_complex(field), objects[1], ("unit",)
-    )
-    try:
-        return TruncatedPremonoid(level, objects, structure, laxity, unit)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-
-
-def morphism_to_dict(s: PremonoidMorphism) -> dict:
+def morphism_to_dict(s: DiagramMorphism) -> dict:
     return {
         "kind": "morphism",
-        "source": premonoid_to_dict(s.source),
-        "target": premonoid_to_dict(s.target),
-        "components": {
-            str(n): {str(d): _matrix_to_rows(m) for d, m in f.components.items()}
-            for n, f in s.components.items()
-        },
+        "source": diagram_to_dict(s.source, "premonoid"),
+        "target": diagram_to_dict(s.target, "premonoid"),
+        "components": {str(n): _components_to_dict(f) for n, f in s.components.items()},
     }
 
 
-def morphism_from_dict(d: dict, max_dim: int | None = None) -> PremonoidMorphism:
-    src = premonoid_from_dict(d.get("source", {}), max_dim)
-    tgt = premonoid_from_dict(d.get("target", {}), max_dim)
+def morphism_from_dict(d: dict, max_dim: int | None = None) -> DiagramMorphism:
+    src = diagram_from_dict(d.get("source", {}), max_dim, "premonoid")
+    tgt = diagram_from_dict(d.get("target", {}), max_dim, "premonoid")
     raw = d.get("components")
     if not isinstance(raw, dict):
         raise DocumentError("components must be an object")
@@ -397,7 +369,7 @@ def morphism_from_dict(d: dict, max_dim: int | None = None) -> PremonoidMorphism
             src.field, comp, src.objects[n], tgt.objects[n], ("component", k)
         )
     try:
-        return PremonoidMorphism(src, tgt, comps)
+        return DiagramMorphism(src, tgt, comps)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -412,12 +384,12 @@ def two_constant_to_dict(f: TwoConstantPremonoid) -> dict:
         "kind": "two_constant",
         "base": {
             "object": complex_to_dict(f.base.obj, kind=False),
-            "mu": {str(n): _matrix_to_rows(m) for n, m in f.base.mu.components.items()},
-            "e": {str(n): _matrix_to_rows(m) for n, m in f.base.e.components.items()},
+            "mu": _components_to_dict(f.base.mu),
+            "e": _components_to_dict(f.base.e),
         },
         "apex": complex_to_dict(f.apex, kind=False),
-        "h": {str(n): _matrix_to_rows(m) for n, m in f.h.components.items()},
-        "unit": {str(n): _matrix_to_rows(m) for n, m in f.unit_map.components.items()},
+        "h": _components_to_dict(f.h),
+        "unit": _components_to_dict(f.unit_map),
     }
 
 
@@ -446,8 +418,8 @@ def instruction_to_dict(ins: K2Instruction) -> dict:
     return {
         "kind": "instruction",
         "alpha_degree": ins.alpha.degree,
-        "q": {str(n): _matrix_to_rows(m) for n, m in ins.q.components.items()},
-        "p": {str(n): _matrix_to_rows(m) for n, m in ins.p.components.items()},
+        "q": _components_to_dict(ins.q),
+        "p": _components_to_dict(ins.p),
     }
 
 
@@ -473,9 +445,7 @@ def instruction_from_dict(d: dict, f: TwoConstantPremonoid) -> K2Instruction:
 _TO = {
     "complex": complex_to_dict,
     "map": map_to_dict,
-    "diagram": diagram_to_dict,
-    "na_diagram": na_diagram_to_dict,
-    "premonoid": premonoid_to_dict,
+    **{kind: partial(diagram_to_dict, kind=kind) for kind in _SECTIONS},
     "morphism": morphism_to_dict,
     "two_constant": two_constant_to_dict,
     "instruction": instruction_to_dict,
@@ -500,12 +470,8 @@ def load_document(d: dict, max_dim: int | None = None):
         return kind, complex_from_dict(d, max_dim)
     if kind == "map":
         return kind, map_from_dict(d, max_dim)
-    if kind == "diagram":
-        return kind, diagram_from_dict(d, max_dim)
-    if kind == "na_diagram":
-        return kind, na_diagram_from_dict(d, max_dim)
-    if kind == "premonoid":
-        return kind, premonoid_from_dict(d, max_dim)
+    if kind in _SECTIONS:
+        return kind, diagram_from_dict(d, max_dim, kind)
     if kind == "morphism":
         return kind, morphism_from_dict(d, max_dim)
     if kind == "two_constant":

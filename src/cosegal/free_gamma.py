@@ -18,8 +18,6 @@ dense experiments and N = 4 only for very small objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chain import (
     ChainComplex,
     ChainMap,
@@ -39,16 +37,9 @@ from .phi_epi import (
     enumerate_surjections,
     latching_shape,
 )
-from .premonoid import Violation, all_surjections_upto, lax_functor_violations
+from .premonoid import DiagramMorphism, LaxDiagram
 
 __all__ = [
-    "PlainDiagram",
-    "NALaxDiagram",
-    "DiagramMorphism",
-    "validate_plain",
-    "validate_na",
-    "validate_diagram_morphism",
-    "validate_na_morphism",
     "lax_latching",
     "classical_latching",
     "delta_map",
@@ -58,145 +49,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class PlainDiagram:
-    """A functorial diagram: objects per level plus structure maps, no laxity."""
-
-    level: int
-    objects: dict
-    structure: dict
-
-    def __post_init__(self):
-        if set(self.objects) != set(range(1, self.level + 1)):
-            raise ValueError("objects must cover levels 1..N")
-        structure = {}
-        for v, f in self.structure.items():
-            if v.is_identity():
-                continue
-            if f.source != self.objects[v.target_size] or f.target != self.objects[v.source_size]:
-                raise ValueError(f"structure map for {v} has wrong endpoints")
-            structure[v] = f
-        for v in all_surjections_upto(self.level):
-            if v not in structure:
-                raise ValueError(f"missing structure map for {v}")
-        self.structure = structure
-
-    @property
-    def field(self) -> Field:
-        return self.objects[1].field
-
-    def structure_map(self, v: Surjection) -> ChainMap:
-        if v.is_identity():
-            return ChainMap.identity(self.objects[v.source_size])
-        return self.structure[v]
-
-
-@dataclass
-class NALaxDiagram(PlainDiagram):
-    """A plain diagram with laxity maps that are natural but need not be
-    associative, symmetric or unital."""
-
-    laxity: dict = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        expected = {
-            (p, q)
-            for p in range(1, self.level)
-            for q in range(1, self.level - p + 1)
-        }
-        if set(self.laxity) != expected:
-            raise ValueError("laxity maps must cover exactly {p,q >= 1, p+q <= N}")
-        for (p, q), f in self.laxity.items():
-            if f.source != tensor(self.objects[p], self.objects[q]):
-                raise ValueError(f"laxity ({p},{q}) has wrong source")
-            if f.target != self.objects[p + q]:
-                raise ValueError(f"laxity ({p},{q}) has wrong target")
-
-    def laxity_map(self, p: int, q: int) -> ChainMap:
-        return self.laxity[(p, q)]
-
-    def underlying(self) -> PlainDiagram:
-        return PlainDiagram(self.level, dict(self.objects), dict(self.structure))
-
-
-@dataclass
-class DiagramMorphism:
-    source: PlainDiagram
-    target: PlainDiagram
-    components: dict
-
-    def __post_init__(self):
-        for n in range(1, self.source.level + 1):
-            f = self.components.get(n)
-            if f is None:
-                raise ValueError(f"missing component at level {n}")
-            if f.source != self.source.objects[n] or f.target != self.target.objects[n]:
-                raise ValueError(f"component at level {n} has wrong endpoints")
-
-    def component(self, n: int) -> ChainMap:
-        return self.components[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagramMorphism):
-            return NotImplemented
-        return self.components == other.components
-
-
-def validate_plain(f: PlainDiagram) -> list[Violation]:
-    return lax_functor_violations(f, laxity=False)
-
-
-def validate_na(g: NALaxDiagram) -> list[Violation]:
-    return lax_functor_violations(g, laxity=True)
-
-
-def validate_diagram_morphism(s: DiagramMorphism) -> list[Violation]:
-    out = []
-    f, g = s.source, s.target
-    for v in all_surjections_upto(f.level):
-        lhs = s.component(v.source_size) @ f.structure_map(v)
-        rhs = g.structure_map(v) @ s.component(v.target_size)
-        if lhs != rhs:
-            out.append(Violation("naturality", (tuple(v.map),)))
-    return out
-
-
-def validate_na_morphism(s: DiagramMorphism) -> list[Violation]:
-    out = validate_diagram_morphism(s)
-    f, g = s.source, s.target
-    for (p, q) in sorted(f.laxity):
-        lhs = s.component(p + q) @ f.laxity_map(p, q)
-        rhs = g.laxity_map(p, q) @ tensor_map(s.component(p), s.component(q))
-        if lhs != rhs:
-            out.append(Violation("multiplicativity", (p, q)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # latching objects
 # ---------------------------------------------------------------------------
 
 
-class _LevelData:
-    """The partial free diagram during the induction: per-level objects,
-    structure and laxity maps, mirrored accessors."""
-
-    def __init__(self, objects, structure, laxity):
-        self.objects = objects
-        self.structure = structure
-        self.laxity = laxity
-
-    def structure_map(self, v):
-        if v.is_identity():
-            return ChainMap.identity(self.objects[v.source_size])
-        return self.structure[v]
-
-    def laxity_map(self, p, q):
-        return self.laxity[(p, q)]
-
-
-def _shape_values(data, shape):
+def _shape_values(d: LaxDiagram, shape):
     """Chain complexes at each shape object; tensor values are cached per (p, q)."""
     cache = {}
     values = []
@@ -204,21 +62,21 @@ def _shape_values(data, shape):
         if isinstance(ob, PairObject):
             key = (ob.p, ob.q)
             if key not in cache:
-                cache[key] = tensor(data.objects[ob.p], data.objects[ob.q])
+                cache[key] = tensor(d.objects[ob.p], d.objects[ob.q])
             values.append(cache[key])
         else:
-            values.append(data.objects[ob.p])
+            values.append(d.objects[ob.p])
     return values
 
 
-def _shape_arrow_map(data, shape, arr) -> ChainMap:
+def _shape_arrow_map(d: LaxDiagram, shape, arr) -> ChainMap:
     src_ob = shape.objects[arr.src]
     if arr.kind == "pair":
-        return tensor_map(data.structure_map(arr.a), data.structure_map(arr.b))
+        return tensor_map(d.structure_map(arr.a), d.structure_map(arr.b))
     if arr.kind == "gamma":
-        phi = data.laxity_map(src_ob.p, src_ob.q)
-        return data.structure_map(arr.c) @ phi
-    return data.structure_map(arr.c)
+        phi = d.laxity_map(src_ob.p, src_ob.q)
+        return d.structure_map(arr.c) @ phi
+    return d.structure_map(arr.c)
 
 
 def lax_latching(h, n: int):
@@ -226,22 +84,20 @@ def lax_latching(h, n: int):
     latching complex and the cocone legs indexed like the shape objects."""
     if n < 2 or n > h.level + 1:
         raise ValueError("level out of range for the given diagram")
-    data = _LevelData(h.objects, h.structure, h.laxity)
     shape = latching_shape(n, classical=False)
-    values = _shape_values(data, shape)
+    values = _shape_values(h, shape)
     arrows = [
-        (arr.src, arr.tgt, _shape_arrow_map(data, shape, arr)) for arr in shape.arrows
+        (arr.src, arr.tgt, _shape_arrow_map(h, shape, arr)) for arr in shape.arrows
     ]
     return colimit(values, arrows)
 
 
 def classical_latching(f, n: int):
     """Ordinary latching object of the underlying diagram at level n."""
-    data = _LevelData(f.objects, f.structure, getattr(f, "laxity", {}))
     shape = latching_shape(n, classical=True)
-    values = _shape_values(data, shape)
+    values = _shape_values(f, shape)
     arrows = [
-        (arr.src, arr.tgt, _shape_arrow_map(data, shape, arr)) for arr in shape.arrows
+        (arr.src, arr.tgt, _shape_arrow_map(f, shape, arr)) for arr in shape.arrows
     ]
     return colimit(values, arrows)
 
@@ -275,24 +131,24 @@ def delta_map(f, h, n: int, unit: dict | None = None) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
-def _joint_level(f: PlainDiagram, data: _LevelData, eta: dict, n: int):
+def _joint_level(f: LaxDiagram, below: LaxDiagram, eta: dict, n: int):
     """Nodes and arrows of the diagram whose colimit is the level-n value of
-    the free construction: the lax shape over the data built so far, the
-    classical shape over f, and the node f(n) itself."""
+    the free construction: the lax shape over `below`, the free diagram
+    built up to some level at least n - 1 (only levels below n are read),
+    the classical shape over f, and the node f(n) itself."""
     lshape = latching_shape(n, classical=False)
     cshape = latching_shape(n, classical=True)
-    values = _shape_values(data, lshape)
+    values = _shape_values(below, lshape)
     nodes = list(values)
     arrows = [
-        (arr.src, arr.tgt, _shape_arrow_map(data, lshape, arr))
+        (arr.src, arr.tgt, _shape_arrow_map(below, lshape, arr))
         for arr in lshape.arrows
     ]
-    fdata = _LevelData(f.objects, f.structure, {})
     coff = len(nodes)
-    nodes.extend(_shape_values(fdata, cshape))
+    nodes.extend(_shape_values(f, cshape))
     for arr in cshape.arrows:
         arrows.append(
-            (coff + arr.src, coff + arr.tgt, _shape_arrow_map(fdata, cshape, arr))
+            (coff + arr.src, coff + arr.tgt, _shape_arrow_map(f, cshape, arr))
         )
     fnode = len(nodes)
     nodes.append(f.objects[n])
@@ -307,7 +163,7 @@ def _hstack_legs(legs, deg):
     return Matrix.hstack(fld, [leg.component(deg) for leg in legs])
 
 
-def gamma_na(f: PlainDiagram):
+def gamma_na(f: LaxDiagram):
     """Free nonassociative lax diagram on f, with the unit transformation.
 
     The level-1 value is f(1) verbatim.  Each higher value is the pushout of
@@ -320,8 +176,8 @@ def gamma_na(f: PlainDiagram):
     laxity: dict = {}
     eta = {1: ChainMap.identity(f.objects[1])}
     for n in range(2, f.level + 1):
-        data = _LevelData(objects, structure, laxity)
-        lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, data, eta, n)
+        below = LaxDiagram(n - 1, objects, structure, laxity)
+        lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, below, eta, n)
         q, legs = colimit(nodes, arrows)
         objects[n] = q
         eta[n] = legs[fnode]
@@ -356,13 +212,12 @@ def gamma_na(f: PlainDiagram):
                 composite = _hstack_legs(relabeled, deg)
                 comps[deg] = induced_matrix(through, composite)
             structure[pi] = ChainMap(q, q, comps)
-    g = NALaxDiagram(f.level, objects, structure, laxity=laxity)
-    eta_m = DiagramMorphism(f, g.underlying(), eta)
-    return g, eta_m
+    g = LaxDiagram(f.level, objects, structure, laxity)
+    return g, DiagramMorphism(f, g, eta)
 
 
 def universal_extension(
-    f: PlainDiagram, g: NALaxDiagram, phi: DiagramMorphism
+    f: LaxDiagram, g: LaxDiagram, phi: DiagramMorphism
 ) -> DiagramMorphism:
     """The unique lax-compatible extension of phi : f -> Ug along the unit.
 
@@ -372,20 +227,13 @@ def universal_extension(
     """
     if g.level != f.level:
         raise ValueError("level mismatch")
+    if g.laxity is None:
+        raise ValueError("the target needs laxity maps")
     free, eta_m = gamma_na(f)
     eta = eta_m.components
     ext = {1: phi.component(1)}
-    objects = {1: f.objects[1]}
-    structure: dict = {}
-    laxity: dict = {}
     for n in range(2, f.level + 1):
-        data = _LevelData(free.objects, free.structure, free.laxity)
-        below = _LevelData(
-            {m: free.objects[m] for m in range(1, n)},
-            {v: free.structure[v] for v in free.structure if v.source_size < n},
-            {pq: free.laxity[pq] for pq in free.laxity if sum(pq) < n},
-        )
-        lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, below, eta, n)
+        lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, free, eta, n)
         q, legs = colimit(nodes, arrows)
         if q != free.objects[n]:
             raise InvariantError(f"joint colimit at level {n} differs from the free object")

@@ -1,11 +1,12 @@
 """Truncated commutative premonoids: lax symmetric monoidal diagrams over the
 opposite surjection category, truncated at a finite level N.
 
-A premonoid stores one chain complex per level 1..N, a structure map for
-every non-identity surjection between levels, a multiplication-style laxity
-map for every pair of levels (p, q) with p+q <= N, and a weak unit.  Level 0
-is never stored: its value is the monoidal unit and its laxity maps are the
-(identity) unitors.
+One type, `LaxDiagram`, carries the three stages of structure: one chain
+complex per level 1..N and a structure map for every non-identity surjection
+between levels (a functorial diagram); then a multiplication-style laxity map
+for every pair of levels (p, q) with p+q <= N (a nonassociative lax
+diagram); then a weak unit (a premonoid).  Level 0 is never stored: its
+value is the monoidal unit and its laxity maps are the (identity) unitors.
 
 Validation is exact matrix equality; the report names each violated axiom
 with the indices of the offending square.
@@ -40,11 +41,10 @@ from .phi_epi import (
 
 __all__ = [
     "StrictMonoid",
-    "TruncatedPremonoid",
-    "PremonoidMorphism",
+    "LaxDiagram",
+    "DiagramMorphism",
     "Violation",
     "validate",
-    "lax_functor_violations",
     "validate_strict",
     "validate_morphism",
     "is_cosegal",
@@ -126,19 +126,27 @@ def all_surjections_upto(level: int) -> tuple[Surjection, ...]:
 
 
 @dataclass
-class TruncatedPremonoid:
-    """Objects F(n) for 1 <= n <= N with structure, laxity and unit data."""
+class LaxDiagram:
+    """Objects F(n) for 1 <= n <= N with a structure map for every non-identity
+    surjection, then optionally laxity maps, then a weak unit.
+
+    Without laxity this is a functorial diagram, with laxity a nonassociative
+    lax diagram, and with a unit as well a truncated premonoid.
+    """
 
     level: int
     objects: dict
     structure: dict
-    laxity: dict
-    unit: ChainMap
+    laxity: dict | None = None
+    unit: ChainMap | None = None
 
     def __post_init__(self):
         n_max = self.level
-        if n_max < 2:
-            raise ValueError("truncation level must be at least 2")
+        if self.unit is not None and self.laxity is None:
+            raise ValueError("a unit needs laxity maps")
+        lowest = 1 if self.unit is None else 2
+        if n_max < lowest:
+            raise ValueError(f"truncation level must be at least {lowest}")
         if set(self.objects) != set(range(1, n_max + 1)):
             raise ValueError("objects must cover levels 1..N")
         fld = self.objects[1].field
@@ -157,19 +165,22 @@ class TruncatedPremonoid:
             if v not in structure:
                 raise ValueError(f"missing structure map for {v}")
         self.structure = structure
-        expected = {
-            (p, q)
-            for p in range(1, n_max)
-            for q in range(1, n_max - p + 1)
-        }
-        if set(self.laxity) != expected:
-            raise ValueError("laxity maps must cover exactly {p,q >= 1, p+q <= N}")
-        for (p, q), f in self.laxity.items():
-            if f.source != tensor(self.objects[p], self.objects[q]):
-                raise ValueError(f"laxity ({p},{q}) has wrong source")
-            if f.target != self.objects[p + q]:
-                raise ValueError(f"laxity ({p},{q}) has wrong target")
-        if self.unit.source != unit_complex(fld) or self.unit.target != self.objects[1]:
+        if self.laxity is not None:
+            expected = {
+                (p, q)
+                for p in range(1, n_max)
+                for q in range(1, n_max - p + 1)
+            }
+            if set(self.laxity) != expected:
+                raise ValueError("laxity maps must cover exactly {p,q >= 1, p+q <= N}")
+            for (p, q), f in self.laxity.items():
+                if f.source != tensor(self.objects[p], self.objects[q]):
+                    raise ValueError(f"laxity ({p},{q}) has wrong source")
+                if f.target != self.objects[p + q]:
+                    raise ValueError(f"laxity ({p},{q}) has wrong target")
+        if self.unit is not None and (
+            self.unit.source != unit_complex(fld) or self.unit.target != self.objects[1]
+        ):
             raise ValueError("unit has wrong endpoints")
 
     @property
@@ -186,9 +197,9 @@ class TruncatedPremonoid:
 
 
 @dataclass
-class PremonoidMorphism:
-    source: TruncatedPremonoid
-    target: TruncatedPremonoid
+class DiagramMorphism:
+    source: LaxDiagram
+    target: LaxDiagram
     components: dict
 
     def __post_init__(self):
@@ -205,22 +216,22 @@ class PremonoidMorphism:
         return self.components[n]
 
     def __eq__(self, other):
-        if not isinstance(other, PremonoidMorphism):
+        if not isinstance(other, DiagramMorphism):
             return NotImplemented
         return self.components == other.components
 
     @staticmethod
-    def identity(f: TruncatedPremonoid) -> "PremonoidMorphism":
-        return PremonoidMorphism(
+    def identity(f: LaxDiagram) -> "DiagramMorphism":
+        return DiagramMorphism(
             f, f, {n: ChainMap.identity(f.objects[n]) for n in f.objects}
         )
 
-    def compose(self, other: "PremonoidMorphism") -> "PremonoidMorphism":
+    def compose(self, other: "DiagramMorphism") -> "DiagramMorphism":
         """self after other."""
         comps = {
             n: self.components[n] @ other.components[n] for n in self.components
         }
-        return PremonoidMorphism(other.source, self.target, comps)
+        return DiagramMorphism(other.source, self.target, comps)
 
 
 def _functorial(d, v: Surjection, u: Surjection) -> bool:
@@ -278,9 +289,12 @@ def _generator_squares_natural(d) -> bool:
     )
 
 
-def lax_functor_violations(d, laxity: bool) -> list[Violation]:
-    """Functoriality and, when `laxity` is set, laxity-naturality violations
-    of a diagram d (level, structure_map and, for laxity, laxity/laxity_map).
+def validate(f: LaxDiagram) -> list[Violation]:
+    """Check the axioms for the data f carries; empty report means valid.
+
+    Functoriality always; laxity-naturality when f has laxity maps; and
+    laxity-associativity, laxity-symmetry and diag-unitality when f also has
+    a unit.
 
     Functoriality asks F(v).F(u) = F(u.v) for every composable pair.  It is
     decided on the squares where v is one of `generating_surjections`: if
@@ -299,22 +313,18 @@ def lax_functor_violations(d, laxity: bool) -> list[Violation]:
     reduction needs functoriality), so the report lists each offending
     square in the order of the exhaustive check.
     """
-    if not _generator_squares_functorial(d):
-        out = _functoriality_squares(d)
-        return out + _naturality_squares(d) if laxity else out
-    if laxity and not _generator_squares_natural(d):
-        return _naturality_squares(d)
-    return []
-
-
-def validate(f: TruncatedPremonoid) -> list[Violation]:
-    """Check every premonoid axiom; empty report means valid.
-
-    Axiom names: functoriality, laxity-naturality, laxity-associativity,
-    laxity-symmetry, diag-unitality.
-    """
+    laxity = f.laxity is not None
+    if not _generator_squares_functorial(f):
+        out = _functoriality_squares(f)
+        if laxity:
+            out += _naturality_squares(f)
+    elif laxity and not _generator_squares_natural(f):
+        out = _naturality_squares(f)
+    else:
+        out = []
+    if f.unit is None:
+        return out
     n_max = f.level
-    out = lax_functor_violations(f, laxity=True)
 
     # associativity modulo the associator
     for p in range(1, n_max - 1):
@@ -349,8 +359,9 @@ def validate(f: TruncatedPremonoid) -> list[Violation]:
     return out
 
 
-def validate_morphism(s: PremonoidMorphism) -> list[Violation]:
-    """Naturality, multiplicativity and the unit triangle for a morphism."""
+def validate_morphism(s: DiagramMorphism) -> list[Violation]:
+    """Naturality; multiplicativity when both ends have laxity maps; and the
+    unit triangle when both have a unit."""
     out = []
     f, g = s.source, s.target
     for v in all_surjections_upto(f.level):
@@ -358,23 +369,25 @@ def validate_morphism(s: PremonoidMorphism) -> list[Violation]:
         rhs = g.structure_map(v) @ s.component(v.target_size)
         if lhs != rhs:
             out.append(Violation("naturality", (tuple(v.map),)))
+    if f.laxity is None or g.laxity is None:
+        return out
     for (p, q) in sorted(f.laxity):
         lhs = s.component(p + q) @ f.laxity_map(p, q)
         rhs = g.laxity_map(p, q) @ tensor_map(s.component(p), s.component(q))
         if lhs != rhs:
             out.append(Violation("multiplicativity", (p, q)))
-    if s.component(1) @ f.unit != g.unit:
+    if f.unit is not None and g.unit is not None and s.component(1) @ f.unit != g.unit:
         out.append(Violation("unit-triangle", (1,)))
     return out
 
 
-def _require_valid(f: TruncatedPremonoid):
+def _require_valid(f: LaxDiagram):
     report = validate(f)
     if report:
         raise ValueError("invalid premonoid: " + "; ".join(map(str, report[:3])))
 
 
-def is_cosegal(f: TruncatedPremonoid) -> bool:
+def is_cosegal(f: LaxDiagram) -> bool:
     """Whether F(1) -> F(n) is a quasi-isomorphism for every 2 <= n <= N.
 
     Since level 1 is initial, two-out-of-three then makes every structure map
@@ -387,7 +400,7 @@ def is_cosegal(f: TruncatedPremonoid) -> bool:
     )
 
 
-def from_strict(m: StrictMonoid, level: int) -> TruncatedPremonoid:
+def from_strict(m: StrictMonoid, level: int) -> LaxDiagram:
     """The constant premonoid: identity structure maps, laxity the multiplication."""
     if validate_strict(m):
         raise ValueError("invalid strict monoid")
@@ -399,12 +412,14 @@ def from_strict(m: StrictMonoid, level: int) -> TruncatedPremonoid:
         for p in range(1, level)
         for q in range(1, level - p + 1)
     }
-    return TruncatedPremonoid(level, objects, structure, laxity, m.e)
+    return LaxDiagram(level, objects, structure, laxity, m.e)
 
 
-def to_strict(f: TruncatedPremonoid) -> StrictMonoid | None:
+def to_strict(f: LaxDiagram) -> StrictMonoid | None:
     """Recover the strict monoid from a constant premonoid; None otherwise."""
     _require_valid(f)
+    if f.unit is None:
+        return None
     for v in all_surjections_upto(f.level):
         fv = f.structure_map(v)
         if fv != ChainMap.identity(f.objects[v.source_size]):
@@ -412,28 +427,28 @@ def to_strict(f: TruncatedPremonoid) -> StrictMonoid | None:
     return StrictMonoid(f.objects[1], f.laxity_map(1, 1), f.unit)
 
 
-def is_easy_weq(s: PremonoidMorphism) -> bool:
+def is_easy_weq(s: DiagramMorphism) -> bool:
     """Weak equivalence in the level-1-concentrated model structure."""
     _require_valid_morphism(s)
     return is_quasi_iso(s.component(1))
 
 
-def is_easy_fib(s: PremonoidMorphism) -> bool:
+def is_easy_fib(s: DiagramMorphism) -> bool:
     """Fibration in the level-1-concentrated model structure."""
     _require_valid_morphism(s)
     g = s.component(1)
     return all(g.component(n).is_surjective() for n in g.target.dims)
 
 
-def _require_valid_morphism(s: PremonoidMorphism):
+def _require_valid_morphism(s: DiagramMorphism):
     report = validate_morphism(s)
     if report:
         raise ValueError("invalid morphism: " + "; ".join(map(str, report[:3])))
 
 
 def h_star(
-    f: TruncatedPremonoid, h: ChainMap, e_tilde: ChainMap
-) -> tuple[TruncatedPremonoid, PremonoidMorphism]:
+    f: LaxDiagram, h: ChainMap, e_tilde: ChainMap
+) -> tuple[LaxDiagram, DiagramMorphism]:
     """Rebase f at its initial entry along h : m -> F(1).
 
     Requires the unit factorization h . e_tilde = e.  The result g has
@@ -460,7 +475,7 @@ def h_star(
             laxity[(p, q)] = phi @ tensor_map(left, right)
         else:
             laxity[(p, q)] = phi
-    g = TruncatedPremonoid(f.level, objects, structure, laxity, e_tilde)
+    g = LaxDiagram(f.level, objects, structure, laxity, e_tilde)
     comps = {n: (h if n == 1 else ident[n]) for n in range(1, f.level + 1)}
-    can = PremonoidMorphism(g, f, comps)
+    can = DiagramMorphism(g, f, comps)
     return g, can

@@ -11,12 +11,12 @@ from random import Random
 
 from .chain import (
     ChainComplex,
+    _associator_inverse,
     ChainMap,
     associator,
     braiding,
     chain_map_basis,
     direct_sum,
-    inverse_iso,
     single_complex,
     tensor,
     tensor_map,
@@ -217,10 +217,10 @@ def monoid_tensor(m1, m2):
     idab = ChainMap.identity(ab)
     # (A(x)B)(x)(A(x)B) -> (A(x)A)(x)(B(x)B) by the middle-four interchange
     step1 = associator(a, b, ab)
-    step2 = tensor_map(ida, inverse_iso(associator(b, a, b)))
+    step2 = tensor_map(ida, _associator_inverse(associator(b, a, b)))
     step3 = tensor_map(ida, tensor_map(braiding(b, a), idb))
     step4 = tensor_map(ida, associator(a, b, b))
-    step5 = inverse_iso(associator(a, a, tensor(b, b)))
+    step5 = _associator_inverse(associator(a, a, tensor(b, b)))
     mid4 = step5 @ step4 @ step3 @ step2 @ step1
     mu = tensor_map(m1.mu, m2.mu) @ mid4
     e = tensor_map(m1.e, m2.e)
@@ -318,8 +318,7 @@ def tower_diagram(maps: list[ChainMap]):
     """The functorial diagram induced by a tower X_1 -> X_2 -> ... -> X_N:
     every surjection between the same pair of levels acts by the same
     composite, and bijections act as the identity."""
-    from .free_gamma import PlainDiagram
-    from .premonoid import all_surjections_upto
+    from .premonoid import LaxDiagram, all_surjections_upto
 
     level = len(maps) + 1
     objects = {1: maps[0].source if maps else None}
@@ -337,7 +336,7 @@ def tower_diagram(maps: list[ChainMap]):
     structure = {}
     for v in all_surjections_upto(level):
         structure[v] = composites[(v.target_size, v.source_size)]
-    return PlainDiagram(level, objects, structure)
+    return LaxDiagram(level, objects, structure)
 
 
 def random_tower_diagram(
@@ -360,8 +359,7 @@ def random_diagram_morphism(rng: Random, f, g):
     """A random natural transformation f -> g of plain diagrams, sampled from
     the exact solution space of the naturality constraints."""
     from .chain import chain_map_basis
-    from .free_gamma import DiagramMorphism
-    from .premonoid import all_surjections_upto
+    from .premonoid import DiagramMorphism, all_surjections_upto
 
     field = f.field
     bases = {

@@ -35,13 +35,13 @@ from .chain import (
 from .field_linalg import InvariantError, Matrix
 from .phi_epi import unique_to_one
 from .premonoid import (
-    PremonoidMorphism,
+    DiagramMorphism,
+    LaxDiagram,
     StrictMonoid,
-    TruncatedPremonoid,
+    _require_valid,
     from_strict,
     h_star,
     to_strict,
-    validate,
     validate_strict,
 )
 
@@ -49,10 +49,8 @@ __all__ = [
     "ArrowSquare",
     "TwoConstantPremonoid",
     "K2Instruction",
-    "LocalizingTemplate",
     "localizing_set",
     "expand_to_premonoid",
-    "canonical_morphism",
     "package_two_constant",
     "reflect",
     "fundamental_factorization",
@@ -140,7 +138,7 @@ def localizing_set(window: tuple[int, int], max_level: int) -> list[LocalizingTe
     return out
 
 
-def expand_to_premonoid(f: TwoConstantPremonoid, level: int) -> TruncatedPremonoid:
+def expand_to_premonoid(f: TwoConstantPremonoid, level: int) -> LaxDiagram:
     """Materialise the truncated premonoid: the constant diagram of the base,
     rebased at level 1 along h."""
     if f.validate():
@@ -150,14 +148,14 @@ def expand_to_premonoid(f: TwoConstantPremonoid, level: int) -> TruncatedPremono
     return g
 
 
-def canonical_morphism(f: TwoConstantPremonoid, level: int) -> PremonoidMorphism:
+def canonical_morphism(f: TwoConstantPremonoid, level: int) -> DiagramMorphism:
     """The comparison from the expanded premonoid into the constant one: h at
     level 1 and identities above."""
     const = from_strict(f.base, level)
     return h_star(const, f.h, f.unit_map)[1]
 
 
-def package_two_constant(f: TruncatedPremonoid) -> TwoConstantPremonoid:
+def package_two_constant(f: LaxDiagram) -> TwoConstantPremonoid:
     """Recover the packaged form from a 2-constant truncated premonoid.
 
     The base multiplication lives at the (2,2) laxity entry, so the
@@ -193,7 +191,7 @@ def reflect(f) -> StrictMonoid:
     a 2-constant premonoid, or the underlying monoid of a constant one."""
     if isinstance(f, TwoConstantPremonoid):
         return f.base
-    if isinstance(f, TruncatedPremonoid):
+    if isinstance(f, LaxDiagram):
         m = to_strict(f)
         if m is not None:
             return m
@@ -203,7 +201,7 @@ def reflect(f) -> StrictMonoid:
 
 def fundamental_factorization(
     f: TwoConstantPremonoid, level: int
-) -> tuple[PremonoidMorphism, PremonoidMorphism]:
+) -> tuple[DiagramMorphism, DiagramMorphism]:
     """Factor the unit into the reflection as rho (identity at level 1)
     followed by eps (h at level 1, identities above).
 
@@ -211,7 +209,7 @@ def fundamental_factorization(
     so rho is the identity morphism; rho is always an easy weak equivalence.
     """
     expanded = expand_to_premonoid(f, level)
-    rho = PremonoidMorphism.identity(expanded)
+    rho = DiagramMorphism.identity(expanded)
     eps = canonical_morphism(f, level)
     return rho, eps
 
@@ -235,7 +233,7 @@ def pushout_k2(
 
 def upsilon_morphism(
     f: TwoConstantPremonoid, e: TwoConstantPremonoid, eps: ChainMap, level: int
-) -> PremonoidMorphism:
+) -> DiagramMorphism:
     """The canonical premonoid morphism expand(f) -> expand(e): eps at level
     1 and identities above."""
     src = expand_to_premonoid(f, level)
@@ -243,7 +241,7 @@ def upsilon_morphism(
     comps = {1: eps}
     for n in range(2, level + 1):
         comps[n] = ChainMap.identity(src.objects[n])
-    return PremonoidMorphism(src, tgt, comps)
+    return DiagramMorphism(src, tgt, comps)
 
 
 def push_instruction_forward(ins: K2Instruction, eps: ChainMap) -> K2Instruction:
@@ -282,7 +280,7 @@ def wide_pushout_two_constant(
 
 def cosegalify_two_constant(
     f: TwoConstantPremonoid, level: int
-) -> tuple[TwoConstantPremonoid, PremonoidMorphism]:
+) -> tuple[TwoConstantPremonoid, DiagramMorphism]:
     """Replace f by a 2-constant premonoid satisfying the co-Segal
     conditions: factor h through its mapping cylinder.
 
@@ -299,14 +297,14 @@ def cosegalify_two_constant(
     comps = {1: i}
     for n in range(2, level + 1):
         comps[n] = ChainMap.identity(src.objects[n])
-    tau = PremonoidMorphism(src, tgt, comps)
+    tau = DiagramMorphism(src, tgt, comps)
     return s, tau
 
 
 def is_k_injective(f, level: int | None = None, cross_check: bool = False) -> bool:
     """Whether every map from level 1 up to level n is a trivial fibration.
 
-    Accepts a TruncatedPremonoid or a TwoConstantPremonoid (expanded on the
+    Accepts a LaxDiagram or a TwoConstantPremonoid (expanded on the
     fly).  With cross_check=True the answer is recomputed as the right
     lifting property against every sphere-disc generator in the inflated
     window, and the two must agree.
@@ -315,9 +313,7 @@ def is_k_injective(f, level: int | None = None, cross_check: bool = False) -> bo
         if level is None:
             raise ValueError("level required for a packaged 2-constant premonoid")
         f = expand_to_premonoid(f, level)
-    report = validate(f)
-    if report:
-        raise ValueError("invalid premonoid: " + "; ".join(map(str, report[:3])))
+    _require_valid(f)
     level = f.level
     answer = True
     for n in range(2, level + 1):

@@ -30,7 +30,7 @@ from cosegal.chain import (
 from cosegal.charp_lab import disc, sym_power
 from cosegal.cli import main as cli_main
 from cosegal.field_linalg import GF2, GF3, GF5, QQ, Matrix
-from cosegal.free_gamma import gamma_na, universal_extension, validate_na
+from cosegal.free_gamma import gamma_na, universal_extension
 from cosegal.premonoid import (
     from_strict,
     is_cosegal,
@@ -154,7 +154,7 @@ def test_criterion_04_free_construction():
     g, eta = gamma_na(fixture)
     assert g.objects[1] == s0
     assert g.objects[2].dims == {0: 3}
-    assert validate_na(g) == []
+    assert validate(g) == []
     # independent oracle: 2 pair nodes + 1 single-level node + 1 classical
     # node + the level-2 value, glued along the classical node's two arrows
     node_dims = [1, 1, 1, 1, 1]

@@ -56,7 +56,7 @@ def test_validate_ok_and_exit_codes(tmp_path, two_constant_file):
 def test_validate_corrupted_laxity_exit1(tmp_path):
     f = random_two_constant(random.Random(2), GF2)
     g = expand_to_premonoid(f, 2)
-    doc = docs.premonoid_to_dict(g)
+    doc = docs.diagram_to_dict(g, "premonoid")
     key = sorted(doc["laxity"])[0]
     deg = sorted(doc["laxity"][key])[0]
     doc["laxity"][key][deg][0][0] = (doc["laxity"][key][deg][0][0] + 1) % 2
@@ -73,7 +73,7 @@ def test_validate_premonoid_axiom_violation_exit1(tmp_path):
 
     m = monoid_algebra(GF2, [[0, 1], [1, 0]])
     f = from_strict(m, 2)
-    doc = docs.premonoid_to_dict(f)
+    doc = docs.diagram_to_dict(f, "premonoid")
     doc["unit"] = {"0": [[0], [0]]}
     path = tmp_path / "nounit.json"
     path.write_text(docs.canonical_dumps(doc))

@@ -7,7 +7,7 @@ from cosegal import documents as docs
 from cosegal.chain import ChainMap
 from cosegal.field_linalg import GF2, GF3, GF5, QQ
 from cosegal.free_gamma import gamma_na
-from cosegal.premonoid import PremonoidMorphism, from_strict
+from cosegal.premonoid import DiagramMorphism, from_strict
 from cosegal.sampling import (
     random_chain_map,
     random_complex,
@@ -77,7 +77,7 @@ def test_morphism_roundtrip():
     rng = random.Random(7)
     m = random_strict_monoid(rng, GF3, allow_graded=False)
     f = from_strict(m, 2)
-    s = PremonoidMorphism.identity(f)
+    s = DiagramMorphism.identity(f)
     s2 = canonical_roundtrip(s, "morphism")
     assert s2.components == s.components
 
@@ -138,12 +138,12 @@ def test_corrupted_laxity_names_the_square():
     rng = random.Random(9)
     f = random_two_constant(rng, GF2)
     g = expand_to_premonoid(f, 2)
-    doc = docs.premonoid_to_dict(g)
+    doc = docs.diagram_to_dict(g, "premonoid")
     key = sorted(doc["laxity"])[0]
     deg = sorted(doc["laxity"][key])[0]
     doc["laxity"][key][deg][0][0] = (doc["laxity"][key][deg][0][0] + 1) % 2
     try:
-        loaded = docs.premonoid_from_dict(doc)
+        loaded = docs.diagram_from_dict(doc, kind="premonoid")
     except docs.ValidationFailure as exc:
         assert any("laxity" in str(v.where) for v in exc.violations)
     else:

@@ -12,19 +12,12 @@ from cosegal.chain import (
 )
 from cosegal.field_linalg import GF2, GF3
 from cosegal.free_gamma import (
-    DiagramMorphism,
-    NALaxDiagram,
-    PlainDiagram,
     classical_latching,
     delta_map,
     gamma_na,
     lan_entry,
     lax_latching,
     universal_extension,
-    validate_diagram_morphism,
-    validate_na,
-    validate_na_morphism,
-    validate_plain,
 )
 from cosegal.phi_epi import (
     PairObject,
@@ -32,6 +25,7 @@ from cosegal.phi_epi import (
     latching_shape,
     unique_to_one,
 )
+from cosegal.premonoid import DiagramMorphism, LaxDiagram, validate, validate_morphism
 from cosegal.sampling import (
     random_chain_map,
     random_complex,
@@ -47,10 +41,10 @@ def s0_fixture(field=GF2):
     s0 = single_complex(field, 0, 1)
     u2 = unique_to_one(2)
     swap = [v for v in enumerate_surjections(2, 2) if not v.is_identity()][0]
-    f = PlainDiagram(
+    f = LaxDiagram(
         2, {1: s0, 2: s0}, {u2: ChainMap.identity(s0), swap: ChainMap.identity(s0)}
     )
-    assert validate_plain(f) == []
+    assert validate(f) == []
     return f
 
 
@@ -60,7 +54,7 @@ def na_from_level1(a, field):
     z = zero_complex(field)
     u2 = unique_to_one(2)
     swap = [v for v in enumerate_surjections(2, 2) if not v.is_identity()][0]
-    return NALaxDiagram(
+    return LaxDiagram(
         2,
         {1: a, 2: z},
         {u2: ChainMap.zero(a, z), swap: ChainMap.zero(z, z)},
@@ -94,7 +88,7 @@ def test_lax_latching_level3_dimension_matches_colimit_oracle():
     g, eta = gamma_na(f)
     # recompute the level-3 lax latching of the partial diagram with the
     # plain-list colimit oracle
-    partial = NALaxDiagram(
+    partial = LaxDiagram(
         2,
         {1: g.objects[1], 2: g.objects[2]},
         {v: m for v, m in g.structure.items() if v.source_size <= 2},
@@ -108,15 +102,14 @@ def test_lax_latching_level3_dimension_matches_colimit_oracle():
             values.append(tensor(partial.objects[ob.p], partial.objects[ob.q]))
         else:
             values.append(partial.objects[ob.p])
-    from cosegal.free_gamma import _LevelData, _shape_arrow_map
+    from cosegal.free_gamma import _shape_arrow_map
 
-    data = _LevelData(partial.objects, partial.structure, partial.laxity)
     degrees = sorted({n for v in values for n in v.dims})
     for deg in degrees:
         node_dims = [v.dim(deg) for v in values]
         arrows = []
         for arr in shape.arrows:
-            m = _shape_arrow_map(data, shape, arr)
+            m = _shape_arrow_map(partial, shape, arr)
             arrows.append((arr.src, arr.tgt, m.component(deg).tolist()))
         assert lat.dim(deg) == colimit_dim(node_dims, arrows, 2), deg
 
@@ -142,7 +135,7 @@ def test_delta_map_zero_diagram():
     z = zero_complex(GF2)
     u2 = unique_to_one(2)
     swap = [v for v in enumerate_surjections(2, 2) if not v.is_identity()][0]
-    f = PlainDiagram(2, {1: z, 2: z}, {u2: ChainMap.zero(z, z), swap: ChainMap.zero(z, z)})
+    f = LaxDiagram(2, {1: z, 2: z}, {u2: ChainMap.zero(z, z), swap: ChainMap.zero(z, z)})
     d = delta_map(f, na_from_level1(z, GF2), 2)
     assert d.is_zero()
 
@@ -152,8 +145,8 @@ def test_gamma_s0_fixture_dimension_three():
     g, eta = gamma_na(f)
     assert g.objects[1] == f.objects[1]
     assert g.objects[2].dims == {0: 3}
-    assert validate_na(g) == []
-    assert validate_diagram_morphism(eta) == []
+    assert validate(g) == []
+    assert validate_morphism(eta) == []
     # oracle: joint colimit dimension = 2 pair nodes + 1 plus node +
     # 1 classical node + the level-2 object, glued along 2 relations
     node_dims = [1, 1, 1, 1, 1]
@@ -167,7 +160,7 @@ def test_gamma_zero_diagram():
     z = zero_complex(GF2)
     u2 = unique_to_one(2)
     swap = [v for v in enumerate_surjections(2, 2) if not v.is_identity()][0]
-    f = PlainDiagram(2, {1: z, 2: z}, {u2: ChainMap.zero(z, z), swap: ChainMap.zero(z, z)})
+    f = LaxDiagram(2, {1: z, 2: z}, {u2: ChainMap.zero(z, z), swap: ChainMap.zero(z, z)})
     g, eta = gamma_na(f)
     assert g.objects[1].is_zero_complex()
     assert g.objects[2].is_zero_complex()
@@ -200,14 +193,14 @@ def test_universal_extension_to_strict_monoid_diagram():
     from cosegal.premonoid import from_strict
 
     fm = from_strict(m, 2)
-    g = NALaxDiagram(
+    g = LaxDiagram(
         2, dict(fm.objects), dict(fm.structure), laxity=dict(fm.laxity)
     )
     f = random_tower_diagram(rng, GF2, 2, 0, 0, 2)
-    phi = random_diagram_morphism(rng, f, g.underlying())
-    assert validate_diagram_morphism(phi) == []
+    phi = random_diagram_morphism(rng, f, g)
+    assert validate_morphism(phi) == []
     ext = universal_extension(f, g, phi)
-    assert validate_na_morphism(ext) == []
+    assert validate_morphism(ext) == []
     free, eta = gamma_na(f)
     # restriction along the unit recovers phi
     for n in (1, 2):
@@ -221,10 +214,10 @@ def test_adjunction_injective_on_morphisms():
     from cosegal.premonoid import from_strict
 
     fm = from_strict(m, 2)
-    g = NALaxDiagram(2, dict(fm.objects), dict(fm.structure), laxity=dict(fm.laxity))
+    g = LaxDiagram(2, dict(fm.objects), dict(fm.structure), laxity=dict(fm.laxity))
     seen = {}
     for _ in range(12):
-        phi = random_diagram_morphism(rng, f, g.underlying())
+        phi = random_diagram_morphism(rng, f, g)
         ext = universal_extension(f, g, phi)
         key = tuple(
             sorted(
@@ -236,6 +229,12 @@ def test_adjunction_injective_on_morphisms():
         if key in seen:
             assert seen[key] == phi.components, "distinct morphisms, equal extensions"
         seen[key] = phi.components
+
+
+def test_extension_refuses_a_target_without_laxity():
+    f = s0_fixture()
+    with pytest.raises(ValueError, match="needs laxity"):
+        universal_extension(f, f, DiagramMorphism.identity(f))
 
 
 def test_extension_deterministic():
@@ -255,7 +254,7 @@ def test_gamma_functorial_on_morphisms():
     g1, eta1 = gamma_na(f1)
     g2, eta2 = gamma_na(f2)
     comps = {n: eta2.components[n] @ sigma.components[n] for n in sigma.components}
-    phi = DiagramMorphism(f1, g2.underlying(), comps)
+    phi = DiagramMorphism(f1, g2, comps)
     gsigma = universal_extension(f1, g2, phi)
     # the image of sigma commutes with the units
     for n in (1, 2):
@@ -306,10 +305,10 @@ def test_gamma_on_nontrivial_swap_action():
     swap = [v for v in enumerate_surjections(2, 2) if not v.is_identity()][0]
     diag = ChainMap(a, b, {0: Matrix.from_rows(field, [[1], [1]])})
     flip = ChainMap(b, b, {0: Matrix.from_rows(field, [[0, 1], [1, 0]])})
-    f = PlainDiagram(2, {1: a, 2: b}, {u2: diag, swap: flip})
-    assert validate_plain(f) == []
+    f = LaxDiagram(2, {1: a, 2: b}, {u2: diag, swap: flip})
+    assert validate(f) == []
     g, eta = gamma_na(f)
-    assert validate_na(g) == []
+    assert validate(g) == []
     assert g.structure_map(swap) @ g.structure_map(swap) == ChainMap.identity(
         g.objects[2]
     )
@@ -318,7 +317,7 @@ def test_gamma_on_nontrivial_swap_action():
         assert ext.components[n] == ChainMap.identity(g.objects[n])
 
 
-def test_validate_na_catches_broken_naturality():
+def test_validate_catches_broken_laxity_naturality():
     # at level 2 every laxity-naturality square is trivial (only identity
     # surjections occur below level 3), so stage the mutation at level 3
     from cosegal.field_linalg import Matrix
@@ -332,7 +331,7 @@ def test_validate_na_catches_broken_naturality():
     data = m.component(0).data.copy()
     data[0, 0] = (data[0, 0] + 1) % 2
     bad_lax[(1, 1)] = ChainMap(m.source, m.target, {0: Matrix(GF2, data)})
-    gbad = NALaxDiagram(g.level, g.objects, g.structure, laxity=bad_lax)
-    report = validate_na(gbad)
+    gbad = LaxDiagram(g.level, g.objects, g.structure, laxity=bad_lax)
+    report = validate(gbad)
     assert report
     assert {v.axiom for v in report} == {"laxity-naturality"}

@@ -9,9 +9,9 @@ import pytest
 
 from cosegal.chain import ChainMap, cylinder_factorization
 from cosegal.field_linalg import GF2, GF3, QQ
-from cosegal.free_gamma import NALaxDiagram, PlainDiagram, gamma_na, validate_na, validate_plain
+from cosegal.free_gamma import gamma_na
 from cosegal.phi_epi import compose, enumerate_surjections, generating_surjections
-from cosegal.premonoid import TruncatedPremonoid, from_strict, h_star, validate
+from cosegal.premonoid import LaxDiagram, from_strict, h_star, validate
 from cosegal.sampling import (
     random_chain_map,
     random_strict_monoid,
@@ -91,9 +91,7 @@ def _perturb(rng, d, where: str):
         laxity[pq] = random_chain_map(rng, laxity[pq].source, laxity[pq].target)
     for v in picks:
         structure[v] = _other_map(rng, d, v, structure[v])
-    if isinstance(d, TruncatedPremonoid):
-        return TruncatedPremonoid(d.level, d.objects, structure, laxity, d.unit)
-    return NALaxDiagram(d.level, d.objects, structure, laxity=laxity)
+    return LaxDiagram(d.level, d.objects, structure, laxity, d.unit)
 
 
 def _premonoid(rng, field, level: int, kind: int):
@@ -187,13 +185,13 @@ def test_gamma_na_outputs_match_exhaustive_oracle(field):
         if 4 <= g.objects[3].total_dim() <= 30:
             frees.append(g)
     for g in frees:
-        assert validate_na(g) == [] == _oracle(g, True)
-        assert validate_plain(g.underlying()) == [] == _oracle(g, False)
+        assert validate(g) == [] == _oracle(g, True)
+        assert validate(LaxDiagram(g.level, g.objects, g.structure)) == [] == _oracle(g, False)
         for where in ("generator", "other", "several", "laxity"):
             bad = _perturb(rng, g, where)
-            assert _squares(validate_na(bad)) == _oracle(bad, True), where
-            plain = PlainDiagram(bad.level, bad.objects, bad.structure)
-            assert _squares(validate_plain(plain)) == _oracle(bad, False), where
+            assert _squares(validate(bad)) == _oracle(bad, True), where
+            plain = LaxDiagram(bad.level, bad.objects, bad.structure)
+            assert _squares(validate(plain)) == _oracle(bad, False), where
 
 
 def test_rational_premonoid_matches_oracle():

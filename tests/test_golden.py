@@ -17,7 +17,12 @@ import shutil
 
 import pytest
 
+from cosegal import documents
+from cosegal.chain import ChainMap
 from cosegal.cli import main
+from cosegal.field_linalg import GF2
+from cosegal.premonoid import LaxDiagram, all_surjections_upto
+from cosegal.sampling import monoid_algebra
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -108,3 +113,31 @@ def test_out_document_is_byte_identical(argv, report, document, workdir, monkeyp
     assert rc == 0
     assert buf.getvalue().encode() == (GOLDEN / report).read_bytes()
     assert (workdir / document).read_bytes() == (GOLDEN / document).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, report",
+    [
+        ("premonoid", "INVALID lax.json\n  laxity-associativity at (1,1,1)\n"),
+        ("na_diagram", "OK lax.json\n"),
+    ],
+)
+def test_axiom_set_follows_the_kind_tag(kind, report, tmp_path, monkeypatch):
+    # a commutative unital magma algebra that is not associative:
+    # (x x) y = y y = x but x (x y) = x y = y
+    m = monoid_algebra(GF2, [[0, 1, 2], [1, 2, 2], [2, 2, 1]])
+    a = m.obj
+    lax = LaxDiagram(
+        3,
+        {n: a for n in (1, 2, 3)},
+        {v: ChainMap.identity(a) for v in all_surjections_upto(3)},
+        {pq: m.mu for pq in ((1, 1), (1, 2), (2, 1))},
+        m.e,
+    )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lax.json").write_text(documents.dump_document(lax, kind))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["validate", "lax.json"])
+    assert buf.getvalue() == report
+    assert rc == (1 if kind == "premonoid" else 0)

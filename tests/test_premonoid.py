@@ -11,9 +11,9 @@ from cosegal.chain import (
 )
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
 from cosegal.premonoid import (
-    PremonoidMorphism,
+    DiagramMorphism,
+    LaxDiagram,
     StrictMonoid,
-    TruncatedPremonoid,
     from_strict,
     h_star,
     is_cosegal,
@@ -104,7 +104,7 @@ def test_validate_reports_perturbed_laxity():
     data[0, 0] = (data[0, 0] + 1) % 2
     lax = dict(f.laxity)
     lax[(1, 1)] = ChainMap(bad.source, bad.target, {0: Matrix(GF2, data)})
-    fbad = TruncatedPremonoid(f.level, f.objects, f.structure, lax, f.unit)
+    fbad = LaxDiagram(f.level, f.objects, f.structure, lax, f.unit)
     report = validate(fbad)
     assert report
     for v in report:
@@ -118,7 +118,7 @@ def test_validate_reports_zero_unit():
     m = monoid_algebra(GF2, [[0, 1], [1, 0]])
     f = from_strict(m, 2)
     zero_unit = ChainMap.zero(unit_complex(GF2), m.obj)
-    fbad = TruncatedPremonoid(f.level, f.objects, f.structure, f.laxity, zero_unit)
+    fbad = LaxDiagram(f.level, f.objects, f.structure, f.laxity, zero_unit)
     names = {v.axiom for v in validate(fbad)}
     assert names == {"diag-unitality"}
 
@@ -132,7 +132,7 @@ def test_is_cosegal_failure_case():
     s0 = single_complex(field, 0, 1)
     z = zero_complex(field)
     swap = [v for v in enumerate_surjections(2, 2) if not v.is_identity()][0]
-    f = TruncatedPremonoid(
+    f = LaxDiagram(
         2,
         {1: s0, 2: z},
         {unique_to_one(2): ChainMap.zero(s0, z), swap: ChainMap.zero(z, z)},
@@ -146,7 +146,7 @@ def test_is_cosegal_failure_case():
 def test_easy_predicates():
     m = random_strict_monoid(random.Random(5), GF3)
     f = from_strict(m, 2)
-    ident = PremonoidMorphism.identity(f)
+    ident = DiagramMorphism.identity(f)
     assert is_easy_weq(ident) and is_easy_fib(ident)
 
 
@@ -224,11 +224,11 @@ def test_validate_rejects_malformed():
     m = unit_monoid(GF2)
     f = from_strict(m, 2)
     with pytest.raises(ValueError):
-        TruncatedPremonoid(2, {1: f.objects[1]}, f.structure, f.laxity, f.unit)
+        LaxDiagram(2, {1: f.objects[1]}, f.structure, f.laxity, f.unit)
     with pytest.raises(ValueError):
-        TruncatedPremonoid(2, f.objects, {}, f.laxity, f.unit)
+        LaxDiagram(2, f.objects, {}, f.laxity, f.unit)
     with pytest.raises(ValueError):
-        TruncatedPremonoid(2, f.objects, f.structure, {}, f.unit)
+        LaxDiagram(2, f.objects, f.structure, {}, f.unit)
 
 
 def test_symmetry_axiom_forces_sign_on_odd_classes():
@@ -246,7 +246,7 @@ def test_symmetry_axiom_forces_sign_on_odd_classes():
     phi = ChainMap(tensor(s1, s1), s2, {2: Matrix.identity(field, 1)})
 
     def build(swap_sign):
-        return TruncatedPremonoid(
+        return LaxDiagram(
             2,
             {1: s1, 2: s2},
             {
@@ -260,3 +260,35 @@ def test_symmetry_axiom_forces_sign_on_odd_classes():
     assert validate(build(-1)) == []
     names = {v.axiom for v in validate(build(1))}
     assert "laxity-symmetry" in names
+
+
+def test_diagram_constructors_refuse_mismatched_levels():
+    # both used to escape as KeyError: 3 instead of a clean ValueError
+    from cosegal.chain import single_complex
+    from cosegal.phi_epi import unique_to_one
+    from cosegal.sampling import tower_diagram
+
+    s0 = single_complex(GF2, 0, 1)
+    ident = ChainMap.identity(s0)
+    f2 = tower_diagram([ident])
+    f3 = tower_diagram([ident, ident])
+    with pytest.raises(ValueError, match="level mismatch"):
+        DiagramMorphism(f3, f2, {n: ident for n in (1, 2, 3)})
+    beyond = dict(f2.structure)
+    beyond[unique_to_one(3)] = ident
+    with pytest.raises(ValueError, match="beyond level 2"):
+        LaxDiagram(2, f2.objects, beyond)
+
+
+def test_lax_diagram_stages():
+    # a unit needs laxity, and each stage validates only the axioms its data
+    # can state: a plain diagram has no laxity squares to break
+    m = unit_monoid(GF2)
+    f = from_strict(m, 3)
+    with pytest.raises(ValueError, match="unit needs laxity"):
+        LaxDiagram(3, f.objects, f.structure, unit=f.unit)
+    plain = LaxDiagram(3, f.objects, f.structure)
+    na = LaxDiagram(3, f.objects, f.structure, f.laxity)
+    assert validate(plain) == validate(na) == validate(f) == []
+    ident = DiagramMorphism(plain, f, {n: ChainMap.identity(f.objects[n]) for n in f.objects})
+    assert validate_morphism(ident) == []
