@@ -3,7 +3,9 @@ tests/golden, byte for byte, with the same exit codes.  The invalid
 documents there break functoriality, laxity naturality and the other
 premonoid axioms, so their reports pin the order and indices of every
 offending square.  The documents the `--out` commands write are pinned the
-same way.
+same way.  So are the Hom-space outputs of the chain layer (chain-map
+bases, commuting squares, lifts, random chain maps and natural
+transformations) on seeded inputs over F_2, F_3, F_5 and Q.
 
 The fixtures are not tracked: each run regenerates them with the seeded
 scripts/make_fixtures.py in a scratch directory laid out like the repository,
@@ -12,17 +14,34 @@ so the reports name the same relative paths."""
 import contextlib
 import importlib.util
 import io
+import json
 import pathlib
 import shutil
+from random import Random
 
 import pytest
 
 from cosegal import documents
-from cosegal.chain import ChainMap
+from cosegal.chain import (
+    ChainMap,
+    _square_space_basis,
+    chain_map_basis,
+    generating_cofibrations,
+    has_rlp,
+    rlp_window,
+    solve_lifting,
+)
 from cosegal.cli import main
-from cosegal.field_linalg import GF2
+from cosegal.field_linalg import GF2, GF3, GF5, QQ
 from cosegal.premonoid import LaxDiagram, all_surjections_upto
-from cosegal.sampling import monoid_algebra
+from cosegal.sampling import (
+    monoid_algebra,
+    random_chain_map,
+    random_complex,
+    random_diagram_morphism,
+    random_tower_diagram,
+    random_trivial_fibration,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -141,3 +160,78 @@ def test_axiom_set_follows_the_kind_tag(kind, report, tmp_path, monkeypatch):
         rc = main(["validate", "lax.json"])
     assert buf.getvalue() == report
     assert rc == (1 if kind == "premonoid" else 0)
+
+
+# ---------------------------------------------------------------------------
+# Hom-space outputs: run this module as a script to rewrite hom_spaces.json
+# from the current code (only when those outputs are meant to change)
+# ---------------------------------------------------------------------------
+
+HOM_SPACES = GOLDEN / "hom_spaces.json"
+
+
+def _chain_map_record(f):
+    return {str(n): [[str(x) for x in row] for row in m.tolist()]
+            for n, m in sorted(f.components.items())}
+
+
+def _squares_record(alpha, g):
+    out = []
+    for top, bottom in _square_space_basis(alpha, g):
+        lift = solve_lifting(alpha, g, top, bottom)
+        out.append({
+            "top": _chain_map_record(top),
+            "bottom": _chain_map_record(bottom),
+            "lift": None if lift is None else _chain_map_record(lift),
+        })
+    return out
+
+
+def _hom_case(field, case):
+    rng = Random(1000 * field.characteristic + case)
+    if case % 2:
+        g = random_trivial_fibration(rng, field, 0, 1, 2)
+    else:
+        x = random_complex(rng, field, 0, 2, 2)
+        g = random_chain_map(rng, x, random_complex(rng, field, 0, 2, 2))
+    x, y = g.source, g.target
+    gens = generating_cofibrations(field, *rlp_window(g))
+    u = random_complex(rng, field, 0, 1, 1)
+    alpha = random_chain_map(rng, u, random_complex(rng, field, 0, 1, 2))
+    return {
+        "chain_map_basis": [_chain_map_record(b) for b in chain_map_basis(x, y)],
+        "random_chain_map": _chain_map_record(random_chain_map(rng, x, y)),
+        "has_rlp": [has_rlp(gen.inclusion, g) for gen in gens],
+        "generator_squares": [_squares_record(gen.inclusion, g) for gen in gens],
+        "random_squares": _squares_record(alpha, g),
+    }
+
+
+def _diagram_morphism_case(field, level, case):
+    rng = Random(1000 * field.characteristic + 100 * level + case)
+    f = random_tower_diagram(rng, field, level, 0, 1, 2)
+    g = random_tower_diagram(rng, field, level, 0, 1, 3)
+    eta = random_diagram_morphism(rng, f, g)
+    return {str(n): _chain_map_record(c) for n, c in sorted(eta.components.items())}
+
+
+def hom_spaces():
+    return {
+        str(field): {
+            "maps": [_hom_case(field, case) for case in range(4)],
+            "diagram_morphisms": [
+                _diagram_morphism_case(field, level, case)
+                for level in (2, 3)
+                for case in range(4)
+            ],
+        }
+        for field in (GF2, GF3, GF5, QQ)
+    }
+
+
+def test_hom_space_outputs_are_identical():
+    assert hom_spaces() == json.loads(HOM_SPACES.read_text())
+
+
+if __name__ == "__main__":
+    HOM_SPACES.write_text(json.dumps(hom_spaces(), separators=(",", ":")) + "\n")
