@@ -524,19 +524,105 @@ def cylinder_factorization(f: ChainMap) -> tuple[ChainMap, ChainMap]:
 
 
 # ---------------------------------------------------------------------------
-# lifting problems
+# Hom spaces and lifting problems
 # ---------------------------------------------------------------------------
 
 
-def _vec(m: Matrix) -> Matrix:
-    """Column-major vectorisation as a column vector."""
-    out = m.data.T.reshape(-1, 1).copy()
-    return Matrix(m.field, out)
+class _Hom:
+    """Coordinates of the degree-0 maps source -> target.
+
+    A map k is the column of its blocks vec(k_n), each flattened column-major,
+    over the degrees where both sides are nonzero, in ascending order.  With
+    that order vec(b.k.a) = (a^T (x) b) vec(k), so chain-map bases, commuting
+    squares, lifting problems and natural transformations are all linear
+    systems assembled from the blocks below.
+    """
+
+    def __init__(self, source: ChainComplex, target: ChainComplex):
+        self.source, self.target, self.field = source, target, source.field
+        self.offsets, self.size = {}, 0
+        for n in sorted(source.dims):
+            if target.dim(n):
+                self.offsets[n] = self.size
+                self.size += source.dim(n) * target.dim(n)
+
+    def _span(self, n: int) -> slice:
+        o = self.offsets[n]
+        return slice(o, o + self.source.dim(n) * self.target.dim(n))
+
+    def d0(self) -> Matrix:
+        """The rows of d.k_n - k_{n-1}.d = 0, the chain-map condition."""
+        s, t, fld = self.source, self.target, self.field
+        rows = []
+        for n in sorted(set(self.offsets) | {m + 1 for m in self.offsets}):
+            row = Matrix.zeros(fld, t.dim(n - 1) * s.dim(n), self.size).data.copy()
+            if n in self.offsets:
+                row[:, self._span(n)] = Matrix.identity(fld, s.dim(n)).kron(t.d(n)).data
+            if n - 1 in self.offsets:
+                eye = Matrix.identity(fld, t.dim(n - 1))
+                row[:, self._span(n - 1)] = (-s.d(n).transpose().kron(eye)).data
+            rows.append(row)
+        return Matrix(fld, np.vstack(rows)) if rows else Matrix.zeros(fld, 0, self.size)
+
+    def compose(
+        self, into: "_Hom", pre: ChainMap | None = None, post: ChainMap | None = None
+    ) -> Matrix:
+        """The matrix of k -> post.k.pre from these coordinates to those of
+        `into`, one a^T (x) b block per degree; an absent side is the identity."""
+        fld = self.field
+        out = Matrix.zeros(fld, into.size, self.size).data.copy()
+        for n in into.offsets:
+            if n in self.offsets:
+                s, t = self.source.dim(n), self.target.dim(n)
+                a = Matrix.identity(fld, s) if pre is None else pre.component(n)
+                b = Matrix.identity(fld, t) if post is None else post.component(n)
+                out[into._span(n), self._span(n)] = a.transpose().kron(b).data
+        return Matrix(fld, out)
+
+    def vec(self, f: ChainMap) -> Matrix:
+        """The coordinate column of f."""
+        out = Matrix.zeros(self.field, self.size, 1).data.copy()
+        for n in self.offsets:
+            out[self._span(n), 0] = f.component(n).data.T.reshape(-1)
+        return Matrix(self.field, out)
+
+    def unvec(self, column) -> ChainMap:
+        """The map whose coordinates are the 1-d array `column`."""
+        s, t = self.source, self.target
+        comps = {
+            n: Matrix(self.field, column[self._span(n)].reshape(s.dim(n), t.dim(n)).T.copy())
+            for n in self.offsets
+        }
+        return ChainMap(s, t, comps)
 
 
-def _unvec(field: Field, v, rows: int, cols: int) -> Matrix:
-    out = np.asarray(v).reshape(cols, rows).T.copy()
-    return Matrix(field, out)
+def _lifts(alpha: ChainMap, g: ChainMap, squares: list) -> list[ChainMap] | None:
+    """One lift k (k.alpha = top, g.k = bottom, k a chain map) per commuting
+    square (top, bottom), from one system whose right-hand sides are all the
+    squares; None if some square has no lift."""
+    for top, bottom in squares:
+        if g @ top != bottom @ alpha:
+            raise ValueError("lifting square does not commute")
+    fld = alpha.field
+    hom = _Hom(alpha.target, g.source)
+    at_top, at_bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
+    d0 = hom.d0()
+    system = Matrix.vstack(
+        fld, [d0, hom.compose(at_top, pre=alpha), hom.compose(at_bottom, post=g)]
+    )
+    zero = Matrix.zeros(fld, d0.rows, 1)
+    rhs = Matrix.hstack(fld, [
+        Matrix.vstack(fld, [zero, at_top.vec(top), at_bottom.vec(bottom)])
+        for top, bottom in squares
+    ])
+    sol = system.solve(rhs)
+    if sol is None:
+        return None
+    lifts = [hom.unvec(sol.data[:, j]) for j in range(len(squares))]
+    for k, (top, bottom) in zip(lifts, squares):
+        if k @ alpha != top or g @ k != bottom:
+            raise InvariantError("lift does not solve the lifting problem")
+    return lifts
 
 
 def solve_lifting(
@@ -547,208 +633,32 @@ def solve_lifting(
     alpha : U -> V, g : X -> Y, top : U -> X, bottom : V -> Y, and the square
     must commute: g.top = bottom.alpha.
     """
-    if g @ top != bottom @ alpha:
-        raise ValueError("lifting square does not commute")
-    v, x = alpha.target, g.source
-    fld = alpha.field
-    degs = sorted(
-        set(v.dims) | set(x.dims) | set(g.target.dims) | set(alpha.source.dims)
-    )
-    if not degs:
-        return ChainMap.zero(v, x)
-    lo, hi = degs[0], degs[-1]
-    var_deg = [n for n in range(lo, hi + 1) if v.dim(n) and x.dim(n)]
-    offs, total = {}, 0
-    for n in var_deg:
-        offs[n] = total
-        total += v.dim(n) * x.dim(n)
-
-    rows_a, rhs_a = [], []
-
-    def add_equation(coeffs: dict, rhs: Matrix):
-        # coeffs: degree -> Matrix acting on vec(k_degree)
-        neq = rhs.rows
-        row = Matrix.zeros(fld, neq, total).data.copy()
-        for n, m in coeffs.items():
-            row[:, offs[n] : offs[n] + m.cols] = m.data
-        rows_a.append(row)
-        rhs_a.append(rhs.data)
-
-    for n in range(lo, hi + 2):
-        # chain condition d.k_n - k_{n-1}.d = 0
-        if x.dim(n - 1) and v.dim(n):
-            coeffs = {}
-            if n in offs:
-                coeffs[n] = Matrix.identity(fld, v.dim(n)).kron(x.d(n))
-            if n - 1 in offs:
-                coeffs[n - 1] = (-(v.d(n).transpose())).kron(
-                    Matrix.identity(fld, x.dim(n - 1))
-                )
-            if coeffs:
-                add_equation(coeffs, Matrix.zeros(fld, x.dim(n - 1) * v.dim(n), 1))
-        # k.alpha = top
-        u = alpha.source
-        if u.dim(n) and x.dim(n):
-            t = _vec(top.component(n))
-            if n in offs:
-                add_equation(
-                    {n: alpha.component(n).transpose().kron(Matrix.identity(fld, x.dim(n)))},
-                    t,
-                )
-            elif not t.is_zero():
-                return None
-        # g.k = bottom
-        if v.dim(n) and g.target.dim(n):
-            bvec = _vec(bottom.component(n))
-            if n in offs:
-                add_equation(
-                    {n: Matrix.identity(fld, v.dim(n)).kron(g.component(n))}, bvec
-                )
-            elif not bvec.is_zero():
-                return None
-
-    if not rows_a:
-        k = ChainMap.zero(v, x)
-    else:
-        big = Matrix(fld, np.vstack(rows_a))
-        rhs = Matrix(fld, np.vstack(rhs_a))
-        sol = big.solve(rhs)
-        if sol is None:
-            return None
-        comps = {
-            n: _unvec(fld, sol.data[offs[n] : offs[n] + v.dim(n) * x.dim(n)], x.dim(n), v.dim(n))
-            for n in var_deg
-        }
-        k = ChainMap(v, x, comps)
-    if k @ alpha != top or g @ k != bottom:
-        raise InvariantError("lift does not solve the lifting problem")
-    return k
+    lifts = _lifts(alpha, g, [(top, bottom)])
+    return None if lifts is None else lifts[0]
 
 
 def _square_space_basis(alpha: ChainMap, g: ChainMap):
-    """Basis of the linear space of commuting squares (top, bottom) over (alpha, g)."""
-    u, v, x, y = alpha.source, alpha.target, g.source, g.target
+    """Basis of the linear space of commuting squares (top, bottom) over
+    (alpha, g): the kernel of [[d0, 0], [0, d0], [post g, -pre alpha]] on
+    Hom(U, X) + Hom(V, Y)."""
     fld = alpha.field
-    degs = sorted(set(u.dims) | set(v.dims) | set(x.dims) | set(y.dims))
-    if not degs:
-        return []
-    lo, hi = degs[0], degs[-1]
-    tvar = [n for n in range(lo, hi + 1) if u.dim(n) and x.dim(n)]
-    bvar = [n for n in range(lo, hi + 1) if v.dim(n) and y.dim(n)]
-    offs, total = {}, 0
-    for n in tvar:
-        offs[("t", n)] = total
-        total += u.dim(n) * x.dim(n)
-    for n in bvar:
-        offs[("b", n)] = total
-        total += v.dim(n) * y.dim(n)
-    if total == 0:
-        return []
-    rows = []
-
-    def block_row(coeffs: dict, neq: int):
-        row = Matrix.zeros(fld, neq, total).data.copy()
-        for key, m in coeffs.items():
-            row[:, offs[key] : offs[key] + m.cols] = m.data
-        rows.append(row)
-
-    for n in range(lo, hi + 2):
-        # top is a chain map
-        if x.dim(n - 1) and u.dim(n):
-            coeffs = {}
-            if ("t", n) in offs:
-                coeffs[("t", n)] = Matrix.identity(fld, u.dim(n)).kron(x.d(n))
-            if ("t", n - 1) in offs:
-                coeffs[("t", n - 1)] = (-(u.d(n).transpose())).kron(
-                    Matrix.identity(fld, x.dim(n - 1))
-                )
-            if coeffs:
-                block_row(coeffs, x.dim(n - 1) * u.dim(n))
-        # bottom is a chain map
-        if y.dim(n - 1) and v.dim(n):
-            coeffs = {}
-            if ("b", n) in offs:
-                coeffs[("b", n)] = Matrix.identity(fld, v.dim(n)).kron(y.d(n))
-            if ("b", n - 1) in offs:
-                coeffs[("b", n - 1)] = (-(v.d(n).transpose())).kron(
-                    Matrix.identity(fld, y.dim(n - 1))
-                )
-            if coeffs:
-                block_row(coeffs, y.dim(n - 1) * v.dim(n))
-        # g.top = bottom.alpha
-        if u.dim(n) and y.dim(n):
-            coeffs = {}
-            if ("t", n) in offs:
-                coeffs[("t", n)] = Matrix.identity(fld, u.dim(n)).kron(g.component(n))
-            if ("b", n) in offs:
-                coeffs[("b", n)] = -(alpha.component(n).transpose().kron(
-                    Matrix.identity(fld, y.dim(n))
-                ))
-            if coeffs:
-                block_row(coeffs, u.dim(n) * y.dim(n))
-
-    if rows:
-        ker = Matrix(fld, np.vstack(rows)).kernel()
-    else:
-        ker = Matrix.identity(fld, total)
-    basis = []
-    for j in range(ker.cols):
-        col = ker.column(j)
-        tops, bots = {}, {}
-        for n in tvar:
-            o = offs[("t", n)]
-            tops[n] = _unvec(fld, col.data[o : o + u.dim(n) * x.dim(n)], x.dim(n), u.dim(n))
-        for n in bvar:
-            o = offs[("b", n)]
-            bots[n] = _unvec(fld, col.data[o : o + v.dim(n) * y.dim(n)], y.dim(n), v.dim(n))
-        basis.append((ChainMap(u, x, tops), ChainMap(v, y, bots)))
-    return basis
+    top, bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
+    corner = _Hom(alpha.source, g.target)
+    ker = Matrix.vstack(fld, [
+        Matrix.block_diag(fld, [top.d0(), bottom.d0()]),
+        Matrix.hstack(fld, [top.compose(corner, post=g), -bottom.compose(corner, pre=alpha)]),
+    ]).kernel()
+    return [
+        (top.unvec(ker.data[: top.size, j]), bottom.unvec(ker.data[top.size :, j]))
+        for j in range(ker.cols)
+    ]
 
 
 def chain_map_basis(source: ChainComplex, target: ChainComplex) -> list[ChainMap]:
     """Basis of the vector space of chain maps source -> target."""
-    fld = source.field
-    degs = sorted(set(source.dims) | set(target.dims))
-    if not degs:
-        return []
-    lo, hi = degs[0], degs[-1]
-    var_deg = [n for n in range(lo, hi + 1) if source.dim(n) and target.dim(n)]
-    offs, total = {}, 0
-    for n in var_deg:
-        offs[n] = total
-        total += source.dim(n) * target.dim(n)
-    if total == 0:
-        return []
-    rows = []
-    for n in range(lo, hi + 2):
-        if target.dim(n - 1) and source.dim(n):
-            row = Matrix.zeros(fld, target.dim(n - 1) * source.dim(n), total).data.copy()
-            if n in offs:
-                m = Matrix.identity(fld, source.dim(n)).kron(target.d(n))
-                row[:, offs[n] : offs[n] + m.cols] = m.data
-            if n - 1 in offs:
-                m = (-(source.d(n).transpose())).kron(
-                    Matrix.identity(fld, target.dim(n - 1))
-                )
-                row[:, offs[n - 1] : offs[n - 1] + m.cols] = m.data
-            rows.append(row)
-    ker = (
-        Matrix(fld, np.vstack(rows)).kernel() if rows else Matrix.identity(fld, total)
-    )
-    basis = []
-    for j in range(ker.cols):
-        col = ker.column(j)
-        comps = {
-            n: _unvec(
-                fld,
-                col.data[offs[n] : offs[n] + source.dim(n) * target.dim(n)],
-                target.dim(n),
-                source.dim(n),
-            )
-            for n in var_deg
-        }
-        basis.append(ChainMap(source, target, comps))
-    return basis
+    hom = _Hom(source, target)
+    ker = hom.d0().kernel()
+    return [hom.unvec(ker.data[:, j]) for j in range(ker.cols)]
 
 
 def has_rlp(alpha: ChainMap, g: ChainMap) -> bool:
@@ -756,12 +666,10 @@ def has_rlp(alpha: ChainMap, g: ChainMap) -> bool:
 
     The commuting squares over (alpha, g) form a vector space and lifts
     depend linearly on the square, so it suffices to solve the lifting
-    problem on a basis of that space.
+    problem on a basis of that space, all at once.
     """
-    for top, bottom in _square_space_basis(alpha, g):
-        if solve_lifting(alpha, g, top, bottom) is None:
-            return False
-    return True
+    squares = _square_space_basis(alpha, g)
+    return not squares or _lifts(alpha, g, squares) is not None
 
 
 @dataclass(frozen=True)

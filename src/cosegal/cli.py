@@ -194,7 +194,7 @@ def cmd_cosegalify(args) -> int:
     f, in_kind = _load_two_constant(args.input, args.max_dim)
     level = args.level
     s, tau = cosegalify_two_constant(f, level)
-    expanded = expand_to_premonoid(s, level)
+    expanded = tau.target
     report = {
         "command": "cosegalify",
         "level": level,

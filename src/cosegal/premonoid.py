@@ -458,6 +458,8 @@ def h_star(
     """
     if h.target != f.objects[1]:
         raise ValueError("h must land in F(1)")
+    if f.unit is None:
+        raise ValueError("diagram has no unit e : I -> F(1) to factor through h")
     if h @ e_tilde != f.unit:
         raise ValueError("unit factorization h . e_tilde = e fails")
     m = h.source

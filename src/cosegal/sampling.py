@@ -12,6 +12,7 @@ from random import Random
 from .chain import (
     ChainComplex,
     _associator_inverse,
+    _Hom,
     ChainMap,
     associator,
     braiding,
@@ -347,69 +348,30 @@ def random_tower_diagram(
     return tower_diagram(maps)
 
 
-def _flatten_map(f: ChainMap) -> list:
-    out = []
-    for n in sorted(set(f.source.dims) | set(f.target.dims)):
-        m = f.component(n)
-        out.extend(m.data.T.reshape(-1).tolist())
-    return out
-
-
 def random_diagram_morphism(rng: Random, f, g):
     """A random natural transformation f -> g of plain diagrams, sampled from
-    the exact solution space of the naturality constraints."""
-    from .chain import chain_map_basis
+    the exact solution space of the naturality constraints.
+
+    The unknowns are the Hom coordinates of every component, level by level:
+    each component is a chain map, and each structure map F(v) : F(m) -> F(n)
+    gives the equation eta_n . F(v) - G(v) . eta_m = 0."""
     from .premonoid import DiagramMorphism, all_surjections_upto
 
     field = f.field
-    bases = {
-        n: chain_map_basis(f.objects[n], g.objects[n])
-        for n in range(1, f.level + 1)
-    }
-    offs, total = {}, 0
-    for n in sorted(bases):
-        offs[n] = total
-        total += len(bases[n])
-    if total == 0:
-        comps = {
-            n: ChainMap.zero(f.objects[n], g.objects[n]) for n in bases
-        }
-        return DiagramMorphism(f, g, comps)
-    rows = []
+    levels = range(1, f.level + 1)
+    homs = [_Hom(f.objects[n], g.objects[n]) for n in levels]
+    rows = [Matrix.block_diag(field, [h.d0() for h in homs])]
     for v in all_surjections_upto(f.level):
         m, n = v.target_size, v.source_size
-        probe = ChainMap.zero(f.objects[m], g.objects[n])
-        width = len(_flatten_map(probe))
-        if width == 0:
-            continue
-        cols = []
-        for k in range(total):
-            cols.append([field.coerce(0)] * width)
-        for k, b in enumerate(bases[n]):
-            vecs = _flatten_map(b @ f.structure_map(v))
-            cols[offs[n] + k] = vecs
-        for k, b in enumerate(bases[m]):
-            neg = _flatten_map(g.structure_map(v) @ b)
-            prev = cols[offs[m] + k]
-            cols[offs[m] + k] = [x - y for x, y in zip(prev, neg)]
-        mtx = Matrix.from_rows(field, [list(r) for r in zip(*cols)], cols=total)
-        rows.append(mtx.data)
-    if rows:
-        import numpy as np
-
-        sys = Matrix(field, np.vstack(rows))
-        ker = sys.kernel()
-    else:
-        ker = Matrix.identity(field, total)
-    coeffs = ker @ random_matrix(rng, field, ker.cols, 1)
-    comps = {}
-    for n in bases:
-        acc = ChainMap.zero(f.objects[n], g.objects[n])
-        for k, b in enumerate(bases[n]):
-            c = coeffs.data[offs[n] + k, 0]
-            if c:
-                acc = acc + ChainMap(
-                    b.source, b.target, {d: m.scale(c) for d, m in b.components.items()}
-                )
-        comps[n] = acc
+        into = _Hom(f.objects[m], g.objects[n])
+        blocks = [Matrix.zeros(field, into.size, h.size) for h in homs]
+        blocks[n - 1] = blocks[n - 1] + homs[n - 1].compose(into, pre=f.structure_map(v))
+        blocks[m - 1] = blocks[m - 1] - homs[m - 1].compose(into, post=g.structure_map(v))
+        rows.append(Matrix.hstack(field, blocks))
+    ker = Matrix.vstack(field, rows).kernel()
+    coeffs = (ker @ random_matrix(rng, field, ker.cols, 1)).data[:, 0]
+    comps, off = {}, 0
+    for n, h in zip(levels, homs):
+        comps[n] = h.unvec(coeffs[off : off + h.size])
+        off += h.size
     return DiagramMorphism(f, g, comps)

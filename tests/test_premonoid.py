@@ -29,6 +29,7 @@ from cosegal.sampling import (
     exterior_monoid,
     monoid_algebra,
     random_strict_monoid,
+    tower_diagram,
 )
 
 
@@ -180,6 +181,14 @@ def test_h_star_requires_unit_factorization():
     f = from_strict(m, 2)
     with pytest.raises(ValueError):
         h_star(f, m.e, ChainMap.zero(unit_complex(GF2), unit_complex(GF2)))
+
+
+def test_h_star_names_a_missing_unit():
+    # a functorial diagram carries no unit, so there is nothing to factor
+    f = tower_diagram([ChainMap.identity(unit_complex(GF2))])
+    ident = ChainMap.identity(f.objects[1])
+    with pytest.raises(ValueError, match="no unit"):
+        h_star(f, ident, ident)
 
 
 def test_h_star_cylinder_is_easy_weq():
