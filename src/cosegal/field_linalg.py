@@ -3,15 +3,28 @@
 Matrices over F_p are stored as int64 numpy arrays with entries reduced to
 [0, p); matrices over Q are object arrays of `fractions.Fraction` (always in
 lowest terms).  Primes are bounded by ``MAX_PRIME`` so that every entrywise
-product fits int64; matrix products whose dot products could exceed int64
-fall back to exact Python integers.  Everything downstream (homology,
-lifting problems, colimits) reduces to the four primitives here: rank,
-solve, kron, quotient.  All algorithms are deterministic, so identical
-inputs give bit-identical outputs.
+product fits int64.
+
+Both fields multiply on integers: an F_p product is an integer product
+reduced mod p, and a Q product clears denominators first (each row of the
+left factor and each column of the right one is scaled by the lcm of its
+denominators, as FLINT's ``fmpq_mat_mul`` does), so one integer product
+and one division per output entry replace the `Fraction` arithmetic.  The
+integer product runs in float64 while its dot products are exact there, in
+int64 while they fit, and over Python integers beyond.  Elimination over Q
+is fraction-free: each row is cleared of denominators and reduced by
+Bareiss's exact-division Gauss-Jordan steps, and only the final pivot rows
+become `Fraction`s.  The reduced row echelon form is unique, so this gives
+the same matrices as elimination over `Fraction`s.
+
+Everything downstream (homology, lifting problems, colimits) reduces to the
+four primitives here: rank, solve, kron, quotient.  All algorithms are
+deterministic, so identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +111,37 @@ def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
+def _int_product(a, b, bound: int) -> np.ndarray:
+    """Exact product of two integer arrays (or nested lists) whose dot
+    products are at most `bound` in absolute value.
+
+    Integer matmul in numpy is not BLAS-backed: while the bound fits float64
+    exactly the float product is orders of magnitude faster; beyond int64
+    the product is taken over Python integers.
+    """
+    if bound < 2**52:
+        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        return prod.astype(np.int64)
+    if bound < 2**63:
+        return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
+    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
+
+
+def _cleared_rows(rows: list) -> tuple[list[list[int]], list[int]]:
+    """Scale each row of rationals by the lcm of its denominators; returns
+    the integer rows and the lcms."""
+    ints, dens = [], []
+    for row in rows:
+        d = math.lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return ints, dens
+
+
+def _max_abs(rows: list[list[int]]) -> int:
+    return max((abs(x) for row in rows for x in row), default=0)
+
+
 class Matrix:
     """Dense matrix over an exact field.  Treat instances as immutable."""
 
@@ -106,6 +150,13 @@ class Matrix:
     def __init__(self, field: Field, data: np.ndarray):
         if data.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got {data.ndim}")
+        if data.dtype.kind in "fc":
+            if data.size:
+                # a cast would truncate 0.5 to 0 without a word
+                raise ValueError(
+                    f"matrix data must be integers or field elements, got {data.dtype}"
+                )
+            data = np.zeros(data.shape, dtype=np.int64)
         self.field = field
         self.rows, self.cols = data.shape
         if field.is_rational:
@@ -213,18 +264,21 @@ class Matrix:
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.field, self.rows, other.cols)
         p = self.field.characteristic
-        # delayed reduction: a dot product is at most (p - 1)^2 * cols before
-        # the final mod.  Integer matmul in numpy is not BLAS-backed; while
-        # that bound fits float64 exactly it is orders of magnitude faster,
-        # and beyond int64 the product is taken over Python integers
-        bound = (p - 1) * (p - 1) * self.cols
-        if p and bound < 2**52:
-            prod = self.data.astype(np.float64) @ other.data.astype(np.float64)
-            return Matrix(self.field, prod.astype(np.int64) % p)
-        if p and bound >= 2**63:
-            prod = (self.data.astype(object) @ other.data.astype(object)) % p
-            return Matrix(self.field, prod.astype(np.int64))
-        return Matrix(self.field, self.reduce(self.data @ other.data))
+        if p:
+            # delayed reduction: a dot product is at most (p - 1)^2 * cols
+            # before the final mod
+            bound = (p - 1) * (p - 1) * self.cols
+            return Matrix(self.field, _int_product(self.data, other.data, bound) % p)
+        # entry (i, j) is (row i of a * d_i) . (column j of b * e_j) / (d_i e_j)
+        a, d = _cleared_rows(self.data.tolist())
+        bt, e = _cleared_rows(other.data.T.tolist())
+        # a zero factor must not send the other's entries through float64
+        bound = max(_max_abs(a), 1) * max(_max_abs(bt), 1) * self.cols
+        prod = _int_product(a, np.array(bt, dtype=object).T, bound).tolist()
+        out = _zeros(self.field, self.rows, other.cols)
+        for i, (row, di) in enumerate(zip(prod, d)):
+            out[i] = [Fraction(x, di * ej) for x, ej in zip(row, e)]
+        return Matrix(self.field, out)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.data.T.copy())
@@ -266,6 +320,8 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
+        if self.field.is_rational:
+            return self._rref_rational()
         a = self.data.copy()
         p = self.field.characteristic
         nrows, ncols = a.shape
@@ -285,23 +341,57 @@ class Matrix:
             if piv != r:
                 a[[r, piv]] = a[[piv, r]]
             inv = self.field.inv(a[r, c])
-            if p:
-                a[r] = (a[r] * inv) % p
-            else:
-                a[r] = a[r] * inv
+            a[r] = (a[r] * inv) % p
             col = a[:, c].copy()
             col[r] = 0
-            if p:
-                mask = col != 0
-                if mask.any():
-                    a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-            else:
-                for i in range(nrows):
-                    if i != r and col[i] != 0:
-                        a[i] = a[i] - col[i] * a[r]
+            mask = col != 0
+            if mask.any():
+                a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
             pivots.append(c)
             r += 1
         return Matrix(self.field, a), pivots
+
+    def _rref_rational(self) -> tuple["Matrix", list[int]]:
+        """`rref` over Q by fraction-free Gauss-Jordan elimination (Bareiss,
+        Math. Comp. 22, 1968) on the rows cleared of denominators.
+
+        Pivot row r with pivot pv eliminates column c from every other row i
+        as a[i] <- (pv a[i] - a[i, c] a[r]) / prev, prev the previous pivot
+        (1 at first).  Every entry is then a minor of the cleared matrix, so
+        the division is exact.  Rows with a zero in column c are rescaled by
+        pv / prev too; that is skipped only where it is the identity, pv ==
+        prev.  Pivots are chosen as in the F_p branch, and each pivot row is
+        divided by its pivot at the end; the reduced row echelon form is
+        unique, so the result is the one elimination over Q gives.
+        """
+        nrows, ncols = self.shape
+        a, _ = _cleared_rows(self.data.tolist())
+        pivots: list[int] = []
+        prev = 1
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            # choose the first nonzero entry in this column at or below r
+            piv = next((i for i in range(r, nrows) if a[i][c]), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            top = a[r]
+            pv = top[c]
+            for i in range(nrows):
+                f = a[i][c]
+                if i == r or (f == 0 and pv == prev):
+                    continue
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+            prev = pv
+            pivots.append(c)
+            r += 1
+        out = _zeros(self.field, nrows, ncols)
+        for i, c in enumerate(pivots):
+            pv = a[i][c]
+            out[i] = [Fraction(x, pv) for x in a[i]]
+        return Matrix(self.field, out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -12,7 +12,7 @@ what the next caller gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -174,14 +174,20 @@ class LatchingDiagramShape:
     classical: bool
     objects: tuple
     arrows: tuple
+    _plus: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        plus = {
+            (ob.p, ob.to_level): k
+            for k, ob in enumerate(self.objects)
+            if isinstance(ob, PlusObject)
+        }
+        object.__setattr__(self, "_plus", plus)
 
     def plus_index(self, p: int, surj: Surjection) -> int:
         """Index of the plus object (p, surj); the embedding of the classical
-        shape into the full shape."""
-        for k, ob in enumerate(self.objects):
-            if isinstance(ob, PlusObject) and ob.p == p and ob.to_level == surj:
-                return k
-        raise KeyError((p, surj))
+        shape into the full shape.  Raises KeyError if there is none."""
+        return self._plus[(p, surj)]
 
 
 def latching_shape(n: int, classical: bool = False) -> LatchingDiagramShape:

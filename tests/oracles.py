@@ -71,6 +71,45 @@ def kernel_dim_by_enumeration(rows, ncols):
     return dim
 
 
+def oracle_q_matmul(a, b, ncols):
+    """Product of list-of-lists matrices over Q, one `Fraction` dot product
+    per entry; `ncols` is the column count of b (b may have no rows)."""
+    return [
+        [
+            sum((Fraction(x) * Fraction(row[j]) for x, row in zip(r, b)), Fraction(0))
+            for j in range(ncols)
+        ]
+        for r in a
+    ]
+
+
+def oracle_q_rref(rows, ncols):
+    """Reduced row echelon form over Q and its pivot columns, by plain
+    Gauss-Jordan elimination on `Fraction`s: the pivot is the first nonzero
+    entry at or below the current row, the pivot row is divided by it, and
+    the pivot column is cleared from every other row."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                c = m[r][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    return m, pivots
+
+
 # ---------------------------------------------------------------------------
 # combinatorics
 # ---------------------------------------------------------------------------

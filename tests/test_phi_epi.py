@@ -132,3 +132,18 @@ def test_classical_embeds_into_lax():
 def test_latching_shape_rejects_low_level():
     with pytest.raises(ValueError):
         latching_shape(1)
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_plus_index_finds_every_plus_object(classical):
+    for n in range(2, 5):
+        shape = latching_shape(n, classical)
+        plus = [(k, ob) for k, ob in enumerate(shape.objects) if isinstance(ob, PlusObject)]
+        assert plus
+        for k, ob in plus:
+            assert shape.plus_index(ob.p, ob.to_level) == k
+        # level n itself is not a plus object of its own latching shape
+        with pytest.raises(KeyError):
+            shape.plus_index(n, identity_surjection(n))
+        with pytest.raises(KeyError):
+            shape.plus_index(n - 1, identity_surjection(n - 1))
