@@ -24,6 +24,7 @@ from .chain import (
     solve_lifting,
     has_rlp,
     generating_cofibrations,
+    Colimit,
     colimit,
     pushout,
     pushout_universal,

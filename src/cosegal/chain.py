@@ -44,6 +44,7 @@ __all__ = [
     "chain_map_basis",
     "generating_cofibrations",
     "rlp_window",
+    "Colimit",
     "colimit",
     "pushout",
     "pushout_universal",
@@ -726,12 +727,45 @@ def rlp_window(*maps: ChainMap) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]):
+@dataclass(frozen=True)
+class Colimit:
+    """A colimit with its section: the object Q, the legs nodes[i] -> Q,
+    and per degree the projection from the generators (the direct sum of the
+    nodes) onto Q and the free generator columns that index Q's basis."""
+
+    obj: ChainComplex
+    legs: list
+    proj: dict
+    free: dict
+
+    def induce(self, cocone: list[ChainMap]) -> ChainMap:
+        """The unique map out of Q whose composite with legs[i] is cocone[i]."""
+        if len(cocone) != len(self.legs):
+            raise ValueError("cocone and colimit have different node counts")
+        fld = self.obj.field
+        comps = {}
+        for n, proj in self.proj.items():
+            composite = Matrix.hstack(fld, [c.component(n) for c in cocone])
+            comps[n] = _descend(proj, self.free[n], composite)
+        return ChainMap(self.obj, cocone[0].target, comps)
+
+
+def _descend(proj: Matrix, free: list[int], composite: Matrix) -> Matrix:
+    """The m with m @ proj = composite.  `quotient` makes proj the identity on
+    its free columns, so m can only be those columns of the composite."""
+    m = Matrix(composite.field, composite.data[:, free])
+    if m @ proj != composite:
+        raise ValueError("map does not descend through the projection")
+    return m
+
+
+def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) -> Colimit:
     """Colimit of a finite diagram of chain complexes.
 
     nodes[i] are the objects; each arrow (s, t, f) glues node s into node t
-    along f.  Returns (Q, legs) where legs[i] : nodes[i] -> Q.  The quotient
-    basis is deterministic in the node order.
+    along f (s = t is allowed).  Returns a `Colimit` whose legs[i] :
+    nodes[i] -> Q; maps out of Q are built with `Colimit.induce`.  The
+    quotient basis is deterministic in the node order.
     """
     if not nodes:
         raise ValueError("colimit of an empty diagram")
@@ -748,7 +782,7 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]):
         totals[n] = off
 
     projs = {}
-    qdims = {}
+    frees = {}
     for n in degs:
         rels = []
         for s, t, f in arrows:
@@ -768,20 +802,14 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]):
             relrows = Matrix(fld, np.vstack(rels))
         else:
             relrows = Matrix.zeros(fld, 0, totals[n])
-        qdim, proj = quotient(fld, totals[n], relrows)
-        projs[n] = proj
-        qdims[n] = qdim
+        _, projs[n], frees[n] = quotient(fld, totals[n], relrows)
 
-    # induced differential through the projections
     diff = {}
     for n in degs:
-        if qdims.get(n, 0) == 0 or qdims.get(n - 1, 0) == 0:
-            continue
-        blk = Matrix.block_diag(fld, [c.d(n) for c in nodes])
-        rhs = projs[n - 1] @ blk
-        dn = induced_matrix(projs[n], rhs)
-        diff[n] = dn
-    q = ChainComplex(fld, qdims, diff)
+        if frees[n] and frees.get(n - 1):
+            blk = Matrix.block_diag(fld, [c.d(n) for c in nodes])
+            diff[n] = _descend(projs[n], frees[n], projs[n - 1] @ blk)
+    q = ChainComplex(fld, {n: len(free) for n, free in frees.items()}, diff)
 
     legs = []
     for i, c in enumerate(nodes):
@@ -793,7 +821,7 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]):
                 proj.data[:, offsets[n][i] : offsets[n][i] + c.dim(n)].copy(),
             )
         legs.append(ChainMap(c, q, comps))
-    return q, legs
+    return Colimit(q, legs, projs, frees)
 
 
 def induced_matrix(through: Matrix, composite: Matrix) -> Matrix:
@@ -808,8 +836,8 @@ def pushout(f: ChainMap, g: ChainMap):
     """Pushout of B <- A -> C; returns (P, leg_B, leg_C)."""
     if f.source != g.source:
         raise ValueError("pushout maps must share their source")
-    q, legs = colimit([f.source, f.target, g.target], [(0, 1, f), (0, 2, g)])
-    return q, legs[1], legs[2]
+    c = colimit([f.source, f.target, g.target], [(0, 1, f), (0, 2, g)])
+    return c.obj, c.legs[1], c.legs[2]
 
 
 def pushout_universal(leg_b: ChainMap, leg_c: ChainMap, u: ChainMap, v: ChainMap) -> ChainMap:
@@ -833,5 +861,5 @@ def wide_pushout(maps: list[ChainMap]):
         raise ValueError("wide pushout maps must share their source")
     nodes = [src] + [m.target for m in maps]
     arrows = [(0, i + 1, m) for i, m in enumerate(maps)]
-    q, legs = colimit(nodes, arrows)
-    return q, legs[0], legs[1:]
+    c = colimit(nodes, arrows)
+    return c.obj, c.legs[0], c.legs[1:]

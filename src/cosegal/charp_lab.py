@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chain import (
     ChainComplex,
     _associator_inverse,
     ChainMap,
     associator,
     braiding,
+    colimit,
     homology_dims,
-    induced_matrix,
     tensor,
     tensor_map,
 )
-from .field_linalg import Field, InvariantError, Matrix, quotient
+from .field_linalg import Field, InvariantError, Matrix
 
 __all__ = ["SymPower", "sym_power", "tensor_power", "disc", "demo_char_p"]
 
@@ -77,38 +75,16 @@ def sym_power(c: ChainComplex, n: int) -> SymPower:
     The adjacent transpositions generate S_n, and v - sigma.v for a word
     sigma telescopes into differences across single adjacent swaps, so
     quotienting by v - (swapped v) over the n-1 adjacent swaps gives the full
-    coinvariants.  Exponents are capped to keep the tensor power small.
+    coinvariants: the colimit of the tensor power with one self-loop per
+    adjacent swap.  Exponents are capped to keep the tensor power small.
     """
     if n < 1:
         raise ValueError("exponent must be positive")
     if n > 4:
         raise ValueError("exponent capped at 4 (tensor powers grow fast)")
     power = tensor_power(c, n)
-    if n == 1:
-        return SymPower(c, 1, c, ChainMap.identity(c))
-    fld = c.field
-    actions = [_adjacent_swap(c, n, k) for k in range(n - 1)]
-    dims, diff, projs = {}, {}, {}
-    for deg in power.dims:
-        k = power.dim(deg)
-        rels = []
-        ident = Matrix.identity(fld, k)
-        for act in actions:
-            rels.append((ident - act.component(deg)).data)
-        qdim, proj = quotient(fld, k, Matrix(fld, np.vstack(rels)))
-        if qdim:
-            dims[deg] = qdim
-        projs[deg] = proj
-    for deg in sorted(dims):
-        if dims.get(deg - 1, 0):
-            diff[deg] = induced_matrix(
-                projs[deg], projs[deg - 1] @ power.d(deg)
-            )
-    result = ChainComplex(fld, dims, diff)
-    projection = ChainMap(
-        power, result, {deg: projs[deg] for deg in power.dims if dims.get(deg, 0)}
-    )
-    return SymPower(c, n, result, projection)
+    coinv = colimit([power], [(0, 0, _adjacent_swap(c, n, k)) for k in range(n - 1)])
+    return SymPower(c, n, coinv.obj, coinv.legs[0])
 
 
 def disc(field: Field, degree: int) -> ChainComplex:

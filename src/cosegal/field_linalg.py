@@ -444,13 +444,14 @@ class Matrix:
         return Matrix(self.field, self.reduce(out))
 
 
-def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix]:
+def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]:
     """Quotient of k^dim by the span of the given relation vectors (rows).
 
-    Returns (quotient dimension, projection matrix).  The projection is
-    surjective with kernel exactly the span of the relations; the choice of
-    basis for the quotient (non-pivot coordinates of the reduced relations)
-    is deterministic.
+    Returns (quotient dimension, projection matrix, free columns).  The
+    projection is surjective with kernel exactly the span of the relations;
+    the quotient basis is the images of the free (non-pivot) coordinates of
+    the reduced relations, so the projection restricted to the free columns
+    is the identity.
     """
     if isinstance(relations, Matrix):
         rel = relations
@@ -470,4 +471,4 @@ def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix]:
         # e_c = -sum of its free-coordinate tail modulo the relations
         for k, f in enumerate(free):
             proj[k, c] = field.coerce(-red.data[i, f])
-    return len(free), Matrix(field, proj)
+    return len(free), Matrix(field, proj), free

@@ -9,7 +9,9 @@ transformation eta : F -> G all fall out of the colimit legs.
 
 All colimits are computed as cokernels of explicit relation matrices with a
 deterministic generator order (shape-object order, then basis order), so
-repeated runs are bit-identical.
+repeated runs are bit-identical.  Every map out of a level (the bijection
+actions, the universal extension) is read off the free generator columns of
+its colimit by `Colimit.induce`.
 
 Size warning: the latching shapes grow like surjection counts times level
 decompositions; see the complexity table in the README.  Keep N <= 3 for
@@ -21,14 +23,12 @@ from __future__ import annotations
 from .chain import (
     ChainComplex,
     ChainMap,
-    Matrix,
+    Colimit,
     colimit,
-    induced_matrix,
     tensor,
     tensor_map,
     wide_pushout,
 )
-from .field_linalg import Field, InvariantError
 from .phi_epi import (
     PairObject,
     PlusObject,
@@ -79,51 +79,45 @@ def _shape_arrow_map(d: LaxDiagram, shape, arr) -> ChainMap:
     return d.structure_map(arr.c)
 
 
-def lax_latching(h, n: int):
-    """Colimit of the decomposition diagram below level n; returns the
-    latching complex and the cocone legs indexed like the shape objects."""
-    if n < 2 or n > h.level + 1:
+def _shape_diagram(d: LaxDiagram, n: int, classical: bool, offset: int = 0):
+    """The level-n latching shape with its nodes over d and its arrows, whose
+    endpoints are shifted by `offset`.  The shape reads levels below n."""
+    if n < 2 or n > d.level + 1:
         raise ValueError("level out of range for the given diagram")
-    shape = latching_shape(n, classical=False)
-    values = _shape_values(h, shape)
+    shape = latching_shape(n, classical=classical)
     arrows = [
-        (arr.src, arr.tgt, _shape_arrow_map(h, shape, arr)) for arr in shape.arrows
+        (offset + arr.src, offset + arr.tgt, _shape_arrow_map(d, shape, arr))
+        for arr in shape.arrows
     ]
-    return colimit(values, arrows)
+    return shape, _shape_values(d, shape), arrows
 
 
-def classical_latching(f, n: int):
+def lax_latching(h, n: int) -> Colimit:
+    """Colimit of the decomposition diagram below level n; its legs are
+    indexed like the shape objects."""
+    _, nodes, arrows = _shape_diagram(h, n, classical=False)
+    return colimit(nodes, arrows)
+
+
+def classical_latching(f, n: int) -> Colimit:
     """Ordinary latching object of the underlying diagram at level n."""
-    shape = latching_shape(n, classical=True)
-    values = _shape_values(f, shape)
-    arrows = [
-        (arr.src, arr.tgt, _shape_arrow_map(f, shape, arr)) for arr in shape.arrows
-    ]
-    return colimit(values, arrows)
+    _, nodes, arrows = _shape_diagram(f, n, classical=True)
+    return colimit(nodes, arrows)
 
 
 def delta_map(f, h, n: int, unit: dict | None = None) -> ChainMap:
     """The canonical comparison from the classical latching of f into the lax
     latching of h, sending each classical leg into the matching single-level
     leg.  `unit` gives the components f(p) -> h(p) (identity if omitted)."""
-    lat, clegs = classical_latching(f, n)
-    lax, llegs = lax_latching(h, n)
-    cshape = latching_shape(n, classical=True)
+    lat = classical_latching(f, n)
+    llegs = lax_latching(h, n).legs
     lshape = latching_shape(n, classical=False)
     if unit is None:
         unit = {p: ChainMap.identity(f.objects[p]) for p in range(1, n)}
-    comps = {}
-    for deg in lat.dims:
-        through = Matrix.hstack(
-            lat.field, [leg.component(deg) for leg in clegs]
-        )
-        cocone = []
-        for ob, leg in zip(cshape.objects, clegs):
-            k = lshape.plus_index(ob.p, ob.to_level)
-            cocone.append((llegs[k] @ unit[ob.p]).component(deg))
-        composite = Matrix.hstack(lat.field, cocone)
-        comps[deg] = induced_matrix(through, composite)
-    return ChainMap(lat, lax, comps)
+    return lat.induce([
+        llegs[lshape.plus_index(ob.p, ob.to_level)] @ unit[ob.p]
+        for ob in latching_shape(n, classical=True).objects
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -132,55 +126,39 @@ def delta_map(f, h, n: int, unit: dict | None = None) -> ChainMap:
 
 
 def _joint_level(f: LaxDiagram, below: LaxDiagram, eta: dict, n: int):
-    """Nodes and arrows of the diagram whose colimit is the level-n value of
-    the free construction: the lax shape over `below`, the free diagram
-    built up to some level at least n - 1 (only levels below n are read),
-    the classical shape over f, and the node f(n) itself."""
-    lshape = latching_shape(n, classical=False)
-    cshape = latching_shape(n, classical=True)
-    values = _shape_values(below, lshape)
-    nodes = list(values)
-    arrows = [
-        (arr.src, arr.tgt, _shape_arrow_map(below, lshape, arr))
-        for arr in lshape.arrows
-    ]
+    """The colimit whose object is the level-n value of the free
+    construction, over the lax shape on `below` (the free diagram up to
+    level n - 1), the classical shape on f, and the node f(n) itself, which
+    comes last.  Returns the two shapes and the colimit."""
+    lshape, nodes, arrows = _shape_diagram(below, n, classical=False)
     coff = len(nodes)
-    nodes.extend(_shape_values(f, cshape))
-    for arr in cshape.arrows:
-        arrows.append(
-            (coff + arr.src, coff + arr.tgt, _shape_arrow_map(f, cshape, arr))
-        )
+    cshape, cnodes, carrows = _shape_diagram(f, n, classical=True, offset=coff)
+    nodes += cnodes
+    arrows += carrows
     fnode = len(nodes)
     nodes.append(f.objects[n])
     for k, ob in enumerate(cshape.objects):
         arrows.append((coff + k, fnode, f.structure_map(ob.to_level)))
         arrows.append((coff + k, lshape.plus_index(ob.p, ob.to_level), eta[ob.p]))
-    return lshape, cshape, nodes, arrows, coff, fnode
+    return lshape, cshape, colimit(nodes, arrows)
 
 
-def _hstack_legs(legs, deg):
-    fld = legs[0].source.field
-    return Matrix.hstack(fld, [leg.component(deg) for leg in legs])
-
-
-def gamma_na(f: LaxDiagram):
-    """Free nonassociative lax diagram on f, with the unit transformation.
-
-    The level-1 value is f(1) verbatim.  Each higher value is the pushout of
-    the classical-latching map into f(n) along the comparison into the lax
-    latching object; laxity maps and structure maps are colimit legs, and
-    the action of the level-n bijections is induced by reindexing the legs.
-    """
+def _free_levels(f: LaxDiagram):
+    """The free diagram on f, the components of the unit f -> free, and for
+    each level n >= 2 the lax shape, the classical shape and the joint
+    colimit whose object is free(n) (see `gamma_na`)."""
     objects = {1: f.objects[1]}
     structure: dict = {}
     laxity: dict = {}
     eta = {1: ChainMap.identity(f.objects[1])}
+    joints = {}
     for n in range(2, f.level + 1):
         below = LaxDiagram(n - 1, objects, structure, laxity)
-        lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, below, eta, n)
-        q, legs = colimit(nodes, arrows)
-        objects[n] = q
-        eta[n] = legs[fnode]
+        lshape, cshape, joint = _joint_level(f, below, eta, n)
+        joints[n] = (lshape, cshape, joint)
+        legs = joint.legs
+        objects[n] = joint.obj
+        eta[n] = legs[-1]
         for k, ob in enumerate(lshape.objects):
             if isinstance(ob, PlusObject):
                 structure[ob.to_level] = legs[k]
@@ -206,13 +184,19 @@ def gamma_na(f: LaxDiagram):
                 j = lshape.plus_index(ob.p, compose(ob.to_level, pi))
                 relabeled.append(legs[j] @ eta[ob.p])
             relabeled.append(eta[n] @ f.structure_map(pi))
-            comps = {}
-            for deg in q.dims:
-                through = _hstack_legs(legs, deg)
-                composite = _hstack_legs(relabeled, deg)
-                comps[deg] = induced_matrix(through, composite)
-            structure[pi] = ChainMap(q, q, comps)
-    g = LaxDiagram(f.level, objects, structure, laxity)
+            structure[pi] = joint.induce(relabeled)
+    return LaxDiagram(f.level, objects, structure, laxity), eta, joints
+
+
+def gamma_na(f: LaxDiagram):
+    """Free nonassociative lax diagram on f, with the unit transformation.
+
+    The level-1 value is f(1) verbatim.  Each higher value is the pushout of
+    the classical-latching map into f(n) along the comparison into the lax
+    latching object; laxity maps and structure maps are colimit legs, and
+    the action of the level-n bijections is induced by reindexing the legs.
+    """
+    g, eta, _ = _free_levels(f)
     return g, DiagramMorphism(f, g, eta)
 
 
@@ -221,22 +205,17 @@ def universal_extension(
 ) -> DiagramMorphism:
     """The unique lax-compatible extension of phi : f -> Ug along the unit.
 
-    Rebuilds the free construction on f (deterministically identical) and
-    induces each level through the colimit: the extension is determined on
-    the colimit generators, which is also why it is unique.
+    Builds the free construction on f once and induces each level out of
+    its joint colimit: the extension is determined on the colimit
+    generators, which is also why it is unique.
     """
     if g.level != f.level:
         raise ValueError("level mismatch")
     if g.laxity is None:
         raise ValueError("the target needs laxity maps")
-    free, eta_m = gamma_na(f)
-    eta = eta_m.components
+    free, _, joints = _free_levels(f)
     ext = {1: phi.component(1)}
-    for n in range(2, f.level + 1):
-        lshape, cshape, nodes, arrows, coff, fnode = _joint_level(f, free, eta, n)
-        q, legs = colimit(nodes, arrows)
-        if q != free.objects[n]:
-            raise InvariantError(f"joint colimit at level {n} differs from the free object")
+    for n, (lshape, cshape, joint) in joints.items():
         cocone = []
         for ob in lshape.objects:
             if isinstance(ob, PairObject):
@@ -249,12 +228,7 @@ def universal_extension(
         for ob in cshape.objects:
             cocone.append(g.structure_map(ob.to_level) @ phi.component(ob.p))
         cocone.append(phi.component(n))
-        comps = {}
-        for deg in q.dims:
-            through = _hstack_legs(legs, deg)
-            composite = _hstack_legs(cocone, deg)
-            comps[deg] = induced_matrix(through, composite)
-        ext[n] = ChainMap(q, g.objects[n], comps)
+        ext[n] = joint.induce(cocone)
     return DiagramMorphism(free, g, ext)
 
 

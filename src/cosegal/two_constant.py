@@ -21,18 +21,17 @@ from .chain import (
     ChainComplex,
     ChainMap,
     GeneratingCofibration,
+    colimit,
     cylinder_factorization,
     generating_cofibrations,
     has_rlp,
-    induced_matrix,
     is_trivial_fibration,
     pushout,
     pushout_universal,
     rlp_window,
     unit_complex,
-    wide_pushout,
 )
-from .field_linalg import InvariantError, Matrix
+from .field_linalg import InvariantError
 from .phi_epi import unique_to_one
 from .premonoid import (
     DiagramMorphism,
@@ -261,21 +260,14 @@ def wide_pushout_two_constant(
     if not instructions:
         return f, ChainMap.identity(f.apex), []
     pieces = [pushout_k2(f, ins) for ins in instructions]
-    q, src_leg, legs = wide_pushout([eps for _, eps, _ in pieces])
-    comps = {}
-    for n in q.dims:
-        through = Matrix.hstack(
-            q.field,
-            [src_leg.component(n)] + [leg.component(n) for leg in legs],
-        )
-        composite = Matrix.hstack(
-            q.field,
-            [f.h.component(n)] + [piece[0].h.component(n) for piece in pieces],
-        )
-        comps[n] = induced_matrix(through, composite)
-    h_inf = ChainMap(q, f.base.obj, comps)
-    e_inf = TwoConstantPremonoid(f.base, q, h_inf, src_leg @ f.unit_map)
-    return e_inf, src_leg, legs
+    apex = colimit(
+        [f.apex] + [piece.apex for piece, _, _ in pieces],
+        [(0, k + 1, eps) for k, (_, eps, _) in enumerate(pieces)],
+    )
+    h_inf = apex.induce([f.h] + [piece.h for piece, _, _ in pieces])
+    src_leg = apex.legs[0]
+    e_inf = TwoConstantPremonoid(f.base, apex.obj, h_inf, src_leg @ f.unit_map)
+    return e_inf, src_leg, apex.legs[1:]
 
 
 def cosegalify_two_constant(

@@ -66,17 +66,17 @@ def test_kron_expand_definition():
 
 
 def test_quotient_no_relations():
-    d, p = quotient(GF2, 3, [])
+    d, p, _ = quotient(GF2, 3, [])
     assert d == 3 and p == Matrix.identity(GF2, 3)
 
 
 def test_quotient_full():
-    d, p = quotient(GF3, 2, [[1, 0], [0, 1]])
+    d, p, _ = quotient(GF3, 2, [[1, 0], [0, 1]])
     assert d == 0 and p.shape == (0, 2)
 
 
 def test_quotient_kernel_check():
-    d, p = quotient(GF2, 2, [[1, 1]])
+    d, p, _ = quotient(GF2, 2, [[1, 1]])
     assert d == 1
     assert p.tolist() == [[1, 1]]
     assert (p @ Matrix.from_rows(GF2, [[1], [1]])).is_zero()
@@ -111,8 +111,10 @@ def test_quotient_projection_properties(field):
         rels = [
             [rng.randrange(5) for _ in range(dim)] for _ in range(rng.randrange(0, 4))
         ]
-        qdim, proj = quotient(field, dim, rels)
+        qdim, proj, free = quotient(field, dim, rels)
         assert proj.rank() == qdim
+        # the quotient basis is the images of the free columns
+        assert Matrix(field, proj.data[:, free]) == Matrix.identity(field, qdim)
         for r in rels:
             col = Matrix.from_rows(field, [[x] for x in r])
             assert (proj @ col).is_zero()

@@ -65,7 +65,8 @@ def na_from_level1(a, field):
 def test_lax_latching_level2_shape():
     rng = random.Random(3)
     a = random_complex(rng, GF2, 0, 1, 2)
-    lat, legs = lax_latching(na_from_level1(a, GF2), 2)
+    latching = lax_latching(na_from_level1(a, GF2), 2)
+    lat, legs = latching.obj, latching.legs
     aa = tensor(a, a)
     for n in set(lat.dims) | set(aa.dims) | set(a.dims):
         assert lat.dim(n) == 2 * aa.dim(n) + a.dim(n)
@@ -78,7 +79,7 @@ def test_lax_latching_level2_shape():
 
 
 def test_lax_latching_zero_diagram():
-    lat, _ = lax_latching(na_from_level1(zero_complex(GF2), GF2), 2)
+    lat = lax_latching(na_from_level1(zero_complex(GF2), GF2), 2).obj
     assert lat.is_zero_complex()
 
 
@@ -94,7 +95,7 @@ def test_lax_latching_level3_dimension_matches_colimit_oracle():
         {v: m for v, m in g.structure.items() if v.source_size <= 2},
         laxity={(1, 1): g.laxity[(1, 1)]},
     )
-    lat, legs = lax_latching(partial, 3)
+    lat = lax_latching(partial, 3).obj
     shape = latching_shape(3)
     values = []
     for ob in shape.objects:
@@ -116,7 +117,8 @@ def test_lax_latching_level3_dimension_matches_colimit_oracle():
 
 def test_classical_latching_level2_is_level1_object():
     f = s0_fixture()
-    lat, legs = classical_latching(f, 2)
+    latching = classical_latching(f, 2)
+    lat, legs = latching.obj, latching.legs
     assert lat == f.objects[1]
     assert len(legs) == 1
 
@@ -235,6 +237,35 @@ def test_extension_refuses_a_target_without_laxity():
     f = s0_fixture()
     with pytest.raises(ValueError, match="needs laxity"):
         universal_extension(f, f, DiagramMorphism.identity(f))
+
+
+def test_latching_refuses_a_level_beyond_the_diagram():
+    f = random_tower_diagram(random.Random(31), GF2, 2, 0, 1, 2)
+    for build in (
+        lambda: lax_latching(f, 4),
+        lambda: classical_latching(f, 4),
+        lambda: delta_map(f, f, 4),
+    ):
+        with pytest.raises(ValueError, match="level out of range"):
+            build()
+
+
+def test_free_construction_builds_each_joint_colimit_once(monkeypatch):
+    import cosegal.free_gamma as free_gamma
+
+    calls = []
+    real = free_gamma.colimit
+
+    def counting(nodes, arrows):
+        calls.append(len(nodes))
+        return real(nodes, arrows)
+
+    monkeypatch.setattr(free_gamma, "colimit", counting)
+    f = random_tower_diagram(random.Random(47), GF3, 3, 0, 1, 1)
+    g, eta = gamma_na(f)
+    ext = universal_extension(f, g, eta)
+    assert len(calls) == 4
+    assert ext.source == g
 
 
 def test_extension_deterministic():

@@ -166,7 +166,7 @@ def test_q_quotient_matches_oracle(data):
     # the projection is the transpose of the kernel basis
     want = [list(col) for col in zip(*want)] if free else []
     for relations in (_matrix(a, m, n), a):
-        qdim, proj = quotient(QQ, n, relations)
+        qdim, proj, _ = quotient(QQ, n, relations)
         assert qdim == len(free)
         _assert_equals(proj, want, (len(free), n))
 
@@ -182,7 +182,7 @@ def test_q_empty_shapes(m, k, n):
     identity = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     _assert_equals(a.kernel(), identity, (k, k))
     assert a.solve(Matrix.zeros(QQ, m, n)) == Matrix.zeros(QQ, k, n)
-    qdim, proj = quotient(QQ, k, a)
+    qdim, proj, _ = quotient(QQ, k, a)
     assert qdim == k and proj == Matrix.identity(QQ, k)
 
 
