@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_linalg import Field, InvariantError, Matrix, quotient
+from .field_linalg import Field, InvariantError, Matrix, _zeros, quotient
 
 __all__ = [
     "ChainComplex",
@@ -790,7 +790,7 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
             if ds == 0:
                 continue
             m = f.component(n)
-            block = Matrix.zeros(fld, ds, totals[n]).data.copy()
+            block = _zeros(fld, ds, totals[n])
             block[:, offsets[n][t] : offsets[n][t] + nodes[t].dim(n)] = (
                 (-m).transpose().data
             )

@@ -23,7 +23,7 @@ from .documents import DocumentError, ValidationFailure, canonical_dumps
 from .field_linalg import Field, InvariantError
 from .free_gamma import gamma_na
 from .phi_epi import enumerate_surjections
-from .premonoid import is_cosegal, validate, validate_morphism
+from .premonoid import validate, validate_morphism
 from .sampling import random_k2_instruction
 from .two_constant import (
     TwoConstantPremonoid,
@@ -193,16 +193,15 @@ def cmd_cosegalify(args) -> int:
     _check_level(args.level)
     f, in_kind = _load_two_constant(args.input, args.max_dim)
     level = args.level
-    s, tau = cosegalify_two_constant(f, level)
-    expanded = tau.target
+    s, i = cosegalify_two_constant(f)
     report = {
         "command": "cosegalify",
         "level": level,
         "apex_dims": {str(k): v for k, v in sorted(s.apex.dims.items())},
         "apex_homology": {str(k): v for k, v in sorted(homology_dims(s.apex).items())},
-        "is_cosegal": bool(is_cosegal(expanded)),
-        "is_k_injective": bool(is_k_injective(expanded)),
-        "tau_level1_cofibration": bool(is_cofibration(tau.component(1))),
+        "is_cosegal": bool(s.is_cosegal(level)),
+        "is_k_injective": bool(is_k_injective(s, level)),
+        "tau_level1_cofibration": bool(is_cofibration(i)),
         "reflection_preserved": reflect(s) == reflect(f),
     }
     if args.out:

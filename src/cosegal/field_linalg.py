@@ -462,13 +462,10 @@ def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]
     if rel.cols != dim:
         raise ValueError("relation vectors have wrong length")
     red, pivots = rel.rref()
-    free = [c for c in range(dim) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(dim) if c not in pivot_set]
     proj = _zeros(field, len(free), dim)
-    one = field.coerce(1)
-    for k, f in enumerate(free):
-        proj[k, f] = one
-    for i, c in enumerate(pivots):
-        # e_c = -sum of its free-coordinate tail modulo the relations
-        for k, f in enumerate(free):
-            proj[k, c] = field.coerce(-red.data[i, f])
+    proj[np.arange(len(free)), free] = field.coerce(1)
+    # e_c = -sum of its free-coordinate tail modulo the relations
+    proj[:, pivots] = -red.data[: len(pivots)][:, free].T
     return len(free), Matrix(field, proj), free

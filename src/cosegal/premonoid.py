@@ -88,11 +88,6 @@ class StrictMonoid:
     def field(self) -> Field:
         return self.obj.field
 
-    def __eq__(self, other):
-        if not isinstance(other, StrictMonoid):
-            return NotImplemented
-        return self.obj == other.obj and self.mu == other.mu and self.e == other.e
-
 
 def validate_strict(m: StrictMonoid) -> list[Violation]:
     """Associativity, commutativity and two-sided unitality, exactly."""

@@ -270,7 +270,8 @@ def test_criterion_07_replacement():
         base = monoid_algebra(GF2, random_commutative_table(rng, rng.randrange(1, 3)))
         f = random_two_constant(rng, GF2, surjective_h=trial % 2 == 0, base=base)
         for level in (2, 3, 4):
-            s, tau = cosegalify_two_constant(f, level)
+            s, i = cosegalify_two_constant(f)
+            tau = upsilon_morphism(f, s, i, level)
             assert is_cosegal(expand_to_premonoid(s, level))
             assert is_k_injective(s, level)
             assert reflect(s) == reflect(f)

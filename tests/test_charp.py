@@ -17,6 +17,7 @@ from cosegal.two_constant import (
     TwoConstantPremonoid,
     cosegalify_two_constant,
     expand_to_premonoid,
+    upsilon_morphism,
 )
 
 from oracles import oracle_sym_power_dims
@@ -137,7 +138,8 @@ def test_cosegal_replacement_keeps_entry_homology():
     assert homology_dims(sym_power(disc(GF2, 1), 2).result) != {}
     m = acyclic_monoid(GF2)
     f = TwoConstantPremonoid(m, disc(GF2, 1), ChainMap.identity(m.obj), m.e)
-    s, tau = cosegalify_two_constant(f, 3)
+    s, i = cosegalify_two_constant(f)
+    tau = upsilon_morphism(f, s, i, 3)
     assert homology_dims(s.apex) == {}
     assert is_quasi_iso(tau.component(1))
     assert is_easy_weq(tau)

@@ -21,7 +21,7 @@ from random import Random
 
 import pytest
 
-from cosegal import documents
+from cosegal import cli, documents, premonoid, two_constant
 from cosegal.chain import (
     ChainMap,
     _square_space_basis,
@@ -33,7 +33,7 @@ from cosegal.chain import (
 )
 from cosegal.cli import main
 from cosegal.field_linalg import GF2, GF3, GF5, QQ
-from cosegal.premonoid import LaxDiagram, all_surjections_upto
+from cosegal.premonoid import LaxDiagram, all_surjections_upto, validate_strict
 from cosegal.sampling import (
     monoid_algebra,
     random_chain_map,
@@ -132,6 +132,57 @@ def test_out_document_is_byte_identical(argv, report, document, workdir, monkeyp
     assert rc == 0
     assert buf.getvalue().encode() == (GOLDEN / report).read_bytes()
     assert (workdir / document).read_bytes() == (GOLDEN / document).read_bytes()
+
+
+@pytest.mark.parametrize("level", ["1", "0", "-3"])
+def test_cosegalify_refuses_a_level_below_two(level, workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    rc = main(["cosegalify", "fixtures/two_constant.json", "--level", level])
+    assert rc == 1
+    assert capsys.readouterr().err == "ERROR: truncation level must be at least 2\n"
+
+
+def test_cosegalify_refuses_a_non_associative_base(workdir, tmp_path, monkeypatch, capsys):
+    doc = json.loads((workdir / "fixtures" / "two_constant.json").read_text())
+    doc["base"]["mu"]["0"][0][3] ^= 1
+    _, f = documents.load_document(doc)
+    assert [v.axiom for v in validate_strict(f.base)] == ["associativity"]
+    (tmp_path / "f.json").write_text(documents.canonical_dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["cosegalify", "f.json"]) == 1
+    assert capsys.readouterr().err == "ERROR: invalid base monoid\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out, expansions",
+    [
+        (["cosegalify", "fixtures/premonoid_level4.json", "--level", "4"], True, 2),
+        (["cosegalify", "fixtures/two_constant.json", "--level", "3"], False, 0),
+    ],
+)
+def test_cosegalify_expands_only_to_read_or_write(
+    argv, out, expansions, workdir, tmp_path, monkeypatch
+):
+    # the answers come from the package: a premonoid input is expanded once
+    # to be recognised and once more to write the --out document
+    calls = {"validate": 0, "expand_to_premonoid": 0}
+    for module, name in (
+        (premonoid, "validate"),
+        (cli, "validate"),
+        (two_constant, "expand_to_premonoid"),
+        (cli, "expand_to_premonoid"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.chdir(workdir)
+    if out:
+        argv = argv + ["--out", str(tmp_path / "s.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert calls == {"validate": 0, "expand_to_premonoid": expansions}
 
 
 @pytest.mark.parametrize(

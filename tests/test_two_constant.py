@@ -10,7 +10,7 @@ from cosegal.chain import (
     pushout_universal,
     unit_complex,
 )
-from cosegal.field_linalg import GF2, GF3, Matrix
+from cosegal.field_linalg import GF2, GF3, QQ, Matrix
 from cosegal.premonoid import (
     from_strict,
     is_cosegal,
@@ -265,7 +265,8 @@ def test_cosegalify_properties():
     rng = random.Random(13)
     for surj in (True, False):
         f = random_two_constant(rng, GF2, surjective_h=surj)
-        s, tau = cosegalify_two_constant(f, 3)
+        s, i = cosegalify_two_constant(f)
+        tau = upsilon_morphism(f, s, i, 3)
         assert is_trivial_fibration(s.h)
         assert is_cosegal(expand_to_premonoid(s, 3))
         assert is_k_injective(s, 3)
@@ -280,8 +281,8 @@ def test_cosegalify_idempotent_shape():
     # still applied and p remains a trivial fibration
     rng = random.Random(14)
     f = random_two_constant(rng, GF2, surjective_h=True)
-    s1, _ = cosegalify_two_constant(f, 2)
-    s2, _ = cosegalify_two_constant(s1, 2)
+    s1, _ = cosegalify_two_constant(f)
+    s2, _ = cosegalify_two_constant(s1)
     assert is_trivial_fibration(s2.h)
     assert reflect(s2) == reflect(f)
 
@@ -295,7 +296,7 @@ def test_cosegalify_non_quasi_iso_h():
 
     apex = unit_complex(field)
     f = TwoConstantPremonoid(m, apex, m.e @ ChainMap.identity(apex), ChainMap.identity(apex))
-    s, tau = cosegalify_two_constant(f, 2)
+    s, i = cosegalify_two_constant(f)
     assert is_trivial_fibration(s.h)
     assert is_k_injective(s, 2)
     assert homology_dims(s.apex) == homology_dims(m.obj)
@@ -310,8 +311,44 @@ def test_is_k_injective_cases():
     bad = TwoConstantPremonoid(m, unit_complex(field), m.e, ChainMap.identity(unit_complex(field)))
     assert not is_k_injective(bad, 2, cross_check=True)
     # cosegalify output: injective (also via the lifting route)
-    s, _ = cosegalify_two_constant(bad, 2)
+    s, _ = cosegalify_two_constant(bad)
     assert is_k_injective(s, 2, cross_check=True)
+
+
+def test_is_k_injective_refuses_a_level_below_two():
+    f = random_two_constant(random.Random(16), GF2)
+    with pytest.raises(ValueError, match="truncation level must be at least 2"):
+        is_k_injective(f, 1)
+    with pytest.raises(ValueError, match="truncation level must be at least 2"):
+        f.is_cosegal(1)
+
+
+# over Q a level-3 expansion of a cylinder apex takes seconds to validate,
+# so Q goes to level 3 on the input packages only
+ORACLE_LEVELS = [(GF2, 4, 4), (GF3, 4, 4), (QQ, 3, 2)]
+
+
+def test_package_answers_match_the_expansion():
+    """The co-Segal and K-injectivity answers read off the package equal
+    the answers on its expansion, which is a valid premonoid."""
+    answers = {"is_cosegal": set(), "is_k_injective": set()}
+    for field, input_max, output_max in ORACLE_LEVELS:
+        for surj in (True, False):
+            f = random_two_constant(random.Random(31), field, surjective_h=surj)
+            s, i = cosegalify_two_constant(f)
+            for level in range(2, input_max + 1):
+                for pkg in (f, s) if level <= output_max else (f,):
+                    g = expand_to_premonoid(pkg, level)
+                    assert validate(g) == []
+                    cosegal = pkg.is_cosegal(level)
+                    injective = is_k_injective(pkg, level, cross_check=True)
+                    assert cosegal == is_cosegal(g)
+                    assert injective == is_k_injective(g)
+                    answers["is_cosegal"].add(cosegal)
+                    answers["is_k_injective"].add(injective)
+                if level <= output_max:
+                    assert validate_morphism(upsilon_morphism(f, s, i, level)) == []
+    assert answers == {"is_cosegal": {True, False}, "is_k_injective": {True, False}}
 
 
 def test_cosegalify_tau_not_easy_weq_in_general():
@@ -324,7 +361,8 @@ def test_cosegalify_tau_not_easy_weq_in_general():
     h_comp = Matrix.from_rows(field, [[1, 0]])
     h = ChainMap(apex, m.obj, {0: h_comp})
     f = TwoConstantPremonoid(m, apex, h, incls[0])
-    s, tau = cosegalify_two_constant(f, 2)
+    s, i = cosegalify_two_constant(f)
+    tau = upsilon_morphism(f, s, i, 2)
     assert not is_easy_weq(tau)
     assert is_cofibration(tau.component(1))
 
@@ -335,7 +373,8 @@ def test_upsilon_composite_recovers_unit_factor_by_factor():
     rng = random.Random(15)
     f = random_two_constant(rng, GF2)
     rho, eps = fundamental_factorization(f, 2)
-    s, tau = cosegalify_two_constant(f, 2)
+    s, i = cosegalify_two_constant(f)
+    tau = upsilon_morphism(f, s, i, 2)
     # entry 1: p . i = h, and rho's entry is the identity
     assert s.h @ tau.component(1) @ rho.component(1) == f.h
     assert is_cofibration(tau.component(1))
