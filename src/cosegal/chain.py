@@ -248,18 +248,26 @@ def homology_dims(c: ChainComplex) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_blocks(c: ChainComplex, d: ChainComplex, n: int):
-    """Ordered list of ((i, j), offset, size) for (c (x) d)_n."""
-    blocks = []
-    off = 0
-    lo_c, hi_c = c.window
-    for i in range(lo_c, hi_c + 1):
-        j = n - i
-        size = c.dim(i) * d.dim(j)
+def _tensor_layout(c: ChainComplex, d: ChainComplex, n: int) -> dict:
+    """{(i, j): slice} of the nonzero blocks c_i (x) d_j of (c (x) d)_n.
+
+    This is the one place that fixes the tensor basis order: blocks by left
+    degree ascending, and inside a block by left index, then right index
+    (the `kron` order), so x (x) y of block (i, j) sits at
+    `_grid(s, d.dim(j))[x, y]`.
+    """
+    out, off = {}, 0
+    for i in sorted(c.dims):
+        size = c.dims[i] * d.dim(n - i)
         if size:
-            blocks.append(((i, j), off, size))
+            out[(i, n - i)] = slice(off, off + size)
             off += size
-    return blocks
+    return out
+
+
+def _grid(s: slice, cols: int) -> np.ndarray:
+    """The positions of a block's basis as a (rows, cols) grid."""
+    return np.arange(s.start, s.stop).reshape(-1, cols)
 
 
 # tensor(c, d) -> its product, keyed by operand identity.  The memo holds
@@ -290,36 +298,19 @@ def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     if c.field != d.field:
         raise ValueError("field mismatch in tensor")
     fld = c.field
-    if c.is_zero_complex() or d.is_zero_complex():
-        return zero_complex(fld)
-    lo = c.window[0] + d.window[0]
-    hi = c.window[1] + d.window[1]
-    dims = {}
-    for n in range(lo, hi + 1):
-        k = sum(size for _, _, size in _tensor_blocks(c, d, n))
-        if k:
-            dims[n] = k
+    degs = range(c.window[0] + d.window[0], c.window[1] + d.window[1] + 1)
+    layouts = {n: _tensor_layout(c, d, n) for n in degs}
+    dims = {n: max((s.stop for s in layout.values()), default=0) for n, layout in layouts.items()}
     diff = {}
-    for n in range(lo + 1, hi + 1):
-        src = _tensor_blocks(c, d, n)
-        tgt = _tensor_blocks(c, d, n - 1)
-        if not src or not tgt:
-            continue
-        tgt_off = {ij: (off, size) for ij, off, size in tgt}
-        rows = sum(size for _, _, size in tgt)
-        cols = sum(size for _, _, size in src)
-        out = Matrix.zeros(fld, rows, cols).data.copy()
-        for (i, j), off_s, _ in src:
-            if (i - 1, j) in tgt_off:
-                blk = c.d(i).kron(Matrix.identity(fld, d.dim(j)))
-                off_t = tgt_off[(i - 1, j)][0]
-                out[off_t : off_t + blk.rows, off_s : off_s + blk.cols] = blk.data
-            if (i, j - 1) in tgt_off:
+    for n in degs[1:]:
+        tgt = layouts[n - 1]
+        out = _zeros(fld, dims[n - 1], dims[n])
+        for (i, j), cols in layouts[n].items():
+            if (i - 1, j) in tgt:
+                out[tgt[(i - 1, j)], cols] = c.d(i).kron(Matrix.identity(fld, d.dim(j))).data
+            if (i, j - 1) in tgt:
                 blk = Matrix.identity(fld, c.dim(i)).kron(d.d(j))
-                if i % 2:
-                    blk = -blk
-                off_t = tgt_off[(i, j - 1)][0]
-                out[off_t : off_t + blk.rows, off_s : off_s + blk.cols] = blk.data
+                out[tgt[(i, j - 1)], cols] = (-blk if i % 2 else blk).data
         diff[n] = Matrix(fld, out)
     return ChainComplex(fld, dims, diff)
 
@@ -328,20 +319,14 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """The map f (x) g between the tensor products (no Koszul sign in degree 0)."""
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
-    fld = f.field
     comps = {}
     for n in src.dims:
-        s_blocks = _tensor_blocks(f.source, g.source, n)
-        t_blocks = _tensor_blocks(f.target, g.target, n)
-        t_off = {ij: off for ij, off, _ in t_blocks}
-        out = Matrix.zeros(fld, tgt.dim(n), src.dim(n)).data.copy()
-        for (i, j), off_s, _ in s_blocks:
-            blk = f.component(i).kron(g.component(j))
-            if blk.rows == 0 or (i, j) not in t_off:
-                continue
-            ot = t_off[(i, j)]
-            out[ot : ot + blk.rows, off_s : off_s + blk.cols] = blk.data
-        comps[n] = Matrix(fld, out)
+        rows = _tensor_layout(f.target, g.target, n)
+        out = _zeros(f.field, tgt.dim(n), src.dim(n))
+        for (i, j), cols in _tensor_layout(f.source, g.source, n).items():
+            if (i, j) in rows:
+                out[rows[(i, j)], cols] = f.component(i).kron(g.component(j)).data
+        comps[n] = Matrix(f.field, out)
     return ChainMap(src, tgt, comps)
 
 
@@ -352,20 +337,14 @@ def braiding(c: ChainComplex, d: ChainComplex) -> ChainMap:
     fld = c.field
     src = tensor(c, d)
     tgt = tensor(d, c)
+    signs = (fld.coerce(1), fld.coerce(-1))
     comps = {}
     for n in src.dims:
-        s_blocks = _tensor_blocks(c, d, n)
-        t_blocks = _tensor_blocks(d, c, n)
-        t_off = {ij: off for ij, off, _ in t_blocks}
-        out = Matrix.zeros(fld, tgt.dim(n), src.dim(n)).data.copy()
-        one = fld.coerce(1)
-        for (i, j), off_s, _ in s_blocks:
-            m, k = c.dim(i), d.dim(j)
-            ot = t_off[(j, i)]
-            sign = one if (i * j) % 2 == 0 else fld.coerce(-1)
-            for a in range(m):
-                for b in range(k):
-                    out[ot + b * m + a, off_s + a * k + b] = sign
+        rows = _tensor_layout(d, c, n)
+        out = _zeros(fld, tgt.dim(n), src.dim(n))
+        for (i, j), cols in _tensor_layout(c, d, n).items():
+            # x (x) y -> y (x) x: the (j, i) grid transposed
+            out[_grid(rows[(j, i)], c.dim(i)).T, _grid(cols, d.dim(j))] = signs[i * j % 2]
         comps[n] = Matrix(fld, out)
     return ChainMap(src, tgt, comps)
 
@@ -377,32 +356,19 @@ def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
     bc = tensor(b, c)
     src = tensor(ab, c)
     tgt = tensor(a, bc)
-    comps = {}
+    ab_layout = {k: _tensor_layout(a, b, k) for k in ab.dims}
+    bc_layout = {m: _tensor_layout(b, c, m) for m in bc.dims}
     one = fld.coerce(1)
+    comps = {}
     for n in src.dims:
-        out = Matrix.zeros(fld, tgt.dim(n), src.dim(n)).data.copy()
-        left_off = {ij: off for ij, off, _ in _tensor_blocks(ab, c, n)}
-        right_off = {ij: off for ij, off, _ in _tensor_blocks(a, bc, n)}
-        for i in a.dims:
-            for j in b.dims:
-                for l in c.dims:
-                    if i + j + l != n:
-                        continue
-                    da, db, dc = a.dim(i), b.dim(j), c.dim(l)
-                    ab_off = dict(
-                        (ij, off) for ij, off, _ in _tensor_blocks(a, b, i + j)
-                    )[(i, j)]
-                    bc_off = dict(
-                        (ij, off) for ij, off, _ in _tensor_blocks(b, c, j + l)
-                    )[(j, l)]
-                    lo = left_off[(i + j, l)]
-                    ro = right_off[(i, j + l)]
-                    for ai in range(da):
-                        for bj in range(db):
-                            for cl in range(dc):
-                                li = lo + (ab_off + ai * db + bj) * dc + cl
-                                ri = ro + ai * bc.dim(j + l) + bc_off + bj * dc + cl
-                                out[ri, li] = one
+        left = _tensor_layout(ab, c, n)
+        out = _zeros(fld, tgt.dim(n), src.dim(n))
+        for (i, m), s in _tensor_layout(a, bc, n).items():
+            for (j, l), t in bc_layout[m].items():
+                # x (x) (y (x) z) at rows[x, y, z]; (x (x) y) (x) z at cols[x, y, z]
+                rows = _grid(s, bc.dim(m))[:, _grid(t, c.dim(l))]
+                cols = _grid(left[(i + j, l)], c.dim(l))[_grid(ab_layout[i + j][(i, j)], b.dim(j))]
+                out[rows, cols] = one
         comps[n] = Matrix(fld, out)
     return ChainMap(src, tgt, comps)
 

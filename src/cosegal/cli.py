@@ -41,6 +41,9 @@ PARSE_ERROR = 2
 SEMANTIC_ERROR = 1
 # `surjections M N` walks all N^M maps; 7^7 is under a million
 MAX_SURJECTION_SOURCE = 7
+# `gamma` builds the latching shape of every level; the level-5 shape alone
+# (95,460 arrows) takes minutes to enumerate
+MAX_GAMMA_LEVEL = 4
 
 
 def _max_dim() -> int:
@@ -277,6 +280,8 @@ def cmd_gamma(args) -> int:
     kind, diagram = docs.load_document(payload, args.max_dim)
     if kind != "diagram":
         raise DocumentError(f"expected a diagram document, got {kind!r}")
+    if diagram.level > MAX_GAMMA_LEVEL:
+        raise DocumentError(f"gamma: level is at most {MAX_GAMMA_LEVEL}, got {diagram.level}")
     bad = validate(diagram)
     if bad:
         raise ValidationFailure(bad)

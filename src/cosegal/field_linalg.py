@@ -283,9 +283,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.data.T.copy())
 
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j : j + 1].copy())
-
     @staticmethod
     def hstack(field: Field, blocks: list["Matrix"]) -> "Matrix":
         if not blocks:

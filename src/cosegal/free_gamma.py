@@ -165,22 +165,17 @@ def _free_levels(f: LaxDiagram):
             elif ob.p + ob.q == n and ob.to_sum.is_identity():
                 laxity[(ob.p, ob.q)] = legs[k]
         # bijections act by reindexing the whole cocone
-        lax_index = {
-            (type(ob).__name__, getattr(ob, "p", None), getattr(ob, "q", None),
-             (ob.to_sum if isinstance(ob, PairObject) else ob.to_level).map): k
-            for k, ob in enumerate(lshape.objects)
-        }
         for pi in enumerate_surjections(n, n):
             if pi.is_identity():
                 continue
             relabeled = []
-            for k, ob in enumerate(lshape.objects):
+            for ob in lshape.objects:
                 if isinstance(ob, PairObject):
-                    key = ("PairObject", ob.p, ob.q, compose(ob.to_sum, pi).map)
+                    moved = PairObject(ob.p, ob.q, compose(ob.to_sum, pi))
                 else:
-                    key = ("PlusObject", ob.p, None, compose(ob.to_level, pi).map)
-                relabeled.append(legs[lax_index[key]])
-            for k, ob in enumerate(cshape.objects):
+                    moved = PlusObject(ob.p, compose(ob.to_level, pi))
+                relabeled.append(legs[lshape.index(moved)])
+            for ob in cshape.objects:
                 j = lshape.plus_index(ob.p, compose(ob.to_level, pi))
                 relabeled.append(legs[j] @ eta[ob.p])
             relabeled.append(eta[n] @ f.structure_map(pi))

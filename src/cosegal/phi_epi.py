@@ -174,20 +174,19 @@ class LatchingDiagramShape:
     classical: bool
     objects: tuple
     arrows: tuple
-    _plus: dict = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        plus = {
-            (ob.p, ob.to_level): k
-            for k, ob in enumerate(self.objects)
-            if isinstance(ob, PlusObject)
-        }
-        object.__setattr__(self, "_plus", plus)
+        object.__setattr__(self, "_index", {ob: k for k, ob in enumerate(self.objects)})
+
+    def index(self, ob) -> int:
+        """Position of the object ob.  Raises KeyError if it is not one."""
+        return self._index[ob]
 
     def plus_index(self, p: int, surj: Surjection) -> int:
         """Index of the plus object (p, surj); the embedding of the classical
         shape into the full shape.  Raises KeyError if there is none."""
-        return self._plus[(p, surj)]
+        return self._index[PlusObject(p, surj)]
 
 
 def latching_shape(n: int, classical: bool = False) -> LatchingDiagramShape:
@@ -216,36 +215,34 @@ def _latching_shape(n: int, classical: bool) -> LatchingDiagramShape:
             objects.append(PlusObject(p, v))
     objects.sort(key=_object_key)
 
-    index = {ob: k for k, ob in enumerate(objects)}
     arrows: list = []
-    for ob in objects:
+    for s, ob in enumerate(objects):
         if isinstance(ob, PairObject):
             # (a, b) arrows into other pair objects
-            for tgt in objects:
+            for t, tgt in enumerate(objects):
                 if not isinstance(tgt, PairObject):
                     continue
                 for a in enumerate_surjections(tgt.p, ob.p):
                     for b in enumerate_surjections(tgt.q, ob.q):
                         if compose(disjoint_sum(a, b), tgt.to_sum) == ob.to_sum:
-                            arr = ShapeArrow(index[ob], index[tgt], "pair", a=a, b=b)
-                            if arr.src != arr.tgt or not (a.is_identity() and b.is_identity()):
-                                arrows.append(arr)
+                            if s != t or not (a.is_identity() and b.is_identity()):
+                                arrows.append(ShapeArrow(s, t, "pair", a=a, b=b))
             # gamma-type arrows into plus objects through some c: r ->> p+q
-            for tgt in objects:
+            for t, tgt in enumerate(objects):
                 if not isinstance(tgt, PlusObject):
                     continue
                 for c in enumerate_surjections(tgt.p, ob.p + ob.q):
                     if compose(c, tgt.to_level) == ob.to_sum:
-                        arrows.append(ShapeArrow(index[ob], index[tgt], "gamma", c=c))
+                        arrows.append(ShapeArrow(s, t, "gamma", c=c))
         else:
-            for tgt in objects:
+            for t, tgt in enumerate(objects):
                 if not isinstance(tgt, PlusObject):
                     continue
                 for c in enumerate_surjections(tgt.p, ob.p):
                     if compose(c, tgt.to_level) == ob.to_level:
-                        if index[ob] == index[tgt] and c.is_identity():
+                        if s == t and c.is_identity():
                             continue
-                        arrows.append(ShapeArrow(index[ob], index[tgt], "plus", c=c))
+                        arrows.append(ShapeArrow(s, t, "plus", c=c))
     return LatchingDiagramShape(n, classical, tuple(objects), tuple(arrows))
 
 

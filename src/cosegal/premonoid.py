@@ -399,6 +399,11 @@ def from_strict(m: StrictMonoid, level: int) -> LaxDiagram:
     """The constant premonoid: identity structure maps, laxity the multiplication."""
     if validate_strict(m):
         raise ValueError("invalid strict monoid")
+    return _constant_diagram(m, level)
+
+
+def _constant_diagram(m: StrictMonoid, level: int) -> LaxDiagram:
+    """`from_strict` without its check, for callers that checked m already."""
     a = m.obj
     objects = {n: a for n in range(1, level + 1)}
     structure = {v: ChainMap.identity(a) for v in all_surjections_upto(level)}

@@ -14,6 +14,7 @@ from .chain import (
     _associator_inverse,
     _Hom,
     ChainMap,
+    GeneratingCofibration,
     associator,
     braiding,
     chain_map_basis,
@@ -24,6 +25,8 @@ from .chain import (
     unit_complex,
 )
 from .field_linalg import Field, Matrix
+from .premonoid import DiagramMorphism, LaxDiagram, StrictMonoid, all_surjections_upto
+from .two_constant import K2Instruction, TwoConstantPremonoid
 
 __all__ = [
     "random_element",
@@ -156,8 +159,6 @@ def random_commutative_table(rng: Random, size: int) -> list[list[int]]:
 
 def monoid_algebra(field: Field, table: list[list[int]]):
     """The monoid algebra of a finite commutative monoid, in degree 0."""
-    from .premonoid import StrictMonoid
-
     size = len(table)
     a = single_complex(field, 0, size)
     mu_rows = [[0] * (size * size) for _ in range(size)]
@@ -170,48 +171,32 @@ def monoid_algebra(field: Field, table: list[list[int]]):
     return StrictMonoid(a, mu, e)
 
 
-def exterior_monoid(field: Field):
-    """k[x]/(x^2) with x in degree 1 and zero differential."""
-    from .premonoid import StrictMonoid
-
-    a = ChainComplex(field, {0: 1, 1: 1}, {})
-    aa = tensor(a, a)
+def _square_zero_monoid(field: Field, dx: dict) -> StrictMonoid:
+    """k[x]/(x^2) with x in degree 1 and differential dx."""
+    a = ChainComplex(field, {0: 1, 1: 1}, dx)
+    # 1.1 = 1 and 1.x = x.1 = x; x.x = 0 in degree 2
     mu = ChainMap(
-        aa,
+        tensor(a, a),
         a,
-        {
-            0: Matrix.from_rows(field, [[1]]),
-            1: Matrix.from_rows(field, [[1, 1]]),
-            # x.x = 0 in degree 2
-        },
+        {0: Matrix.from_rows(field, [[1]]), 1: Matrix.from_rows(field, [[1, 1]])},
     )
     e = ChainMap(unit_complex(field), a, {0: Matrix.from_rows(field, [[1]])})
     return StrictMonoid(a, mu, e)
+
+
+def exterior_monoid(field: Field):
+    """k[x]/(x^2) with x in degree 1 and zero differential."""
+    return _square_zero_monoid(field, {})
 
 
 def acyclic_monoid(field: Field):
     """k[x]/(x^2) with x in degree 1 and dx = 1; the underlying complex is an
     acyclic disc."""
-    from .premonoid import StrictMonoid
-
-    a = ChainComplex(field, {0: 1, 1: 1}, {1: Matrix.identity(field, 1)})
-    aa = tensor(a, a)
-    mu = ChainMap(
-        aa,
-        a,
-        {
-            0: Matrix.from_rows(field, [[1]]),
-            1: Matrix.from_rows(field, [[1, 1]]),
-        },
-    )
-    e = ChainMap(unit_complex(field), a, {0: Matrix.from_rows(field, [[1]])})
-    return StrictMonoid(a, mu, e)
+    return _square_zero_monoid(field, {1: Matrix.identity(field, 1)})
 
 
 def monoid_tensor(m1, m2):
     """Tensor product of strict commutative monoids (Koszul middle swap)."""
-    from .premonoid import StrictMonoid
-
     a, b = m1.obj, m2.obj
     ab = tensor(a, b)
     ida, idb = ChainMap.identity(a), ChainMap.identity(b)
@@ -255,8 +240,6 @@ def random_two_constant(
     sheared projection (so instruction sampling never stalls); with False the
     apex is the unit complex plus noise.
     """
-    from .two_constant import TwoConstantPremonoid
-
     if base is None:
         base = random_strict_monoid(rng, field)
     a = base.obj
@@ -283,9 +266,6 @@ def random_k2_instruction(rng: Random, f, degree: int, tries: int = 40):
     """An attaching instruction for a generating cofibration of the given
     degree: draw a cycle-valued q into the apex, then solve for a compatible
     disc map p; resample if the boundary condition has no solution."""
-    from .chain import GeneratingCofibration
-    from .two_constant import K2Instruction
-
     field = f.field
     gen = GeneratingCofibration(degree, field)
     a = f.base.obj
@@ -319,8 +299,6 @@ def tower_diagram(maps: list[ChainMap]):
     """The functorial diagram induced by a tower X_1 -> X_2 -> ... -> X_N:
     every surjection between the same pair of levels acts by the same
     composite, and bijections act as the identity."""
-    from .premonoid import LaxDiagram, all_surjections_upto
-
     level = len(maps) + 1
     objects = {1: maps[0].source if maps else None}
     for i, m in enumerate(maps):
@@ -355,8 +333,6 @@ def random_diagram_morphism(rng: Random, f, g):
     The unknowns are the Hom coordinates of every component, level by level:
     each component is a chain map, and each structure map F(v) : F(m) -> F(n)
     gives the equation eta_n . F(v) - G(v) . eta_m = 0."""
-    from .premonoid import DiagramMorphism, all_surjections_upto
-
     field = f.field
     levels = range(1, f.level + 1)
     homs = [_Hom(f.objects[n], g.objects[n]) for n in levels]

@@ -40,6 +40,7 @@ from .premonoid import (
     DiagramMorphism,
     LaxDiagram,
     StrictMonoid,
+    _constant_diagram,
     _require_valid,
     from_strict,
     h_star,
@@ -149,8 +150,7 @@ def expand_to_premonoid(f: TwoConstantPremonoid, level: int) -> LaxDiagram:
     """
     if f.validate():
         raise ValueError("invalid base monoid")
-    const = from_strict(f.base, level)
-    g, _ = h_star(const, f.h, f.unit_map)
+    g, _ = h_star(_constant_diagram(f.base, level), f.h, f.unit_map)
     return g
 
 

@@ -111,6 +111,97 @@ def oracle_q_rref(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
+# the tensor basis
+# ---------------------------------------------------------------------------
+
+
+def tensor_basis(left, right, n):
+    """The basis of (C (x) D)_n as labels ((i, x), (j, y)), one for each
+    x (x) y with x the x-th basis vector of C_i and y the y-th of D_j, in
+    the documented order: left degree ascending, then left index, then
+    right index.  left, right: degree -> dimension."""
+    return [
+        ((i, x), (n - i, y))
+        for i in sorted(left)
+        for x in range(left[i])
+        for y in range(right.get(n - i, 0))
+    ]
+
+
+def tensor_dims(left, right):
+    """degree -> dimension of C (x) D (nonzero entries only)."""
+    degs = {i + j for i in left for j in right}
+    return {n: len(tensor_basis(left, right, n)) for n in degs if tensor_basis(left, right, n)}
+
+
+def _matrix_of(cols, rows, image, p):
+    """The matrix sending each label in cols to image(label), a list of
+    (coefficient, label in rows) pairs, over F_p or Q (p == 0)."""
+    where = {lab: r for r, lab in enumerate(rows)}
+    out = [[0] * len(cols) for _ in rows]
+    for k, lab in enumerate(cols):
+        for coef, target in image(lab):
+            out[where[target]][k] += coef
+    return [[x % p if p else Fraction(x) for x in row] for row in out]
+
+
+def oracle_tensor_d(left, left_d, right, right_d, n, p):
+    """d_n of C (x) D: x (x) y -> dx (x) y + (-1)^i x (x) dy, x in degree i.
+    left_d, right_d: degree -> rows of the differential (absent: zero)."""
+
+    def image(lab):
+        (i, x), (j, y) = lab
+        sign = -1 if i % 2 else 1
+        return [(row[x], ((i - 1, x2), (j, y))) for x2, row in enumerate(left_d.get(i, []))] + [
+            (sign * row[y], ((i, x), (j - 1, y2))) for y2, row in enumerate(right_d.get(j, []))
+        ]
+
+    return _matrix_of(
+        tensor_basis(left, right, n), tensor_basis(left, right, n - 1), image, p
+    )
+
+
+def oracle_tensor_map(f, g, n, p):
+    """(f (x) g)_n: x (x) y -> f(x) (x) g(y).  f, g: (source dims, target
+    dims, degree -> rows of the component)."""
+    (fs, ft, fc), (gs, gt, gc) = f, g
+
+    def image(lab):
+        (i, x), (j, y) = lab
+        return [
+            (a[x] * b[y], ((i, x2), (j, y2)))
+            for x2, a in enumerate(fc.get(i, []))
+            for y2, b in enumerate(gc.get(j, []))
+        ]
+
+    return _matrix_of(tensor_basis(fs, gs, n), tensor_basis(ft, gt, n), image, p)
+
+
+def oracle_braiding(left, right, n, p):
+    """The symmetry C (x) D -> D (x) C in degree n: x (x) y -> (-1)^{ij} y (x) x."""
+
+    def image(lab):
+        (i, x), (j, y) = lab
+        return [(-1 if i * j % 2 else 1, ((j, y), (i, x)))]
+
+    return _matrix_of(tensor_basis(left, right, n), tensor_basis(right, left, n), image, p)
+
+
+def oracle_associator(a, b, c, n, p):
+    """(A (x) B) (x) C -> A (x) (B (x) C) in degree n: (x (x) y) (x) z ->
+    x (x) (y (x) z), with no sign."""
+    ab, bc = tensor_dims(a, b), tensor_dims(b, c)
+
+    def image(lab):
+        (k, u), (l, z) = lab
+        (i, x), (j, y) = tensor_basis(a, b, k)[u]
+        v = tensor_basis(b, c, j + l).index(((j, y), (l, z)))
+        return [(1, ((i, x), (j + l, v)))]
+
+    return _matrix_of(tensor_basis(ab, c, n), tensor_basis(a, bc, n), image, p)
+
+
+# ---------------------------------------------------------------------------
 # combinatorics
 # ---------------------------------------------------------------------------
 

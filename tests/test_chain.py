@@ -37,7 +37,15 @@ from cosegal.sampling import (
     random_trivial_fibration,
 )
 
-from oracles import gauss_rank, kernel_dim_by_enumeration
+from oracles import (
+    gauss_rank,
+    kernel_dim_by_enumeration,
+    oracle_associator,
+    oracle_braiding,
+    oracle_tensor_d,
+    oracle_tensor_map,
+    tensor_basis,
+)
 
 FIELDS = [GF2, GF3, GF5, QQ]
 
@@ -117,6 +125,36 @@ def test_braiding_chain_map_involution_hexagon():
                 @ tensor_map(braiding(a, b), ChainMap.identity(c))
             )
             assert lhs == rhs
+
+
+def _rows(blocks: dict) -> dict:
+    return {n: m.tolist() for n, m in blocks.items()}
+
+
+def _plain_map(f: ChainMap):
+    return f.source.dims, f.target.dims, _rows(f.components)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_tensor_structure_matches_basis_label_oracle(field):
+    # windows reach negative degrees and leave some degrees empty; every
+    # matrix is rebuilt from the labels ((i, x), (j, y)) of the tensor basis
+    rng = random.Random(59)
+    p = field.characteristic
+    for _ in range(8):
+        a, b, c = (random_complex(rng, field, -2, 1, 2) for _ in range(3))
+        f, g = random_chain_map(rng, a, b), random_chain_map(rng, b, c)
+        ab = tensor(a, b)
+        fg, tau, alpha = tensor_map(f, g), braiding(a, b), associator(a, b, c)
+        for n in range(-6, 5):
+            assert ab.dim(n) == len(tensor_basis(a.dims, b.dims, n))
+            expected = oracle_tensor_d(a.dims, _rows(a.diff), b.dims, _rows(b.diff), n, p)
+            assert ab.d(n).tolist() == expected
+            expected = oracle_tensor_map(_plain_map(f), _plain_map(g), n, p)
+            assert fg.component(n).tolist() == expected
+            assert tau.component(n).tolist() == oracle_braiding(a.dims, b.dims, n, p)
+            expected = oracle_associator(a.dims, b.dims, c.dims, n, p)
+            assert alpha.component(n).tolist() == expected
 
 
 def test_braiding_involution_on_s1():

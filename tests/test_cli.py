@@ -404,3 +404,32 @@ def test_level_flag_cap_is_exit2(command, capsys, two_constant_file):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"ERROR: --level must be at most {docs.MAX_LEVEL}, got {docs.MAX_LEVEL + 1}\n"
+
+
+def test_gamma_level_cap_is_exit2(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import cosegal
+    from cosegal.chain import single_complex
+    from cosegal.cli import MAX_GAMMA_LEVEL
+    from cosegal.sampling import tower_diagram
+
+    # a level-5 point diagram is a valid document, but its latching shape
+    # alone takes minutes: gamma refuses it before validating or building
+    s0 = single_complex(GF2, 0, 1)
+    level = MAX_GAMMA_LEVEL + 1
+    doc = tmp_path / "points.json"
+    doc.write_text(
+        docs.dump_document(tower_diagram([ChainMap.identity(s0)] * (level - 1)), "diagram")
+    )
+    src = os.path.dirname(os.path.dirname(cosegal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "cosegal.cli", "gamma", str(doc)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"ERROR: gamma: level is at most {MAX_GAMMA_LEVEL}, got {level}\n"
+    assert run.stdout == ""

@@ -142,6 +142,12 @@ def test_plus_index_finds_every_plus_object(classical):
         assert plus
         for k, ob in plus:
             assert shape.plus_index(ob.p, ob.to_level) == k
+        for k, ob in enumerate(shape.objects):
+            assert shape.index(ob) == k
+        with pytest.raises(KeyError):
+            shape.index(PlusObject(n, identity_surjection(n)))
+        with pytest.raises(KeyError):
+            shape.index(PairObject(n, 1, identity_surjection(n + 1)))
         # level n itself is not a plus object of its own latching shape
         with pytest.raises(KeyError):
             shape.plus_index(n, identity_surjection(n))

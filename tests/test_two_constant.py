@@ -73,6 +73,27 @@ def test_expand_validates_with_weak_unit():
             assert to_strict(g) is None
 
 
+def test_expansion_checks_the_base_once(monkeypatch):
+    from cosegal import premonoid, two_constant
+
+    original, calls = premonoid.validate_strict, []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(premonoid, "validate_strict", counting)
+    monkeypatch.setattr(two_constant, "validate_strict", counting)
+    f = random_two_constant(random.Random(6), GF3)
+    for level in (2, 3):
+        calls.clear()
+        expand_to_premonoid(f, level)
+        assert calls == [f.base]
+    calls.clear()
+    from_strict(f.base, 2)
+    assert calls == [f.base]
+
+
 def test_reflect_cases():
     m = random_strict_monoid(random.Random(3), GF3, allow_graded=False)
     assert reflect(from_strict(m, 2)) == m
