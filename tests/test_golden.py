@@ -81,6 +81,11 @@ CASES = (
             "pushout_k2_two_constant.json",
             0,
         ),
+        (
+            ["pushout-k2", "fixtures/premonoid_level4.json", "--degree", "1", "--json"],
+            "pushout_k2_premonoid_level4_degree1.json",
+            0,
+        ),
         (["demo-charp", "--field", "2", "--json"], "demo_charp_field2.json", 0),
     ]
 )
@@ -94,6 +99,9 @@ OUT_CASES = [
     (["pushout-k2", "fixtures/two_constant.json",
       "--instruction", "fixtures/instruction.json", "--json"],
      "pushout_k2_two_constant.json", "out_pushout_k2_two_constant.json"),
+    (["pushout-k2", "fixtures/premonoid_level4.json", "--degree", "1", "--json"],
+     "pushout_k2_premonoid_level4_degree1.json",
+     "out_pushout_k2_premonoid_level4_degree1.json"),
 ]
 
 
