@@ -384,29 +384,16 @@ def _associator_inverse(alpha: ChainMap) -> ChainMap:
 
 
 def direct_sum(summands: list[ChainComplex]):
-    """Direct sum with inclusion and projection chain maps."""
+    """Direct sum with inclusion and projection chain maps: the arrowless
+    colimit, whose legs are the inclusions and their transposes the projections."""
     if not summands:
         raise ValueError("direct sum of no complexes")
-    fld = summands[0].field
-    degs = sorted({n for s in summands for n in s.dims})
-    dims = {n: sum(s.dim(n) for s in summands) for n in degs}
-    diff = {}
-    for n in degs:
-        if dims.get(n - 1, 0):
-            diff[n] = Matrix.block_diag(fld, [s.d(n) for s in summands])
-    total = ChainComplex(fld, dims, diff)
-    incls, projs = [], []
-    for k, s in enumerate(summands):
-        comps_i, comps_p = {}, {}
-        for n in s.dims:
-            off = sum(t.dim(n) for t in summands[:k])
-            ins = Matrix.zeros(fld, total.dim(n), s.dim(n)).data.copy()
-            ins[off : off + s.dim(n), :] = Matrix.identity(fld, s.dim(n)).data
-            comps_i[n] = Matrix(fld, ins)
-            comps_p[n] = Matrix(fld, ins.T.copy())
-        incls.append(ChainMap(s, total, comps_i))
-        projs.append(ChainMap(total, s, comps_p))
-    return total, incls, projs
+    c = colimit(summands, [])
+    projs = [
+        ChainMap(c.obj, leg.source, {n: m.transpose() for n, m in leg.components.items()})
+        for leg in c.legs
+    ]
+    return c.obj, c.legs, projs
 
 
 # ---------------------------------------------------------------------------

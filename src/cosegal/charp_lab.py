@@ -20,6 +20,7 @@ from .chain import (
     ChainComplex,
     _associator_inverse,
     ChainMap,
+    GeneratingCofibration,
     associator,
     braiding,
     colimit,
@@ -27,7 +28,7 @@ from .chain import (
     tensor,
     tensor_map,
 )
-from .field_linalg import Field, InvariantError, Matrix
+from .field_linalg import Field, InvariantError
 
 __all__ = ["SymPower", "sym_power", "tensor_power", "disc", "demo_char_p"]
 
@@ -89,11 +90,7 @@ def sym_power(c: ChainComplex, n: int) -> SymPower:
 
 def disc(field: Field, degree: int) -> ChainComplex:
     """The acyclic disc with identity differential from `degree` down."""
-    return ChainComplex(
-        field,
-        {degree: 1, degree - 1: 1},
-        {degree: Matrix.identity(field, 1)},
-    )
+    return GeneratingCofibration(degree, field).disc
 
 
 def demo_char_p(characteristic: int, exponent: int = 2, degree: int = 1) -> dict:

@@ -76,11 +76,13 @@ def _encode_entry(x):
 
 
 def _decode_entry(field: Field, x):
-    if isinstance(x, str):
+    # "a/b" strings are rationals; over F_p the writer emits integers only,
+    # and `coerce` would truncate a fraction there
+    if isinstance(x, str) and field.is_rational:
         num, _, den = x.partition("/")
         try:
             return Fraction(int(num), int(den or "1"))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad matrix entry {x!r}") from exc
     if isinstance(x, bool) or not isinstance(x, int):
         raise DocumentError(f"bad matrix entry {x!r}")

@@ -412,17 +412,9 @@ class Matrix:
         return Matrix(self.field, x)
 
     def kernel(self) -> "Matrix":
-        """Matrix whose columns form a basis of the null space."""
-        red, pivots = self.rref()
-        n = self.cols
-        free = [c for c in range(n) if c not in pivots]
-        out = _zeros(self.field, n, len(free))
-        one = self.field.coerce(1)
-        for k, f in enumerate(free):
-            out[f, k] = one
-            for i, c in enumerate(pivots):
-                out[c, k] = self.field.coerce(-red.data[i, f])
-        return Matrix(self.field, out)
+        """Matrix whose columns form a basis of the null space: the transpose
+        of the section, so column k sets the k-th free variable to 1."""
+        return _section(*self.rref())[1].transpose()
 
     def is_injective(self) -> bool:
         return self.rank() == self.cols
@@ -458,11 +450,18 @@ def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]
         rel = Matrix.from_rows(field, [list(r) for r in relations], cols=dim)
     if rel.cols != dim:
         raise ValueError("relation vectors have wrong length")
-    red, pivots = rel.rref()
+    free, proj = _section(*rel.rref())
+    return len(free), proj, free
+
+
+def _section(red: Matrix, pivots: list[int]) -> tuple[list[int], Matrix]:
+    """The free (non-pivot) columns of a reduced row echelon form and the
+    projection onto them whose kernel is the row space: the identity on the
+    free columns, and minus its row's free-coordinate tail on a pivot column."""
+    field, dim = red.field, red.cols
     pivot_set = set(pivots)
     free = [c for c in range(dim) if c not in pivot_set]
     proj = _zeros(field, len(free), dim)
     proj[np.arange(len(free)), free] = field.coerce(1)
-    # e_c = -sum of its free-coordinate tail modulo the relations
     proj[:, pivots] = -red.data[: len(pivots)][:, free].T
-    return len(free), Matrix(field, proj), free
+    return free, Matrix(field, proj)

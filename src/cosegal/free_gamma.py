@@ -55,18 +55,13 @@ __all__ = [
 
 
 def _shape_values(d: LaxDiagram, shape):
-    """Chain complexes at each shape object; tensor values are cached per (p, q)."""
-    cache = {}
-    values = []
-    for ob in shape.objects:
-        if isinstance(ob, PairObject):
-            key = (ob.p, ob.q)
-            if key not in cache:
-                cache[key] = tensor(d.objects[ob.p], d.objects[ob.q])
-            values.append(cache[key])
-        else:
-            values.append(d.objects[ob.p])
-    return values
+    """Chain complexes at each shape object; `tensor` returns one product
+    per (p, q), since the operands are the same objects."""
+    return [
+        tensor(d.objects[ob.p], d.objects[ob.q]) if isinstance(ob, PairObject)
+        else d.objects[ob.p]
+        for ob in shape.objects
+    ]
 
 
 def _shape_arrow_map(d: LaxDiagram, shape, arr) -> ChainMap:

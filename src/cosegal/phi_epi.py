@@ -57,9 +57,6 @@ class Surjection:
             self.map[i] == i for i in range(self.source_size)
         )
 
-    def is_bijection(self) -> bool:
-        return self.source_size == self.target_size
-
     def __repr__(self):
         return f"Surjection({self.source_size}->>{self.target_size}, {list(self.map)})"
 

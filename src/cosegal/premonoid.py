@@ -376,10 +376,13 @@ def validate_morphism(s: DiagramMorphism) -> list[Violation]:
     return out
 
 
-def _require_valid(f: LaxDiagram):
-    report = validate(f)
+def _require_valid(x: "LaxDiagram | DiagramMorphism"):
+    """Raise ValueError naming the first violations of a premonoid or a morphism."""
+    morphism = isinstance(x, DiagramMorphism)
+    report = validate_morphism(x) if morphism else validate(x)
     if report:
-        raise ValueError("invalid premonoid: " + "; ".join(map(str, report[:3])))
+        what = "morphism" if morphism else "premonoid"
+        raise ValueError(f"invalid {what}: " + "; ".join(map(str, report[:3])))
 
 
 def is_cosegal(f: LaxDiagram) -> bool:
@@ -429,21 +432,15 @@ def to_strict(f: LaxDiagram) -> StrictMonoid | None:
 
 def is_easy_weq(s: DiagramMorphism) -> bool:
     """Weak equivalence in the level-1-concentrated model structure."""
-    _require_valid_morphism(s)
+    _require_valid(s)
     return is_quasi_iso(s.component(1))
 
 
 def is_easy_fib(s: DiagramMorphism) -> bool:
     """Fibration in the level-1-concentrated model structure."""
-    _require_valid_morphism(s)
+    _require_valid(s)
     g = s.component(1)
     return all(g.component(n).is_surjective() for n in g.target.dims)
-
-
-def _require_valid_morphism(s: DiagramMorphism):
-    report = validate_morphism(s)
-    if report:
-        raise ValueError("invalid morphism: " + "; ".join(map(str, report[:3])))
 
 
 def h_star(

@@ -47,6 +47,8 @@ __all__ = [
     "random_k2_instruction",
 ]
 
+K2_TRIES = 40  # attaching squares random_k2_instruction draws before it gives up
+
 
 def random_element(rng: Random, field: Field):
     if field.is_rational:
@@ -108,28 +110,17 @@ def random_chain_map(rng: Random, source: ChainComplex, target: ChainComplex) ->
 def random_trivial_fibration(rng: Random, field: Field, lo: int, hi: int, max_dim: int):
     """A degreewise surjective quasi-isomorphism onto a random base."""
     base = random_complex(rng, field, lo, hi, max_dim)
-    discs = []
-    for _ in range(rng.randrange(1, 3)):
-        d = rng.randrange(lo, hi + 1)
-        discs.append(
-            ChainComplex(field, {d: 1, d - 1: 1}, {d: Matrix.identity(field, 1)})
-        )
-    total, _, projs = direct_sum([base] + discs)
+    discs = [
+        GeneratingCofibration(rng.randrange(lo, hi + 1), field).disc
+        for _ in range(rng.randrange(1, 3))
+    ]
+    acyc = direct_sum(discs)[0]
+    _, _, projs = direct_sum([base, acyc])
     g = projs[0]
     # shear by a random map off the acyclic part: still surjective, still a
     # quasi-isomorphism, but no longer a plain projection
     if not base.is_zero_complex():
-        acyc = direct_sum(discs)[0]
-        s = random_chain_map(rng, acyc, base)
-        shear = {}
-        for n in total.dims:
-            m = g.component(n).data.copy()
-            col = base.dim(n)
-            sm = s.component(n)
-            if sm.cols and sm.rows:
-                m[:, col:] = m[:, col:] + sm.data
-            shear[n] = Matrix(field, g.component(n).reduce(m))
-        g = ChainMap(total, base, shear)
+        g = g + random_chain_map(rng, acyc, base) @ projs[1]
     return g
 
 
@@ -171,9 +162,9 @@ def monoid_algebra(field: Field, table: list[list[int]]):
     return StrictMonoid(a, mu, e)
 
 
-def _square_zero_monoid(field: Field, dx: dict) -> StrictMonoid:
-    """k[x]/(x^2) with x in degree 1 and differential dx."""
-    a = ChainComplex(field, {0: 1, 1: 1}, dx)
+def _square_zero_monoid(a: ChainComplex) -> StrictMonoid:
+    """k[x]/(x^2) on a, which is k.1 in degree 0 and k.x in degree 1."""
+    field = a.field
     # 1.1 = 1 and 1.x = x.1 = x; x.x = 0 in degree 2
     mu = ChainMap(
         tensor(a, a),
@@ -186,13 +177,13 @@ def _square_zero_monoid(field: Field, dx: dict) -> StrictMonoid:
 
 def exterior_monoid(field: Field):
     """k[x]/(x^2) with x in degree 1 and zero differential."""
-    return _square_zero_monoid(field, {})
+    return _square_zero_monoid(ChainComplex(field, {0: 1, 1: 1}, {}))
 
 
 def acyclic_monoid(field: Field):
     """k[x]/(x^2) with x in degree 1 and dx = 1; the underlying complex is an
     acyclic disc."""
-    return _square_zero_monoid(field, {1: Matrix.identity(field, 1)})
+    return _square_zero_monoid(GeneratingCofibration(1, field).disc)
 
 
 def monoid_tensor(m1, m2):
@@ -262,14 +253,14 @@ def random_two_constant(
     return TwoConstantPremonoid(base, total, h, unit)
 
 
-def random_k2_instruction(rng: Random, f, degree: int, tries: int = 40):
+def random_k2_instruction(rng: Random, f, degree: int):
     """An attaching instruction for a generating cofibration of the given
     degree: draw a cycle-valued q into the apex, then solve for a compatible
     disc map p; resample if the boundary condition has no solution."""
     field = f.field
     gen = GeneratingCofibration(degree, field)
     a = f.base.obj
-    for _ in range(tries):
+    for _ in range(K2_TRIES):
         d = degree - 1
         cyc = f.apex.d(d).kernel()
         if cyc.cols == 0:

@@ -29,8 +29,6 @@ from .chain import (
     has_rlp,
     is_quasi_iso,
     is_trivial_fibration,
-    pushout,
-    pushout_universal,
     rlp_window,
     unit_complex,
 )
@@ -233,9 +231,11 @@ def pushout_k2(
     """
     if f.h @ ins.q != ins.p @ ins.alpha.inclusion:
         raise ValueError("square does not commute")
-    p_obj, i_v, eps = pushout(ins.alpha.inclusion, ins.q)
-    gamma = pushout_universal(eps, i_v, f.h, ins.p)
-    e = TwoConstantPremonoid(f.base, p_obj, gamma, eps @ f.unit_map)
+    alpha = ins.alpha.inclusion
+    c = colimit([alpha.source, alpha.target, f.apex], [(0, 1, alpha), (0, 2, ins.q)])
+    i_v, eps = c.legs[1], c.legs[2]
+    gamma = c.induce([f.h @ ins.q, ins.p, f.h])
+    e = TwoConstantPremonoid(f.base, c.obj, gamma, eps @ f.unit_map)
     return e, eps, i_v
 
 

@@ -83,12 +83,14 @@ def oracle_q_matmul(a, b, ncols):
     ]
 
 
-def oracle_q_rref(rows, ncols):
-    """Reduced row echelon form over Q and its pivot columns, by plain
-    Gauss-Jordan elimination on `Fraction`s: the pivot is the first nonzero
-    entry at or below the current row, the pivot row is divided by it, and
-    the pivot column is cleared from every other row."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def oracle_q_rref(rows, ncols, p=0):
+    """Reduced row echelon form over Q (over F_p when p is given) and its
+    pivot columns, by plain Gauss-Jordan elimination on `Fraction`s (on
+    integers mod p): the pivot is the first nonzero entry at or below the
+    current row, the pivot row is divided by it, and the pivot column is
+    cleared from every other row."""
+    norm = (lambda x: x % p) if p else Fraction
+    m = [[norm(x) for x in r] for r in rows]
     nrows = len(m)
     pivots = []
     row = 0
@@ -99,12 +101,12 @@ def oracle_q_rref(rows, ncols):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        inv = pow(m[row][col], -1, p) if p else 1 / m[row][col]
+        m[row] = [norm(x * inv) for x in m[row]]
         for r in range(nrows):
             if r != row and m[r][col] != 0:
                 c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[row])]
+                m[r] = [norm(x - c * y) for x, y in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
     return m, pivots

@@ -347,15 +347,31 @@ def test_wide_pushout_degenerate():
 
 
 def test_direct_sum_structure():
+    # three summands, one of them zero, with negative degrees: the
+    # projections and inclusions satisfy p_j i_k = delta_jk id and
+    # sum_k i_k p_k = id, and the differential is block diagonal
     rng = random.Random(47)
-    a = random_complex(rng, GF5, 0, 2, 2)
-    b = random_complex(rng, GF5, -1, 1, 2)
-    total, incls, projs = direct_sum([a, b])
-    assert projs[0] @ incls[0] == ChainMap.identity(a)
-    assert projs[1] @ incls[1] == ChainMap.identity(b)
-    assert (projs[0] @ incls[1]).is_zero()
-    for n in total.dims:
-        assert total.dim(n) == a.dim(n) + b.dim(n)
+    for field in (GF2, GF3, GF5, QQ):
+        summands = [
+            random_complex(rng, field, -2, 1, 2),
+            zero_complex(field),
+            random_complex(rng, field, -1, 2, 2),
+        ]
+        total, incls, projs = direct_sum(summands)
+        assert min(total.dims) < 0
+        for j, p in enumerate(projs):
+            for k, i in enumerate(incls):
+                if j == k:
+                    assert p @ i == ChainMap.identity(summands[j])
+                else:
+                    assert (p @ i).is_zero()
+        resolved = ChainMap.zero(total, total)
+        for i, p in zip(incls, projs):
+            resolved = resolved + i @ p
+        assert resolved == ChainMap.identity(total)
+        for n in total.degrees(inflate=1):
+            assert total.dim(n) == sum(s.dim(n) for s in summands)
+            assert total.d(n) == Matrix.block_diag(field, [s.d(n) for s in summands])
 
 
 def test_cone_detects_quasi_iso_both_ways():

@@ -5,6 +5,7 @@ import pytest
 
 from cosegal import documents as docs
 from cosegal.chain import ChainMap
+from cosegal.cli import main
 from cosegal.field_linalg import GF2, GF3, GF5, QQ
 from cosegal.free_gamma import gamma_na
 from cosegal.premonoid import DiagramMorphism, from_strict
@@ -125,6 +126,25 @@ def test_broken_math_is_validation_failure():
     }
     with pytest.raises(docs.ValidationFailure):
         docs.load_document(payload)
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [(3, "1/2"), (2, "1"), (5, "3"), (0, "1/0"), (0, "-2/0"), (3, "1/0")],
+)
+def test_bad_string_entry_is_exit2_with_one_line(field, entry, tmp_path, capsys):
+    # over F_p entries are JSON integers ("1/2" used to load as 0 over F_3);
+    # over Q a zero denominator is refused, not a ZeroDivisionError
+    payload = {"kind": "complex", "field": field, "dims": {"0": 1, "1": 1},
+               "diff": {"1": [[entry]]}}
+    with pytest.raises(docs.DocumentError, match="bad matrix entry"):
+        docs.load_document(payload)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == f"ERROR {path}: bad matrix entry {entry!r}\n"
+    assert out.err == ""
 
 
 def test_max_dim_cap():

@@ -5,7 +5,8 @@ fraction-free; `oracle_q_matmul` and `oracle_q_rref` are the elimination
 and product on `Fraction`s they replaced.  Since the reduced row echelon
 form is unique, `rref`, `solve`, `kernel` and `quotient` must agree with
 the oracle entry for entry, and every entry must be a `Fraction` in lowest
-terms.
+terms.  `kernel` and `quotient` share one section code over every field, so
+the kernel basis is compared with the same oracle over F_2, F_3 and F_5 too.
 """
 
 import math
@@ -15,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cosegal.field_linalg import GF5, QQ, Matrix, quotient
+from cosegal.field_linalg import GF2, GF3, GF5, QQ, Matrix, quotient
 
 from oracles import oracle_q_matmul, oracle_q_rref
 
@@ -84,15 +85,16 @@ def _assert_equals(mat, rows, shape):
     _assert_lowest_terms(mat)
 
 
-def _oracle_kernel(a, n):
-    """Null-space basis as columns: free variable f set to 1, the others 0."""
-    red, pivots = oracle_q_rref(a, n)
+def _oracle_kernel(a, n, p=0):
+    """Null-space basis as columns over Q (over F_p when p is given): free
+    variable f set to 1, the others 0."""
+    red, pivots = oracle_q_rref(a, n, p)
     free = [c for c in range(n) if c not in pivots]
     k = [[ZERO] * len(free) for _ in range(n)]
     for j, f in enumerate(free):
         k[f][j] = Fraction(1)
         for i, c in enumerate(pivots):
-            k[c][j] = -red[i][f]
+            k[c][j] = -red[i][f] % p if p else -red[i][f]
     return k, free
 
 
@@ -169,6 +171,32 @@ def test_q_quotient_matches_oracle(data):
         qdim, proj, _ = quotient(QQ, n, relations)
         assert qdim == len(free)
         _assert_equals(proj, want, (len(free), n))
+
+
+@st.composite
+def fp_matrices(draw):
+    field = draw(st.sampled_from([GF2, GF3, GF5]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    p = field.characteristic
+    return field, [[draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(m)], m, n
+
+
+@given(fp_matrices())
+@example((GF2, [], 0, 4))
+@example((GF3, [[], [], []], 3, 0))
+@example((GF5, [], 0, 0))
+@settings(max_examples=150, deadline=None)
+def test_fp_kernel_matches_oracle(data):
+    field, a, m, n = data
+    p = field.characteristic
+    mat = Matrix.from_rows(field, a, cols=n) if m else Matrix.zeros(field, 0, n)
+    want, free = _oracle_kernel(a, n, p)
+    got = mat.kernel()
+    assert got.shape == (n, len(free)) and got.tolist() == want
+    assert (mat @ got).is_zero()
+    qdim, proj, qfree = quotient(field, n, mat)
+    assert qdim == len(free) and qfree == free
+    assert proj.shape == (len(free), n) and proj.transpose() == got
 
 
 @pytest.mark.parametrize("m,k,n", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)])
