@@ -270,9 +270,20 @@ def _grid(s: slice, cols: int) -> np.ndarray:
     return np.arange(s.start, s.stop).reshape(-1, cols)
 
 
-# tensor(c, d) -> its product, keyed by operand identity.  The memo holds
-# products weakly and each product holds its operands weakly, so the memo
-# never extends a lifetime; checking the operands catches a recycled id().
+def _shared(memo: weakref.WeakValueDictionary, build, *operands):
+    """build(*operands), shared while alive and keyed by operand identity.  The
+    memo holds results weakly and they hold their operands weakly, so no
+    lifetime is extended; checking the operands catches a recycled id()."""
+    key = tuple(map(id, operands))
+    hit = memo.get(key)
+    if hit is not None and all(r() is x for r, x in zip(hit._memo_operands, operands)):
+        return hit
+    out = build(*operands)
+    object.__setattr__(out, "_memo_operands", tuple(map(weakref.ref, operands)))
+    memo[key] = out
+    return out
+
+
 _TENSOR_MEMO: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -282,16 +293,7 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     The product is shared while it is alive: a second call on the same two
     operand objects returns the same complex.
     """
-    key = (id(c), id(d))
-    hit = _TENSOR_MEMO.get(key)
-    if hit is not None:
-        left, right = hit._tensor_operands
-        if left() is c and right() is d:
-            return hit
-    out = _build_tensor(c, d)
-    object.__setattr__(out, "_tensor_operands", (weakref.ref(c), weakref.ref(d)))
-    _TENSOR_MEMO[key] = out
-    return out
+    return _shared(_TENSOR_MEMO, _build_tensor, c, d)
 
 
 def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:

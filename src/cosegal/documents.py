@@ -468,6 +468,8 @@ def load_document(d: dict, max_dim: int | None = None):
     if not isinstance(d, dict):
         raise DocumentError("document must be a JSON object")
     kind = d.get("kind")
+    if not isinstance(kind, str):
+        raise DocumentError(f"unknown document kind {kind!r}")
     if kind == "complex":
         return kind, complex_from_dict(d, max_dim)
     if kind == "map":

@@ -11,7 +11,10 @@ All colimits are computed as cokernels of explicit relation matrices with a
 deterministic generator order (shape-object order, then basis order), so
 repeated runs are bit-identical.  Every map out of a level (the bijection
 actions, the universal extension) is read off the free generator columns of
-its colimit by `Colimit.induce`.
+its colimit by `Colimit.induce`.  The free diagram on f is shared while it
+is alive, like `tensor(c, d)`, and carries its unit and joint colimits
+privately, so `universal_extension(f, ...)` reads the joints of a live
+`gamma_na(f)` result instead of rebuilding them.
 
 Size warning: the latching shapes grow like surjection counts times level
 decompositions; see the complexity table in the README.  Keep N <= 3 for
@@ -20,10 +23,13 @@ dense experiments and N = 4 only for very small objects.
 
 from __future__ import annotations
 
+import weakref
+
 from .chain import (
     ChainComplex,
     ChainMap,
     Colimit,
+    _shared,
     colimit,
     tensor,
     tensor_map,
@@ -138,10 +144,17 @@ def _joint_level(f: LaxDiagram, below: LaxDiagram, eta: dict, n: int):
     return lshape, cshape, colimit(nodes, arrows)
 
 
-def _free_levels(f: LaxDiagram):
-    """The free diagram on f, the components of the unit f -> free, and for
-    each level n >= 2 the lax shape, the classical shape and the joint
-    colimit whose object is free(n) (see `gamma_na`)."""
+_FREE_MEMO: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _free_levels(f: LaxDiagram) -> LaxDiagram:
+    """The free diagram on f, shared while alive; privately it carries the unit
+    f -> free (`_free_unit`) and per level n >= 2 the lax and classical shapes
+    and the joint colimit whose object is free(n) (`_free_joints`)."""
+    return _shared(_FREE_MEMO, _build_free, f)
+
+
+def _build_free(f: LaxDiagram) -> LaxDiagram:
     objects = {1: f.objects[1]}
     structure: dict = {}
     laxity: dict = {}
@@ -175,7 +188,9 @@ def _free_levels(f: LaxDiagram):
                 relabeled.append(legs[j] @ eta[ob.p])
             relabeled.append(eta[n] @ f.structure_map(pi))
             structure[pi] = joint.induce(relabeled)
-    return LaxDiagram(f.level, objects, structure, laxity), eta, joints
+    free = LaxDiagram(f.level, objects, structure, laxity)
+    free._free_unit, free._free_joints = eta, joints
+    return free
 
 
 def gamma_na(f: LaxDiagram):
@@ -186,8 +201,8 @@ def gamma_na(f: LaxDiagram):
     latching object; laxity maps and structure maps are colimit legs, and
     the action of the level-n bijections is induced by reindexing the legs.
     """
-    g, eta, _ = _free_levels(f)
-    return g, DiagramMorphism(f, g, eta)
+    g = _free_levels(f)
+    return g, DiagramMorphism(f, g, g._free_unit)
 
 
 def universal_extension(
@@ -195,28 +210,29 @@ def universal_extension(
 ) -> DiagramMorphism:
     """The unique lax-compatible extension of phi : f -> Ug along the unit.
 
-    Builds the free construction on f once and induces each level out of
-    its joint colimit: the extension is determined on the colimit
-    generators, which is also why it is unique.
+    Induces each level out of the joint colimit that a live `gamma_na(f)`
+    shares: the extension is determined on the colimit generators, which is
+    also why it is unique.  A pair object (p, q; s) gets the leg
+    g(s) . laxity(p, q) . (ext_p (x) ext_q), the last two built once per (p, q).
     """
     if g.level != f.level:
         raise ValueError("level mismatch")
     if g.laxity is None:
         raise ValueError("the target needs laxity maps")
-    free, _, joints = _free_levels(f)
+    free = _free_levels(f)
     ext = {1: phi.component(1)}
-    for n, (lshape, cshape, joint) in joints.items():
+    lax_ext = {}
+    for n, (lshape, cshape, joint) in free._free_joints.items():
         cocone = []
         for ob in lshape.objects:
             if isinstance(ob, PairObject):
-                m = g.structure_map(ob.to_sum) @ g.laxity_map(ob.p, ob.q) @ tensor_map(
-                    ext[ob.p], ext[ob.q]
-                )
+                pq = (ob.p, ob.q)
+                if pq not in lax_ext:
+                    lax_ext[pq] = g.laxity_map(*pq) @ tensor_map(ext[ob.p], ext[ob.q])
+                cocone.append(g.structure_map(ob.to_sum) @ lax_ext[pq])
             else:
-                m = g.structure_map(ob.to_level) @ ext[ob.p]
-            cocone.append(m)
-        for ob in cshape.objects:
-            cocone.append(g.structure_map(ob.to_level) @ phi.component(ob.p))
+                cocone.append(g.structure_map(ob.to_level) @ ext[ob.p])
+        cocone += [g.structure_map(ob.to_level) @ phi.component(ob.p) for ob in cshape.objects]
         cocone.append(phi.component(n))
         ext[n] = joint.induce(cocone)
     return DiagramMorphism(free, g, ext)

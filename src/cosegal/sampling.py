@@ -47,7 +47,7 @@ __all__ = [
     "random_k2_instruction",
 ]
 
-K2_TRIES = 40  # attaching squares random_k2_instruction draws before it gives up
+K2_TRIES = 40  # attaching squares random_k2_instruction draws before the zero cycle
 
 
 def random_element(rng: Random, field: Field):
@@ -255,8 +255,8 @@ def random_two_constant(
 
 def random_k2_instruction(rng: Random, f, degree: int):
     """An attaching instruction for a generating cofibration of the given
-    degree: draw a cycle-valued q into the apex, then solve for a compatible
-    disc map p; resample if the boundary condition has no solution."""
+    degree: draw a cycle-valued q into the apex and solve for a compatible disc
+    map p, up to K2_TRIES times; then take the zero cycle, which p = 0 solves."""
     field = f.field
     gen = GeneratingCofibration(degree, field)
     a = f.base.obj
@@ -283,7 +283,7 @@ def random_k2_instruction(rng: Random, f, degree: int):
             comps[d] = target
         p = ChainMap(gen.disc, a, comps)
         return K2Instruction(gen, q, p)
-    raise RuntimeError("could not sample an attaching square; boundary never hit")
+    return K2Instruction(gen, ChainMap.zero(gen.sphere, f.apex), ChainMap.zero(gen.disc, a))
 
 
 def tower_diagram(maps: list[ChainMap]):

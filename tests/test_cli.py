@@ -8,7 +8,7 @@ import pytest
 from cosegal import documents as docs
 from cosegal.chain import ChainMap
 from cosegal.cli import main
-from cosegal.field_linalg import GF2
+from cosegal.field_linalg import GF2, QQ
 from cosegal.premonoid import from_strict
 from cosegal.sampling import random_tower_diagram, random_two_constant
 from cosegal.two_constant import expand_to_premonoid
@@ -136,6 +136,20 @@ def test_pushout_k2_command(tmp_path, two_constant_file):
     # feed the emitted instruction-free result back through validate
     rc, out = run_cli(["validate", str(out_path)])
     assert rc == 0
+
+
+def test_pushout_k2_takes_the_zero_cycle_after_k2_tries_misses(tmp_path):
+    # over Q the 40 random cycles of this package all miss the boundary;
+    # random_k2_instruction used to raise RuntimeError through cli.main
+    f = random_two_constant(random.Random(0), QQ, surjective_h=True)
+    path = tmp_path / "q.json"
+    path.write_text(docs.dump_document(f, "two_constant"))
+    rc, out = run_cli(["pushout-k2", str(path), "--degree", "1", "--json"])
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["alpha_degree"] == 1
+    assert rep["upsilon_validates"] and rep["reflection_preserved"]
+    assert rep["upsilon_upper_identity"] and rep["leg_cofibration"]
 
 
 def test_pushout_k2_with_instruction_file(tmp_path, two_constant_file):

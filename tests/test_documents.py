@@ -147,6 +147,22 @@ def test_bad_string_entry_is_exit2_with_one_line(field, entry, tmp_path, capsys)
     assert out.err == ""
 
 
+@pytest.mark.parametrize("kind", [{"a": 1}, ["premonoid"], 7, None])
+@pytest.mark.parametrize("command", ["validate", "gamma", "cosegalify", "pushout-k2"])
+def test_non_string_kind_is_exit2_with_one_line(command, kind, tmp_path, capsys):
+    # a JSON object or list as kind used to escape as an unhashable-key
+    # TypeError traceback
+    payload = {"kind": kind, "field": 2}
+    with pytest.raises(docs.DocumentError, match="unknown document kind"):
+        docs.load_document(payload)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    lines = (out.out + out.err).splitlines()
+    assert len(lines) == 1 and f"unknown document kind {kind!r}" in lines[0]
+
+
 def test_max_dim_cap():
     with pytest.raises(docs.DocumentError):
         docs.complex_from_dict({"field": 2, "dims": {"0": 10}}, max_dim=4)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from cosegal.chain import (
     wide_pushout,
     zero_complex,
 )
-from cosegal.field_linalg import GF2, GF3
+from cosegal.field_linalg import GF2, GF3, QQ
 from cosegal.free_gamma import (
     classical_latching,
     delta_map,
@@ -264,8 +265,35 @@ def test_free_construction_builds_each_joint_colimit_once(monkeypatch):
     f = random_tower_diagram(random.Random(47), GF3, 3, 0, 1, 1)
     g, eta = gamma_na(f)
     ext = universal_extension(f, g, eta)
-    assert len(calls) == 4
-    assert ext.source == g
+    # the extension reads the joints of the live gamma_na(f) result
+    assert len(calls) == 2
+    assert ext.source is g
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F_2", "F_3", "Q"])
+def test_extension_is_the_same_with_or_without_a_live_free_construction(field):
+    import cosegal.free_gamma as free_gamma
+
+    rng = random.Random(53)
+    # over Q, dimension 2 per degree makes these four pairs take about 20 s
+    max_dim = 1 if field.is_rational else 2
+    for level in (2, 3, 2, 3):
+        f1 = random_tower_diagram(rng, field, level, 0, 1, max_dim)
+        f2 = random_tower_diagram(rng, field, level, 0, 1, max_dim)
+        sigma = random_diagram_morphism(rng, f1, f2)
+        g2, eta2 = gamma_na(f2)
+        phi = DiagramMorphism(f1, g2, {n: eta2.components[n] @ sigma.components[n] for n in sigma.components})
+        g1, eta1 = gamma_na(f1)
+        ext = universal_extension(f1, g2, phi)
+        assert ext.source is g1
+        alive = ext.components
+        del g1, eta1, ext
+        gc.collect()
+        assert (id(f1),) not in free_gamma._FREE_MEMO
+        rebuilt = universal_extension(f1, g2, phi).components
+        assert alive.keys() == rebuilt.keys()
+        for n in alive:
+            assert alive[n] == rebuilt[n]
 
 
 def test_extension_deterministic():

@@ -1,20 +1,22 @@
 """The constructor checks stay exact while getting cheaper: the zero-aware
-chain-map check against a dense oracle, the weak `tensor` memo, and the
-cached surjection enumerations and latching shapes."""
+chain-map check against a dense oracle, the weak memo that shares `tensor`
+products and free constructions, and the cached surjection enumerations and
+latching shapes."""
 
 import dataclasses
 import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from cosegal import chain
+from cosegal import chain, free_gamma
 from cosegal.chain import ChainComplex, ChainMap, tensor
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
 from cosegal.phi_epi import enumerate_surjections, latching_shape
-from cosegal.premonoid import all_surjections_upto
-from cosegal.sampling import random_chain_map, random_complex, random_matrix
+from cosegal.premonoid import LaxDiagram, all_surjections_upto
+from cosegal.sampling import random_chain_map, random_complex, random_matrix, random_tower_diagram
 
 from oracles import oracle_chain_map_defects, oracle_lax_shape, oracle_surjections
 
@@ -108,7 +110,7 @@ def test_compose_skips_absent_components():
 
 
 # ---------------------------------------------------------------------------
-# tensor memo
+# shared values: the tensor memo and the free construction
 # ---------------------------------------------------------------------------
 
 
@@ -134,69 +136,99 @@ def test_tensor_memo_shares_content_equal_products():
         assert p.dims == {n: k for n, k in conv.items() if k}
 
 
+def _copy_diagram(f: LaxDiagram) -> LaxDiagram:
+    return LaxDiagram(f.level, dict(f.objects), dict(f.structure))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shared:
+    """A construction shared while it is alive through `chain._shared`: its
+    memo and builder (looked up by name, so a test can patch the builder),
+    the public call, seeded operands and a fresh copy of one operand."""
+
+    module: object
+    memo_name: str
+    build_name: str
+    share: object
+    draw: object
+    copy: object
+
+    @property
+    def memo(self):
+        return getattr(self.module, self.memo_name)
+
+
+# the four memo tests below run over both shared constructions
+SHARED = (
+    _Shared(chain, "_TENSOR_MEMO", "_build_tensor", tensor,
+            lambda rng: (random_complex(rng, GF2, 0, 2, 2), random_complex(rng, GF2, -1, 1, 2)),
+            _copy),
+    _Shared(free_gamma, "_FREE_MEMO", "_build_free", lambda f: free_gamma.gamma_na(f)[0],
+            lambda rng: (random_tower_diagram(rng, GF2, 2, 0, 1, 1),),
+            _copy_diagram),
+)
+
+
 def test_tensor_memo_builds_each_product_once(monkeypatch):
-    built = []
-    original = chain._build_tensor
+    for case in SHARED:
+        built = []
+        original = getattr(case.module, case.build_name)
 
-    def counting(c, d):
-        built.append((c, d))
-        return original(c, d)
+        def counting(*operands):
+            built.append(operands)
+            return original(*operands)
 
-    monkeypatch.setattr(chain, "_build_tensor", counting)
-    c = random_complex(random.Random(5), GF3, 0, 2, 2)
-    p = tensor(c, c)
-    assert tensor(c, c) is p and len(built) == 1
-    tensor(c, _copy(c))
-    assert len(built) == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(case.module, case.build_name, counting)
+            ops = case.draw(random.Random(5))
+            p = case.share(*ops)
+            assert case.share(*ops) is p and len(built) == 1
+            case.share(*map(case.copy, ops))
+            assert len(built) == 2
 
 
 def test_tensor_memo_drops_entries_with_their_operands():
-    c = random_complex(random.Random(8), GF2, 0, 2, 2)
-    d = _copy(c)
-    key = (id(c), id(d))
-    p = tensor(c, d)
-    assert chain._TENSOR_MEMO.get(key) is p
-    del c, d, p
-    gc.collect()
-    assert key not in chain._TENSOR_MEMO
+    for case in SHARED:
+        ops = case.draw(random.Random(8))
+        key = tuple(map(id, ops))
+        p = case.share(*ops)
+        assert case.memo.get(key) is p
+        del ops, p
+        gc.collect()
+        assert key not in case.memo
 
 
 def test_tensor_memo_never_extends_a_lifetime():
-    import weakref
-
-    c = random_complex(random.Random(9), GF3, 0, 1, 2)
-    d = _copy(c)
-    p = tensor(c, d)
-    refs = [weakref.ref(x) for x in (c, d, p)]
-    del c, d, p
-    gc.collect()
-    assert all(r() is None for r in refs)
+    for case in SHARED:
+        ops = case.draw(random.Random(9))
+        p = case.share(*ops)
+        refs = [weakref.ref(x) for x in (*ops, p)]
+        del ops, p
+        gc.collect()
+        assert all(r() is None for r in refs)
 
 
 def test_tensor_memo_recycled_id_is_not_a_stale_hit():
-    rng = random.Random(10)
-    c = random_complex(rng, GF2, 0, 2, 2)
-    stale = tensor(c, c)
-    # a new pair of operands whose ids collide with a live entry that
-    # belongs to other operands, as after an id() is recycled
-    a = random_complex(rng, GF2, 0, 1, 1)
-    b = ChainComplex(GF2, {3: 1}, {})
-    chain._TENSOR_MEMO[(id(a), id(b))] = stale
-    got = tensor(a, b)
-    assert got is not stale
-    assert got.dims == {n + 3: k for n, k in a.dims.items()}
-    assert tensor(a, b) is got
-    # real recycling: products outlive their operands, whose freed ids the
-    # next operands may take over
-    kept = []
-    for _ in range(50):
-        x = random_complex(rng, GF2, 0, 1, 2)
-        y = random_complex(rng, GF2, 0, 1, 2)
-        kept.append(tensor(x, y))
-        del x, y
-        x = random_complex(rng, GF2, 0, 1, 2)
-        y = random_complex(rng, GF2, 0, 1, 2)
-        assert tensor(x, y) == tensor(_copy(x), _copy(y))
+    for case in SHARED:
+        rng = random.Random(10)
+        stale = case.share(*case.draw(rng))
+        # new operands whose ids collide with a live entry that belongs to
+        # other operands, as after an id() is recycled
+        ops = case.draw(rng)
+        case.memo[tuple(map(id, ops))] = stale
+        got = case.share(*ops)
+        assert got is not stale
+        assert got == case.share(*map(case.copy, ops))
+        assert case.share(*ops) is got
+        # real recycling: results outlive their operands, whose freed ids
+        # the next operands may take over
+        kept = []
+        for _ in range(50):
+            ops = case.draw(rng)
+            kept.append(case.share(*ops))
+            del ops
+            ops = case.draw(rng)
+            assert case.share(*ops) == case.share(*map(case.copy, ops))
 
 
 # ---------------------------------------------------------------------------
