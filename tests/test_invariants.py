@@ -202,10 +202,16 @@ def test_tensor_memo_never_extends_a_lifetime():
     for case in SHARED:
         ops = case.draw(random.Random(9))
         p = case.share(*ops)
-        refs = [weakref.ref(x) for x in (*ops, p)]
-        del ops, p
+        refs = [weakref.ref(x) for x in ops]
+        # the result holds its operands weakly ...
+        del ops
         gc.collect()
         assert all(r() is None for r in refs)
+        # ... and the memo holds the result weakly
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 def test_tensor_memo_recycled_id_is_not_a_stale_hit():
