@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .field_linalg import Field, InvariantError, Matrix, _zeros, quotient
+from .field_linalg import Field, InvariantError, Matrix, quotient
 
 __all__ = [
     "ChainComplex",
@@ -305,15 +306,15 @@ def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     dims = {n: max((s.stop for s in layout.values()), default=0) for n, layout in layouts.items()}
     diff = {}
     for n in degs[1:]:
-        tgt = layouts[n - 1]
-        out = _zeros(fld, dims[n - 1], dims[n])
+        tgt, blocks = layouts[n - 1], []
         for (i, j), cols in layouts[n].items():
             if (i - 1, j) in tgt:
-                out[tgt[(i - 1, j)], cols] = c.d(i).kron(Matrix.identity(fld, d.dim(j))).data
+                blk = c.d(i).kron(Matrix.identity(fld, d.dim(j)))
+                blocks.append((tgt[(i - 1, j)].start, cols.start, blk))
             if (i, j - 1) in tgt:
                 blk = Matrix.identity(fld, c.dim(i)).kron(d.d(j))
-                out[tgt[(i, j - 1)], cols] = (-blk if i % 2 else blk).data
-        diff[n] = Matrix(fld, out)
+                blocks.append((tgt[(i, j - 1)].start, cols.start, -blk if i % 2 else blk))
+        diff[n] = Matrix.assemble(fld, dims[n - 1], dims[n], blocks)
     return ChainComplex(fld, dims, diff)
 
 
@@ -324,11 +325,12 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     comps = {}
     for n in src.dims:
         rows = _tensor_layout(f.target, g.target, n)
-        out = _zeros(f.field, tgt.dim(n), src.dim(n))
-        for (i, j), cols in _tensor_layout(f.source, g.source, n).items():
-            if (i, j) in rows:
-                out[rows[(i, j)], cols] = f.component(i).kron(g.component(j)).data
-        comps[n] = Matrix(f.field, out)
+        blocks = [
+            (rows[(i, j)].start, cols.start, f.component(i).kron(g.component(j)))
+            for (i, j), cols in _tensor_layout(f.source, g.source, n).items()
+            if (i, j) in rows
+        ]
+        comps[n] = Matrix.assemble(f.field, tgt.dim(n), src.dim(n), blocks)
     return ChainMap(src, tgt, comps)
 
 
@@ -339,15 +341,14 @@ def braiding(c: ChainComplex, d: ChainComplex) -> ChainMap:
     fld = c.field
     src = tensor(c, d)
     tgt = tensor(d, c)
-    signs = (fld.coerce(1), fld.coerce(-1))
     comps = {}
     for n in src.dims:
         rows = _tensor_layout(d, c, n)
-        out = _zeros(fld, tgt.dim(n), src.dim(n))
+        out = np.zeros((tgt.dim(n), src.dim(n)), dtype=np.int64)
         for (i, j), cols in _tensor_layout(c, d, n).items():
             # x (x) y -> y (x) x: the (j, i) grid transposed
-            out[_grid(rows[(j, i)], c.dim(i)).T, _grid(cols, d.dim(j))] = signs[i * j % 2]
-        comps[n] = Matrix(fld, out)
+            out[_grid(rows[(j, i)], c.dim(i)).T, _grid(cols, d.dim(j))] = (1, -1)[i * j % 2]
+        comps[n] = Matrix(fld, out, 1)
     return ChainMap(src, tgt, comps)
 
 
@@ -360,18 +361,17 @@ def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
     tgt = tensor(a, bc)
     ab_layout = {k: _tensor_layout(a, b, k) for k in ab.dims}
     bc_layout = {m: _tensor_layout(b, c, m) for m in bc.dims}
-    one = fld.coerce(1)
     comps = {}
     for n in src.dims:
         left = _tensor_layout(ab, c, n)
-        out = _zeros(fld, tgt.dim(n), src.dim(n))
+        out = np.zeros((tgt.dim(n), src.dim(n)), dtype=np.int64)
         for (i, m), s in _tensor_layout(a, bc, n).items():
             for (j, l), t in bc_layout[m].items():
                 # x (x) (y (x) z) at rows[x, y, z]; (x (x) y) (x) z at cols[x, y, z]
                 rows = _grid(s, bc.dim(m))[:, _grid(t, c.dim(l))]
                 cols = _grid(left[(i + j, l)], c.dim(l))[_grid(ab_layout[i + j][(i, j)], b.dim(j))]
-                out[rows, cols] = one
-        comps[n] = Matrix(fld, out)
+                out[rows, cols] = 1
+        comps[n] = Matrix(fld, out, 1)
     return ChainMap(src, tgt, comps)
 
 
@@ -414,11 +414,9 @@ def cone(f: ChainMap) -> ChainComplex:
         if rows_a + rows_b == 0:
             continue
         cols_a, cols_b = a.dim(n - 1), b.dim(n)
-        out = Matrix.zeros(fld, rows_a + rows_b, cols_a + cols_b).data.copy()
-        out[:rows_a, :cols_a] = (-a.d(n - 1)).data
-        out[rows_a:, :cols_a] = (-f.component(n - 1)).data
-        out[rows_a:, cols_a:] = b.d(n).data
-        diff[n] = Matrix(fld, out)
+        diff[n] = Matrix.assemble(fld, rows_a + rows_b, cols_a + cols_b, [
+            (0, 0, -a.d(n - 1)), (rows_a, 0, -f.component(n - 1)), (rows_a, cols_a, b.d(n)),
+        ])
     return ChainComplex(fld, dims, diff)
 
 
@@ -456,24 +454,21 @@ def cylinder_factorization(f: ChainMap) -> tuple[ChainMap, ChainMap]:
         c = [a.dim(n), a.dim(n - 1), b.dim(n)]
         if sum(r) == 0:
             continue
-        out = Matrix.zeros(fld, sum(r), sum(c)).data.copy()
-        out[: r[0], : c[0]] = a.d(n).data
-        out[: r[0], c[0] : c[0] + c[1]] = (-Matrix.identity(fld, a.dim(n - 1))).data
-        out[r[0] : r[0] + r[1], c[0] : c[0] + c[1]] = (-a.d(n - 1)).data
-        out[r[0] + r[1] :, c[0] : c[0] + c[1]] = f.component(n - 1).data
-        out[r[0] + r[1] :, c[0] + c[1] :] = b.d(n).data
-        diff[n] = Matrix(fld, out)
+        diff[n] = Matrix.assemble(fld, sum(r), sum(c), [
+            (0, 0, a.d(n)),
+            (0, c[0], -Matrix.identity(fld, a.dim(n - 1))),
+            (r[0], c[0], -a.d(n - 1)),
+            (r[0] + r[1], c[0], f.component(n - 1)),
+            (r[0] + r[1], c[0] + c[1], b.d(n)),
+        ])
     cyl = ChainComplex(fld, dims, diff)
     comps_i, comps_p = {}, {}
     for n in cyl.dims:
         ca, ca1, cb = a.dim(n), a.dim(n - 1), b.dim(n)
-        ins = Matrix.zeros(fld, cyl.dim(n), ca).data.copy()
-        ins[:ca, :] = Matrix.identity(fld, ca).data
-        comps_i[n] = Matrix(fld, ins)
-        pr = Matrix.zeros(fld, b.dim(n), cyl.dim(n)).data.copy()
-        pr[:, :ca] = f.component(n).data
-        pr[:, ca + ca1 :] = Matrix.identity(fld, cb).data
-        comps_p[n] = Matrix(fld, pr)
+        comps_i[n] = Matrix.assemble(fld, cyl.dim(n), ca, [(0, 0, Matrix.identity(fld, ca))])
+        comps_p[n] = Matrix.assemble(fld, cb, cyl.dim(n), [
+            (0, 0, f.component(n)), (0, ca + ca1, Matrix.identity(fld, cb)),
+        ])
     i = ChainMap(a, cyl, comps_i)
     p = ChainMap(cyl, b, comps_p)
     return i, p
@@ -509,44 +504,42 @@ class _Hom:
     def d0(self) -> Matrix:
         """The rows of d.k_n - k_{n-1}.d = 0, the chain-map condition."""
         s, t, fld = self.source, self.target, self.field
-        rows = []
+        blocks, row = [], 0
         for n in sorted(set(self.offsets) | {m + 1 for m in self.offsets}):
-            row = Matrix.zeros(fld, t.dim(n - 1) * s.dim(n), self.size).data.copy()
             if n in self.offsets:
-                row[:, self._span(n)] = Matrix.identity(fld, s.dim(n)).kron(t.d(n)).data
+                blocks.append((row, self.offsets[n], Matrix.identity(fld, s.dim(n)).kron(t.d(n))))
             if n - 1 in self.offsets:
-                eye = Matrix.identity(fld, t.dim(n - 1))
-                row[:, self._span(n - 1)] = (-s.d(n).transpose().kron(eye)).data
-            rows.append(row)
-        return Matrix(fld, np.vstack(rows)) if rows else Matrix.zeros(fld, 0, self.size)
+                blk = -s.d(n).transpose().kron(Matrix.identity(fld, t.dim(n - 1)))
+                blocks.append((row, self.offsets[n - 1], blk))
+            row += t.dim(n - 1) * s.dim(n)
+        return Matrix.assemble(fld, row, self.size, blocks)
 
     def compose(
         self, into: "_Hom", pre: ChainMap | None = None, post: ChainMap | None = None
     ) -> Matrix:
         """The matrix of k -> post.k.pre from these coordinates to those of
         `into`, one a^T (x) b block per degree; an absent side is the identity."""
-        fld = self.field
-        out = Matrix.zeros(fld, into.size, self.size).data.copy()
+        fld, blocks = self.field, []
         for n in into.offsets:
             if n in self.offsets:
                 s, t = self.source.dim(n), self.target.dim(n)
                 a = Matrix.identity(fld, s) if pre is None else pre.component(n)
                 b = Matrix.identity(fld, t) if post is None else post.component(n)
-                out[into._span(n), self._span(n)] = a.transpose().kron(b).data
-        return Matrix(fld, out)
+                blocks.append((into.offsets[n], self.offsets[n], a.transpose().kron(b)))
+        return Matrix.assemble(fld, into.size, self.size, blocks)
 
     def vec(self, f: ChainMap) -> Matrix:
         """The coordinate column of f."""
-        out = Matrix.zeros(self.field, self.size, 1).data.copy()
-        for n in self.offsets:
-            out[self._span(n), 0] = f.component(n).data.T.reshape(-1)
-        return Matrix(self.field, out)
+        blocks = [
+            (o, 0, f.component(n).transpose().reshape(-1, 1)) for n, o in self.offsets.items()
+        ]
+        return Matrix.assemble(self.field, self.size, 1, blocks)
 
-    def unvec(self, column) -> ChainMap:
-        """The map whose coordinates are the 1-d array `column`."""
+    def unvec(self, column: Matrix) -> ChainMap:
+        """The map whose coordinates are the one-column matrix `column`."""
         s, t = self.source, self.target
         comps = {
-            n: Matrix(self.field, column[self._span(n)].reshape(s.dim(n), t.dim(n)).T.copy())
+            n: column[self._span(n), :].reshape(s.dim(n), t.dim(n)).transpose()
             for n in self.offsets
         }
         return ChainMap(s, t, comps)
@@ -574,7 +567,7 @@ def _lifts(alpha: ChainMap, g: ChainMap, squares: list) -> list[ChainMap] | None
     sol = system.solve(rhs)
     if sol is None:
         return None
-    lifts = [hom.unvec(sol.data[:, j]) for j in range(len(squares))]
+    lifts = [hom.unvec(sol[:, j : j + 1]) for j in range(len(squares))]
     for k, (top, bottom) in zip(lifts, squares):
         if k @ alpha != top or g @ k != bottom:
             raise InvariantError("lift does not solve the lifting problem")
@@ -605,7 +598,7 @@ def _square_space_basis(alpha: ChainMap, g: ChainMap):
         Matrix.hstack(fld, [top.compose(corner, post=g), -bottom.compose(corner, pre=alpha)]),
     ]).kernel()
     return [
-        (top.unvec(ker.data[: top.size, j]), bottom.unvec(ker.data[top.size :, j]))
+        (top.unvec(ker[: top.size, j : j + 1]), bottom.unvec(ker[top.size :, j : j + 1]))
         for j in range(ker.cols)
     ]
 
@@ -614,7 +607,7 @@ def chain_map_basis(source: ChainComplex, target: ChainComplex) -> list[ChainMap
     """Basis of the vector space of chain maps source -> target."""
     hom = _Hom(source, target)
     ker = hom.d0().kernel()
-    return [hom.unvec(ker.data[:, j]) for j in range(ker.cols)]
+    return [hom.unvec(ker[:, j : j + 1]) for j in range(ker.cols)]
 
 
 def has_rlp(alpha: ChainMap, g: ChainMap) -> bool:
@@ -708,7 +701,7 @@ class Colimit:
 def _descend(proj: Matrix, free: list[int], composite: Matrix) -> Matrix:
     """The m with m @ proj = composite.  `quotient` makes proj the identity on
     its free columns, so m can only be those columns of the composite."""
-    m = Matrix(composite.field, composite.data[:, free])
+    m = composite[:, free]
     if m @ proj != composite:
         raise ValueError("map does not descend through the projection")
     return m
@@ -726,37 +719,19 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
         raise ValueError("colimit of an empty diagram")
     fld = nodes[0].field
     degs = sorted({n for c in nodes for n in c.dims})
-    offsets = {}
-    totals = {}
+    offsets = {n: list(accumulate((c.dim(n) for c in nodes), initial=0)) for n in degs}
+    totals = {n: offs.pop() for n, offs in offsets.items()}
+    projs, frees = {}, {}
     for n in degs:
-        off, offs = 0, []
-        for c in nodes:
-            offs.append(off)
-            off += c.dim(n)
-        offsets[n] = offs
-        totals[n] = off
-
-    projs = {}
-    frees = {}
-    for n in degs:
-        rels = []
+        # one row block per arrow: x in node s equals f(x) in node t
+        blocks, row = [], 0
         for s, t, f in arrows:
             ds = nodes[s].dim(n)
-            if ds == 0:
-                continue
-            m = f.component(n)
-            block = _zeros(fld, ds, totals[n])
-            block[:, offsets[n][t] : offsets[n][t] + nodes[t].dim(n)] = (
-                (-m).transpose().data
-            )
-            one = fld.coerce(1)
-            for a in range(ds):
-                block[a, offsets[n][s] + a] += one
-            rels.append(block)
-        if rels:
-            relrows = Matrix(fld, np.vstack(rels))
-        else:
-            relrows = Matrix.zeros(fld, 0, totals[n])
+            if ds:
+                blocks.append((row, offsets[n][s], Matrix.identity(fld, ds)))
+                blocks.append((row, offsets[n][t], -f.component(n).transpose()))
+                row += ds
+        relrows = Matrix.assemble(fld, row, totals[n], blocks)
         _, projs[n], frees[n] = quotient(fld, totals[n], relrows)
 
     diff = {}
@@ -766,16 +741,10 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
             diff[n] = _descend(projs[n], frees[n], projs[n - 1] @ blk)
     q = ChainComplex(fld, {n: len(free) for n, free in frees.items()}, diff)
 
-    legs = []
-    for i, c in enumerate(nodes):
-        comps = {}
-        for n in c.dims:
-            proj = projs[n]
-            comps[n] = Matrix(
-                fld,
-                proj.data[:, offsets[n][i] : offsets[n][i] + c.dim(n)].copy(),
-            )
-        legs.append(ChainMap(c, q, comps))
+    legs = [
+        ChainMap(c, q, {n: projs[n][:, offsets[n][i] : offsets[n][i] + c.dim(n)] for n in c.dims})
+        for i, c in enumerate(nodes)
+    ]
     return Colimit(q, legs, projs, frees)
 
 

@@ -90,9 +90,7 @@ def _decode_entry(field: Field, x):
 
 
 def _matrix_to_rows(m: Matrix) -> list:
-    return [
-        [_encode_entry(m.data[i, j]) for j in range(m.cols)] for i in range(m.rows)
-    ]
+    return [[_encode_entry(x) for x in row] for row in m.tolist()]
 
 
 def _components_to_dict(f: ChainMap) -> dict:

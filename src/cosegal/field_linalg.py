@@ -1,21 +1,23 @@
 """Exact linear algebra over prime fields F_p and over Q.
 
-Matrices over F_p are stored as int64 numpy arrays with entries reduced to
-[0, p); matrices over Q are object arrays of `fractions.Fraction` (always in
-lowest terms).  Primes are bounded by ``MAX_PRIME`` so that every entrywise
-product fits int64.
+A matrix keeps an integer array `num` and a positive integer `den`, and its
+entries are num / den.  Over F_p, `num` is int64 reduced to [0, p) and den
+is 1; primes are bounded by ``MAX_PRIME`` so that every entrywise product
+fits int64.  Over Q, `den` is the one common denominator of the matrix, as
+in FLINT's ``fmpq_mat_get_fmpz_mat_matwise``, normalised so that the gcd of
+den and all numerators is 1: equal matrices are stored equally.  `num` is
+int64 while its entries fit and an object array of Python ints beyond, and
+every operation bounds its integers before it picks int64, so nothing wraps.
 
 Both fields multiply on integers: an F_p product is an integer product
-reduced mod p, and a Q product clears denominators first (each row of the
-left factor and each column of the right one is scaled by the lcm of its
-denominators, as FLINT's ``fmpq_mat_mul`` does), so one integer product
-and one division per output entry replace the `Fraction` arithmetic.  The
-integer product runs in float64 while its dot products are exact there, in
-int64 while they fit, and over Python integers beyond.  Elimination over Q
-is fraction-free: each row is cleared of denominators and reduced by
-Bareiss's exact-division Gauss-Jordan steps, and only the final pivot rows
-become `Fraction`s.  The reduced row echelon form is unique, so this gives
-the same matrices as elimination over `Fraction`s.
+reduced mod p, and a Q product is the product of the numerators over the
+product of the denominators.  The integer product runs in float64 while
+its dot products are exact there, in int64 while they fit, and over Python
+integers beyond.  Elimination over Q is fraction-free (Bareiss's
+exact-division Gauss-Jordan steps on the numerators), and every pivot row
+ends with the same pivot, which becomes the result's denominator.  The
+reduced row echelon form is unique, so this gives the same matrices as
+elimination over `Fraction`s, which appear only in the `data` accessor.
 
 Everything downstream (homology, lifting problems, colimits) reduces to the
 four primitives here: rank, solve, kron, quotient.  All algorithms are
@@ -86,13 +88,6 @@ class Field:
             return x if isinstance(x, Fraction) else Fraction(x)
         return int(x) % self.characteristic
 
-    def inv(self, x):
-        if self.is_rational:
-            if x == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return Fraction(1) / Fraction(x)
-        return pow(int(x), -1, self.characteristic)
-
     def __str__(self):
         return "Q" if self.is_rational else f"F_{self.characteristic}"
 
@@ -103,17 +98,12 @@ GF5 = Field(5)
 QQ = Field(0)
 
 
-def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
-    if field.is_rational:
-        a = np.empty((rows, cols), dtype=object)
-        a[...] = Fraction(0)
-        return a
-    return np.zeros((rows, cols), dtype=np.int64)
+_INT64 = 2**63  # exclusive bound on the absolute value of an int64 numerator
 
 
-def _int_product(a, b, bound: int) -> np.ndarray:
-    """Exact product of two integer arrays (or nested lists) whose dot
-    products are at most `bound` in absolute value.
+def _int_product(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """Exact product of two integer arrays whose dot products are at most
+    `bound` in absolute value.
 
     Integer matmul in numpy is not BLAS-backed: while the bound fits float64
     exactly the float product is orders of magnitude faster; beyond int64
@@ -122,53 +112,68 @@ def _int_product(a, b, bound: int) -> np.ndarray:
     if bound < 2**52:
         prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         return prod.astype(np.int64)
-    if bound < 2**63:
+    if bound < _INT64:
         return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
     return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
-def _cleared_rows(rows: list) -> tuple[list[list[int]], list[int]]:
-    """Scale each row of rationals by the lcm of its denominators; returns
-    the integer rows and the lcms."""
-    ints, dens = [], []
-    for row in rows:
-        d = math.lcm(*[x.denominator for x in row])
-        ints.append([x.numerator * (d // x.denominator) for x in row])
-        dens.append(d)
-    return ints, dens
+def _max_abs(num: np.ndarray) -> int:
+    """The largest absolute value in an integer array, 0 if it is empty."""
+    return max(int(num.max()), -int(num.min())) if num.size else 0
 
 
-def _max_abs(rows: list[list[int]]) -> int:
-    return max((abs(x) for row in rows for x in row), default=0)
+def _widen(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as Python ints when `bound` does not fit int64."""
+    return num.astype(object) if bound >= _INT64 and num.dtype != object else num
+
+
+def _cleared(data: np.ndarray) -> tuple[np.ndarray, int]:
+    """The numerators and the common denominator of an array of integers and
+    `Fraction`s; any other entry is refused."""
+    entries = data.ravel().tolist()
+    if not all(isinstance(x, (int, np.integer, Fraction)) for x in entries):
+        raise ValueError("matrix entries over Q must be integers or fractions")
+    den = math.lcm(*[x.denominator for x in entries])
+    nums = [int(x.numerator) * (den // x.denominator) for x in entries]
+    return np.array(nums, dtype=object).reshape(data.shape), den
 
 
 class Matrix:
-    """Dense matrix over an exact field.  Treat instances as immutable."""
+    """Dense matrix over an exact field, with entries num / den (see the
+    module docstring).  Instances are immutable: their arrays are read-only."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "num", "den")
 
-    def __init__(self, field: Field, data: np.ndarray):
-        if data.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got {data.ndim}")
-        if data.dtype.kind in "fc":
-            if data.size:
-                # a cast would truncate 0.5 to 0 without a word
-                raise ValueError(
-                    f"matrix data must be integers or field elements, got {data.dtype}"
-                )
-            data = np.zeros(data.shape, dtype=np.int64)
-        self.field = field
+    def __init__(self, field: Field, data: np.ndarray, den: int | None = None):
+        """The matrix of `data`, an array of integers, or over Q also of
+        `Fraction`s; floats are refused, since a cast would truncate 0.5 to 0.
+        With `den` (> 0), `data` is an integer array that the matrix takes
+        over, and the matrix is data / den."""
+        if den is None:
+            if data.ndim != 2:
+                raise ValueError(f"matrix data must be 2-dimensional, got {data.ndim}")
+            if data.dtype.kind in "fc":
+                if data.size:
+                    raise ValueError(
+                        f"matrix data must be integers or field elements, got {data.dtype}"
+                    )
+                data = np.zeros(data.shape, dtype=np.int64)
+            den = 1
+            if field.characteristic:
+                data = np.asarray(data, dtype=np.int64)
+            elif data.dtype.kind in "ib" and _max_abs(data) < _INT64:
+                data = np.array(data, dtype=np.int64)
+            else:
+                data, den = _cleared(data)
+        if field.characteristic:
+            data = data % field.characteristic
+        elif den != 1 and (g := math.gcd(int(np.gcd.reduce(data, axis=None)), den)) != 1:
+            data, den = _widen(data, g) // g, den // g
+        if data.dtype == object and _max_abs(data) < _INT64:
+            data = data.astype(np.int64)
+        data.flags.writeable = False
+        self.field, self.num, self.den = field, data, den
         self.rows, self.cols = data.shape
-        if field.is_rational:
-            if data.dtype != object:
-                a = np.empty(data.shape, dtype=object)
-                for i in range(data.shape[0]):
-                    for j in range(data.shape[1]):
-                        a[i, j] = Fraction(int(data[i, j]))
-                data = a
-        else:
-            data = np.asarray(data, dtype=np.int64) % field.characteristic
-        self.data = data
 
     # -- constructors ------------------------------------------------------
 
@@ -181,23 +186,17 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("rows have varying lengths")
-        out = _zeros(field, nrows, ncols)
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                out[i, j] = field.coerce(x)
+        out = np.empty((nrows, ncols), dtype=object)
+        out[...] = [[field.coerce(x) for x in r] for r in rows]
         return Matrix(field, out)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, _zeros(field, rows, cols))
+        return Matrix(field, np.zeros((rows, cols), dtype=np.int64), 1)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        out = _zeros(field, n, n)
-        one = field.coerce(1)
-        for i in range(n):
-            out[i, i] = one
-        return Matrix(field, out)
+        return Matrix(field, np.eye(n, dtype=np.int64), 1)
 
     # -- basics ------------------------------------------------------------
 
@@ -205,10 +204,18 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def data(self) -> np.ndarray:
+        """The entries as a read-only array: the stored residues over F_p,
+        and fresh `Fraction`s over Q (for documents and tests)."""
+        if self.field.characteristic:
+            return self.num
+        out = np.frompyfunc(lambda x: Fraction(int(x), self.den), 1, 1)(self.num)
+        out.flags.writeable = False
+        return out
+
     def is_zero(self) -> bool:
-        if self.field.is_rational:
-            return all(x == 0 for x in self.data.flat)
-        return not self.data.any()
+        return not self.num.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -216,7 +223,8 @@ class Matrix:
         return (
             self.field == other.field
             and self.shape == other.shape
-            and (self.data == other.data).all()
+            and self.den == other.den
+            and bool((self.num == other.num).all())
         )
 
     def __hash__(self):
@@ -226,12 +234,15 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
     def tolist(self) -> list:
-        return [[self.data[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        return self.data.tolist()
 
-    def reduce(self, a: np.ndarray) -> np.ndarray:
-        if self.field.is_rational:
-            return a
-        return a % self.field.characteristic
+    def __getitem__(self, key) -> "Matrix":
+        """The submatrix m[rows, cols]; both indices must keep their axis."""
+        return Matrix(self.field, self.num[key], self.den)
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries, read and written in row-major order."""
+        return Matrix(self.field, self.num.reshape(rows, cols), self.den)
 
     def _check_field(self, other: "Matrix", op: str):
         if self.field != other.field:
@@ -244,18 +255,23 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "+")
-        return Matrix(self.field, self.reduce(self.data + other.data))
+        (a, b), den = _common(self.field, [self, other])
+        return Matrix(self.field, a + b, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "-")
-        return Matrix(self.field, self.reduce(self.data - other.data))
+        (a, b), den = _common(self.field, [self, other])
+        return Matrix(self.field, a - b, den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.reduce(-self.data))
+        return Matrix(self.field, -self.num, self.den)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        return Matrix(self.field, self.reduce(self.data * c))
+        c = Fraction(self.field.coerce(c))
+        bound = max(_max_abs(self.num), 1) * abs(c.numerator)
+        return Matrix(
+            self.field, _widen(self.num, bound) * c.numerator, self.den * c.denominator
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other, "@")
@@ -268,50 +284,41 @@ class Matrix:
             # delayed reduction: a dot product is at most (p - 1)^2 * cols
             # before the final mod
             bound = (p - 1) * (p - 1) * self.cols
-            return Matrix(self.field, _int_product(self.data, other.data, bound) % p)
-        # entry (i, j) is (row i of a * d_i) . (column j of b * e_j) / (d_i e_j)
-        a, d = _cleared_rows(self.data.tolist())
-        bt, e = _cleared_rows(other.data.T.tolist())
-        # a zero factor must not send the other's entries through float64
-        bound = max(_max_abs(a), 1) * max(_max_abs(bt), 1) * self.cols
-        prod = _int_product(a, np.array(bt, dtype=object).T, bound).tolist()
-        out = _zeros(self.field, self.rows, other.cols)
-        for i, (row, di) in enumerate(zip(prod, d)):
-            out[i] = [Fraction(x, di * ej) for x, ej in zip(row, e)]
-        return Matrix(self.field, out)
+        else:
+            # a zero factor must not send the other's entries through float64
+            bound = max(_max_abs(self.num), 1) * max(_max_abs(other.num), 1) * self.cols
+        prod = _int_product(self.num, other.num, bound)
+        return Matrix(self.field, prod, self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T.copy())
+        return Matrix(self.field, self.num.T.copy(), self.den)
 
     @staticmethod
     def hstack(field: Field, blocks: list["Matrix"]) -> "Matrix":
-        if not blocks:
-            return Matrix.zeros(field, 0, 0)
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise ValueError("hstack blocks have different row counts")
-        return Matrix(field, np.hstack([b.data for b in blocks]))
+        return _stack(field, blocks, 1)
 
     @staticmethod
     def vstack(field: Field, blocks: list["Matrix"]) -> "Matrix":
-        if not blocks:
-            return Matrix.zeros(field, 0, 0)
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise ValueError("vstack blocks have different column counts")
-        return Matrix(field, np.vstack([b.data for b in blocks]))
+        return _stack(field, blocks, 0)
+
+    @staticmethod
+    def assemble(field: Field, rows: int, cols: int, blocks: list) -> "Matrix":
+        """The rows x cols matrix that is the sum of the given blocks, each
+        (i, j, block) placed with its top left entry at (i, j)."""
+        nums, den = _common(field, [b for _, _, b in blocks])
+        out = np.zeros((rows, cols), dtype=nums[0].dtype if nums else np.int64)
+        for (i, j, b), num in zip(blocks, nums):
+            out[i : i + b.rows, j : j + b.cols] += num
+        return Matrix(field, out, den)
 
     @staticmethod
     def block_diag(field: Field, blocks: list["Matrix"]) -> "Matrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = _zeros(field, rows, cols)
-        i = j = 0
+        placed, i, j = [], 0, 0
         for b in blocks:
-            out[i : i + b.rows, j : j + b.cols] = b.data
+            placed.append((i, j, b))
             i += b.rows
             j += b.cols
-        return Matrix(field, out)
+        return Matrix.assemble(field, i, j, placed)
 
     # -- elimination -------------------------------------------------------
 
@@ -319,7 +326,7 @@ class Matrix:
         """Reduced row echelon form and the list of pivot columns."""
         if self.field.is_rational:
             return self._rref_rational()
-        a = self.data.copy()
+        a = self.num.copy()
         p = self.field.characteristic
         nrows, ncols = a.shape
         pivots: list[int] = []
@@ -337,7 +344,7 @@ class Matrix:
                 continue
             if piv != r:
                 a[[r, piv]] = a[[piv, r]]
-            inv = self.field.inv(a[r, c])
+            inv = pow(int(a[r, c]), -1, p)
             a[r] = (a[r] * inv) % p
             col = a[:, c].copy()
             col[r] = 0
@@ -346,23 +353,23 @@ class Matrix:
                 a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
             pivots.append(c)
             r += 1
-        return Matrix(self.field, a), pivots
+        return Matrix(self.field, a, 1), pivots
 
     def _rref_rational(self) -> tuple["Matrix", list[int]]:
         """`rref` over Q by fraction-free Gauss-Jordan elimination (Bareiss,
-        Math. Comp. 22, 1968) on the rows cleared of denominators.
+        Math. Comp. 22, 1968) on the numerators.
 
         Pivot row r with pivot pv eliminates column c from every other row i
         as a[i] <- (pv a[i] - a[i, c] a[r]) / prev, prev the previous pivot
-        (1 at first).  Every entry is then a minor of the cleared matrix, so
-        the division is exact.  Rows with a zero in column c are rescaled by
-        pv / prev too; that is skipped only where it is the identity, pv ==
-        prev.  Pivots are chosen as in the F_p branch, and each pivot row is
-        divided by its pivot at the end; the reduced row echelon form is
-        unique, so the result is the one elimination over Q gives.
+        (1 at first).  Every entry is then a minor of the numerators, so the
+        division is exact; a step whose products could leave int64 runs on
+        Python ints.  Each step scales the earlier pivot entries by pv / prev,
+        so at the end every pivot entry is the last pivot, the denominator of
+        the result.  Pivots are chosen as in the F_p branch; the reduced row
+        echelon form is unique, so this is the one elimination over Q gives.
         """
-        nrows, ncols = self.shape
-        a, _ = _cleared_rows(self.data.tolist())
+        a = self.num.copy()
+        nrows, ncols = a.shape
         pivots: list[int] = []
         prev = 1
         r = 0
@@ -370,25 +377,25 @@ class Matrix:
             if r == nrows:
                 break
             # choose the first nonzero entry in this column at or below r
-            piv = next((i for i in range(r, nrows) if a[i][c]), None)
-            if piv is None:
+            below = a[r:, c].nonzero()[0]
+            if not below.size:
                 continue
-            a[r], a[piv] = a[piv], a[r]
+            if below[0]:
+                a[[r, r + below[0]]] = a[[r + below[0], r]]
+            pv = int(a[r, c])
+            # |pv a[i] - a[i, c] a[r]| <= 2 max|a|^2
+            if a.dtype != object and 2 * _max_abs(a) ** 2 >= _INT64:
+                a = a.astype(object)
             top = a[r]
-            pv = top[c]
-            for i in range(nrows):
-                f = a[i][c]
-                if i == r or (f == 0 and pv == prev):
-                    continue
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+            a = (pv * a - a[:, c, None] * top) // prev
+            a[r] = top
             prev = pv
             pivots.append(c)
             r += 1
-        out = _zeros(self.field, nrows, ncols)
-        for i, c in enumerate(pivots):
-            pv = a[i][c]
-            out[i] = [Fraction(x, pv) for x in a[i]]
-        return Matrix(self.field, out), pivots
+        # rows below the pivots are zero
+        if prev < 0:
+            a, prev = -a, -prev
+        return Matrix(self.field, a, prev), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -406,10 +413,9 @@ class Matrix:
         n = self.cols
         if any(c >= n for c in pivots):
             return None
-        x = _zeros(self.field, n, rhs.cols)
-        for i, c in enumerate(pivots):
-            x[c, :] = red.data[i, n:]
-        return Matrix(self.field, x)
+        x = np.zeros((n, rhs.cols), dtype=red.num.dtype)
+        x[pivots] = red.num[: len(pivots), n:]
+        return Matrix(self.field, x, red.den)
 
     def kernel(self) -> "Matrix":
         """Matrix whose columns form a basis of the null space: the transpose
@@ -425,12 +431,33 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, left factor index major."""
         self._check_field(other, "(x)")
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        if rows == 0 or cols == 0:
-            return Matrix.zeros(self.field, rows, cols)
-        out = np.kron(self.data, other.data)
-        return Matrix(self.field, self.reduce(out))
+        bound = 0 if self.field.characteristic else _max_abs(self.num) * _max_abs(other.num)
+        a, b = _widen(self.num, bound), _widen(other.num, bound)
+        out = a[:, None, :, None] * b[None, :, None, :]
+        out = out.reshape(self.rows * other.rows, self.cols * other.cols)
+        return Matrix(self.field, out, self.den * other.den)
+
+
+def _stack(field: Field, blocks: list[Matrix], axis: int) -> Matrix:
+    """The blocks side by side (axis 1) or on top of each other (axis 0)."""
+    if not blocks:
+        return Matrix.zeros(field, 0, 0)
+    if len({b.shape[1 - axis] for b in blocks}) > 1:
+        what = ("vstack blocks have different column", "hstack blocks have different row")
+        raise ValueError(f"{what[axis]} counts")
+    nums, den = _common(field, blocks)
+    return Matrix(field, np.concatenate(nums, axis=axis), den)
+
+
+def _common(field: Field, blocks: list[Matrix]) -> tuple[list[np.ndarray], int]:
+    """The blocks' numerators over one common denominator, in a dtype that
+    also holds their sum."""
+    if field.characteristic:
+        return [b.num for b in blocks], 1
+    den = math.lcm(*[b.den for b in blocks])
+    scales = [den // b.den for b in blocks]
+    bound = sum(max(_max_abs(b.num), 1) * k for b, k in zip(blocks, scales))
+    return [_widen(b.num, bound) * k for b, k in zip(blocks, scales)], den
 
 
 def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]:
@@ -461,7 +488,7 @@ def _section(red: Matrix, pivots: list[int]) -> tuple[list[int], Matrix]:
     field, dim = red.field, red.cols
     pivot_set = set(pivots)
     free = [c for c in range(dim) if c not in pivot_set]
-    proj = _zeros(field, len(free), dim)
-    proj[np.arange(len(free)), free] = field.coerce(1)
-    proj[:, pivots] = -red.data[: len(pivots)][:, free].T
-    return free, Matrix(field, proj)
+    proj = np.zeros((len(free), dim), dtype=red.num.dtype)
+    proj[np.arange(len(free)), free] = red.den
+    proj[:, pivots] = -red.num[: len(pivots)][:, free].T
+    return free, Matrix(field, proj, red.den)

@@ -88,7 +88,7 @@ def random_complex(
             # rows x cols unknowns M with M @ upper = 0
             sys = upper.transpose().kron(Matrix.identity(field, rows))
             vec = _random_kernel_element(rng, sys)
-            m = Matrix(field, vec.data.reshape(cols, rows).T.copy())
+            m = vec.reshape(cols, rows).transpose()
         if not m.is_zero():
             diff[n] = m
     return ChainComplex(field, dims, diff)
@@ -336,9 +336,9 @@ def random_diagram_morphism(rng: Random, f, g):
         blocks[m - 1] = blocks[m - 1] - homs[m - 1].compose(into, post=g.structure_map(v))
         rows.append(Matrix.hstack(field, blocks))
     ker = Matrix.vstack(field, rows).kernel()
-    coeffs = (ker @ random_matrix(rng, field, ker.cols, 1)).data[:, 0]
+    coeffs = ker @ random_matrix(rng, field, ker.cols, 1)
     comps, off = {}, 0
     for n, h in zip(levels, homs):
-        comps[n] = h.unvec(coeffs[off : off + h.size])
+        comps[n] = h.unvec(coeffs[off : off + h.size, :])
         off += h.size
     return DiagramMorphism(f, g, comps)

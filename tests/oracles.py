@@ -83,6 +83,13 @@ def oracle_q_matmul(a, b, ncols):
     ]
 
 
+def oracle_q_kron(a, b):
+    """Kronecker product of list-of-lists matrices over Q, left factor index
+    major: entry a[i][j] b[r][s] at row (i, r) and column (j, s), one
+    `Fraction` product per entry."""
+    return [[Fraction(x) * Fraction(y) for x in ra for y in rb] for ra in a for rb in b]
+
+
 def oracle_q_rref(rows, ncols, p=0):
     """Reduced row echelon form over Q (over F_p when p is given) and its
     pivot columns, by plain Gauss-Jordan elimination on `Fraction`s (on

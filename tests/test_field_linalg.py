@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosegal.field_linalg import GF2, GF3, GF5, QQ, Field, Matrix, quotient
 from cosegal.sampling import random_matrix
 
-from oracles import gauss_rank
+from oracles import gauss_rank, oracle_q_kron, oracle_q_matmul, oracle_q_rref
 
 FIELDS = [GF2, GF3, GF5, QQ]
 
@@ -227,3 +229,100 @@ def test_shape_mismatch_is_a_value_error():
     for op in (lambda: a + b, lambda: a - b, lambda: a @ b):
         with pytest.raises(ValueError, match="shape mismatch"):
             op()
+
+
+# ---------------------------------------------------------------------------
+# Q numerators beyond int64
+# ---------------------------------------------------------------------------
+
+# over one common denominator 3^25 2^e the numerators have 41 to 45 bits, so
+# products, Kronecker products and elimination need more than 63 bits
+wide = st.builds(
+    lambda k, e, negative: Fraction(-(2**40 + k) if negative else 2**40 + k, 3**25 * 2**e),
+    st.integers(0, 2**20),
+    st.integers(0, 4),
+    st.booleans(),
+)
+q_entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), wide, wide)
+
+
+@st.composite
+def wide_operands(draw):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return [[draw(q_entries) for _ in range(cols)] for _ in range(rows)]
+
+    return matrix(m, k), matrix(k, n), matrix(m, k), n
+
+
+def _entrywise(op, a, b):
+    return [[op(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def _oracle_solve(a, b, ncols, r):
+    red, pivots = oracle_q_rref([ra + rb for ra, rb in zip(a, b)], ncols + r)
+    if any(c >= ncols for c in pivots):
+        return None
+    x = [[Fraction(0)] * r for _ in range(ncols)]
+    for i, c in enumerate(pivots):
+        x[c] = red[i][ncols:]
+    return x
+
+
+def _check_against_oracles(a, b, c, n):
+    """@, kron, +, -, rref, solve and == on list matrices a (m x k), b
+    (k x n) and c (m x k) against the `Fraction` oracles."""
+    ma, mb, mc = (Matrix.from_rows(QQ, x) for x in (a, b, c))
+    k = len(a[0])
+    assert (ma @ mb).tolist() == oracle_q_matmul(a, b, n)
+    assert ma.kron(mb).tolist() == oracle_q_kron(a, b)
+    assert (ma + mc).tolist() == _entrywise(lambda x, y: x + y, a, c)
+    assert (ma - mc).tolist() == _entrywise(lambda x, y: x - y, a, c)
+    red, pivots = ma.rref()
+    assert (red.tolist(), pivots) == oracle_q_rref(a, k)
+    for rhs in (c, oracle_q_matmul(a, b, n)):
+        got = ma.solve(Matrix.from_rows(QQ, rhs))
+        want = _oracle_solve(a, rhs, k, len(rhs[0]))
+        assert got is None if want is None else got.tolist() == want
+    assert ma == Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in a])
+    assert (ma == mc) == (a == c)
+    assert ((ma - mc).is_zero()) == (a == c)
+
+
+@given(wide_operands())
+@settings(max_examples=60, deadline=None)
+def test_q_arithmetic_beyond_int64_matches_oracles(data):
+    _check_against_oracles(*data)
+
+
+@pytest.mark.parametrize("side", ["int64", "object"])
+def test_q_arithmetic_on_each_side_of_the_int64_switch(side):
+    # every operation bounds its integers first and computes in int64 only
+    # below 2^63; here each bound is exactly 2^63 - 1 on the int64 side and
+    # 2^63 on the other, and so is each result's largest numerator, which
+    # is stored as int64 exactly when it fits
+    top = 2**63 - 1 if side == "int64" else 2**63
+    f = 1 if side == "int64" else 2
+    x = top // f
+    cases = {
+        "+": Matrix.from_rows(QQ, [[2**62]]) + Matrix.from_rows(QQ, [[top - 2**62]]),
+        "-": Matrix.from_rows(QQ, [[2**62]]) - Matrix.from_rows(QQ, [[2**62 - top]]),
+        "@": Matrix.from_rows(QQ, [[x]]) @ Matrix.from_rows(QQ, [[f]]),
+        "kron": Matrix.from_rows(QQ, [[x, 0]]).kron(Matrix.from_rows(QQ, [[f]])),
+        "scale": Matrix.from_rows(QQ, [[x, 1]]).scale(f),
+    }
+    for op, got in cases.items():
+        assert got.num.dtype == (np.int64 if side == "int64" else object), op
+        assert got.tolist()[0][0] == top and got.den == 1, op
+    # an elimination step is bounded by 2 max|a|^2: numerators (over the
+    # common denominator 3) and their 2 x 2 minors below 2^31 keep it in
+    # int64 throughout, and numerators above 2^31 leave it at once
+    m = 2**13 if side == "int64" else 2**31
+    a = [[m + 1, 1, Fraction(m, 3)], [1, m - 1, 0]]
+    b = [[Fraction(top, 7), 1], [0, Fraction(-1, top)], [2, m]]
+    c = [[x, 0, 1], [Fraction(1, 2), -m, top]]
+    _check_against_oracles(a, b, c, 2)
+    big = Matrix.from_rows(QQ, [[top, 1], [0, 1]])
+    assert big == Matrix.from_rows(QQ, [[top, 1], [0, 1]])
+    assert big != Matrix.from_rows(QQ, [[top - 1, 1], [0, 1]])

@@ -237,6 +237,26 @@ def test_tensor_memo_recycled_id_is_not_a_stale_hit():
             assert case.share(*ops) == case.share(*map(case.copy, ops))
 
 
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_shared_matrices_refuse_in_place_writes(field):
+    # a tensor product is shared through the memo and a colimit leg is a
+    # slice of the colimit's projection, so a write into either would
+    # change every holder without a word
+    c = ChainComplex(field, {0: 1, 1: 2}, {1: Matrix.from_rows(field, [[1, 1]])})
+    p = tensor(c, c)
+    d1 = p.d(1)
+    before = d1.tolist()
+    leg = chain.colimit([c, c], [(0, 1, ChainMap.identity(c))]).legs[0].component(1)
+    for m in (d1, leg):
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            m.num[0, 0] = 0
+        copy = m.data.copy()
+        copy[0, 0] = 0  # a copy is the caller's own
+    assert tensor(c, c) is p and p.d(1).tolist() == before
+
+
 # ---------------------------------------------------------------------------
 # cached enumerations
 # ---------------------------------------------------------------------------

@@ -260,3 +260,29 @@ def test_matrix_refuses_float_and_complex_data(field):
     for dtype in (np.float64, np.complex128, np.int64, object):
         assert Matrix(field, np.zeros((0, 3), dtype=dtype)) == Matrix.zeros(field, 0, 3)
         assert Matrix(field, np.zeros((2, 0), dtype=dtype)) == Matrix.zeros(field, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "entry", [0.5, 2.0, 1 + 0j, "1/2", None, np.float64(0.5)], ids=repr
+)
+def test_q_matrix_refuses_non_exact_entries(entry):
+    # an object array is read entry by entry: only integers and fractions
+    # are exact, and anything else used to surface later as an AttributeError
+    data = np.array([[Fraction(1, 3), 0], [0, 0]], dtype=object)
+    data[1, 1] = entry
+    with pytest.raises(ValueError, match="integers or fractions"):
+        Matrix(QQ, data)
+
+
+def test_q_matrix_takes_exact_entries_of_every_integer_type():
+    data = np.array(
+        [[Fraction(1, 3), np.int64(2), True], [np.uint64(2**64 - 1), -(2**70), 0]],
+        dtype=object,
+    )
+    m = Matrix(QQ, data)
+    assert m.tolist() == [[Fraction(1, 3), 2, 1], [2**64 - 1, -(2**70), 0]]
+    _assert_lowest_terms(m)
+    big = np.array([[2**64 - 1]], dtype=np.uint64)
+    assert Matrix(QQ, big).tolist() == [[2**64 - 1]]
+    low = np.array([[-(2**63)]], dtype=np.int64)
+    assert (-Matrix(QQ, low)).tolist() == [[2**63]]
