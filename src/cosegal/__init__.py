@@ -27,7 +27,6 @@ from .chain import (
     Colimit,
     colimit,
     pushout,
-    pushout_universal,
     wide_pushout,
 )
 from .phi_epi import (

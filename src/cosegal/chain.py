@@ -16,6 +16,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "Colimit",
     "colimit",
     "pushout",
-    "pushout_universal",
     "wide_pushout",
     "induced_matrix",
 ]
@@ -60,7 +60,8 @@ class ChainComplex:
 
     dims maps degree -> dimension (nonzero entries only); diff maps degree n
     to the matrix of d_n : C_n -> C_{n-1}.  Zero differentials are dropped,
-    so equality of complexes is equality of the stored data.
+    so equality of complexes is equality of the stored data.  Both mappings
+    are read-only, since results such as `tensor(c, d)` are shared.
     """
 
     field: Field
@@ -84,8 +85,8 @@ class ChainComplex:
             if n - 1 in diff:
                 if not (diff[n - 1] @ m).is_zero():
                     raise ValueError(f"d.d != 0 at degree {n}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "diff", diff)
+        object.__setattr__(self, "dims", MappingProxyType(dims))
+        object.__setattr__(self, "diff", MappingProxyType(diff))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -114,7 +115,7 @@ class ChainComplex:
         return not self.dims
 
     def __repr__(self):
-        return f"ChainComplex({self.field}, dims={self.dims})"
+        return f"ChainComplex({self.field}, dims={dict(self.dims)})"
 
 
 def single_complex(field: Field, degree: int, dim: int = 1) -> ChainComplex:
@@ -133,7 +134,7 @@ def zero_complex(field: Field) -> ChainComplex:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """A degreewise linear map commuting with the differentials."""
+    """A degreewise linear map commuting with the differentials (read-only components)."""
 
     source: ChainComplex
     target: ChainComplex
@@ -149,7 +150,7 @@ class ChainMap:
                 raise ValueError(f"component at degree {n} has wrong shape")
             if not m.is_zero():
                 comps[n] = m
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", MappingProxyType(comps))
         # d.f = f.d in every degree.  Zero blocks are stored as absent, so a
         # product with an absent factor is zero and is never formed.
         d_src, d_tgt = self.source.diff, self.target.diff
@@ -215,7 +216,7 @@ class ChainMap:
         return ChainMap(self.source, self.target, comps)
 
     def __repr__(self):
-        return f"ChainMap({self.source.dims} -> {self.target.dims})"
+        return f"ChainMap({dict(self.source.dims)} -> {dict(self.target.dims)})"
 
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":
@@ -723,16 +724,18 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
     totals = {n: offs.pop() for n, offs in offsets.items()}
     projs, frees = {}, {}
     for n in degs:
-        # one row block per arrow: x in node s equals f(x) in node t
-        blocks, row = [], 0
+        # one sparse row per arrow and source coordinate x: x in node s equals
+        # f(x) in node t, times f's denominator
+        rows = []
         for s, t, f in arrows:
             ds = nodes[s].dim(n)
             if ds:
-                blocks.append((row, offsets[n][s], Matrix.identity(fld, ds)))
-                blocks.append((row, offsets[n][t], -f.component(n).transpose()))
-                row += ds
-        relrows = Matrix.assemble(fld, row, totals[n], blocks)
-        _, projs[n], frees[n] = quotient(fld, totals[n], relrows)
+                m, src, tgt = f.component(n), offsets[n][s], offsets[n][t]
+                for x, col in enumerate(m.transpose().sparse_rows()):
+                    row = {tgt + y: -v for y, v in col.items()}
+                    row[src + x] = row.get(src + x, 0) + m.den
+                    rows.append(row)
+        _, projs[n], frees[n] = quotient(fld, totals[n], rows)
 
     diff = {}
     for n in degs:
@@ -762,18 +765,6 @@ def pushout(f: ChainMap, g: ChainMap):
         raise ValueError("pushout maps must share their source")
     c = colimit([f.source, f.target, g.target], [(0, 1, f), (0, 2, g)])
     return c.obj, c.legs[1], c.legs[2]
-
-
-def pushout_universal(leg_b: ChainMap, leg_c: ChainMap, u: ChainMap, v: ChainMap) -> ChainMap:
-    """Universal map out of a pushout: the unique w with w.leg_b = u, w.leg_c = v."""
-    p = leg_b.target
-    fld = p.field
-    comps = {}
-    for n in p.dims:
-        stacked = Matrix.hstack(fld, [leg_b.component(n), leg_c.component(n)])
-        rhs = Matrix.hstack(fld, [u.component(n), v.component(n)])
-        comps[n] = induced_matrix(stacked, rhs)
-    return ChainMap(p, u.target, comps)
 
 
 def wide_pushout(maps: list[ChainMap]):

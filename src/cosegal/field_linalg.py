@@ -13,11 +13,16 @@ Both fields multiply on integers: an F_p product is an integer product
 reduced mod p, and a Q product is the product of the numerators over the
 product of the denominators.  The integer product runs in float64 while
 its dot products are exact there, in int64 while they fit, and over Python
-integers beyond.  Elimination over Q is fraction-free (Bareiss's
-exact-division Gauss-Jordan steps on the numerators), and every pivot row
-ends with the same pivot, which becomes the result's denominator.  The
-reduced row echelon form is unique, so this gives the same matrices as
-elimination over `Fraction`s, which appear only in the `data` accessor.
+integers beyond.
+
+One sparse Gauss-Jordan elimination (`_eliminate`) serves both fields, on
+rows held as {column: integer} dicts (structured Gaussian elimination,
+LaMacchia and Odlyzko, CRYPTO '90); over Q its steps are fraction-free and
+keep each row primitive, so entries divide the minors Bareiss's elimination
+would hold.  The reduced row echelon form is unique, so the results agree
+with elimination over `Fraction`s, which appear only in the `data`
+accessor.  Colimits pass `quotient` sparse relation rows: no dense relation
+matrix is built.
 
 Everything downstream (homology, lifting problems, colimits) reduces to the
 four primitives here: rank, solve, kron, quotient.  All algorithms are
@@ -27,25 +32,18 @@ deterministic, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "Field",
-    "Matrix",
-    "GF2",
-    "GF3",
-    "GF5",
-    "QQ",
-    "MAX_PRIME",
-    "InvariantError",
-    "quotient",
-]
+__all__ = ["Field", "Matrix", "GF2", "GF3", "GF5", "QQ", "MAX_PRIME", "InvariantError",
+           "quotient"]
 
-# exclusive bound on p: (p - 1)^2 < 2^62, so entrywise products, the row
-# updates of rref and kron stay inside int64
+# exclusive bound on p: (p - 1)^2 < 2^62, so entrywise products and kron
+# stay inside int64
 MAX_PRIME = 2**31
 
 
@@ -55,14 +53,7 @@ class InvariantError(AssertionError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -83,15 +74,20 @@ class Field:
         return self.characteristic == 0
 
     def coerce(self, x):
-        """Reduce a Python number to a canonical field element."""
-        if self.is_rational:
-            return x if isinstance(x, Fraction) else Fraction(x)
-        return int(x) % self.characteristic
+        """The canonical field element of an exact number: an integer, or over
+        Q also a `Fraction`.  Anything else is refused, since a float would
+        be truncated or read as its binary fraction."""
+        if isinstance(x, (int, np.integer)):
+            return Fraction(int(x)) if self.is_rational else int(x) % self.characteristic
+        if self.is_rational and isinstance(x, Fraction):
+            return x
+        raise ValueError(f"entries over {self} must be {_EXACT[self.is_rational]}, got {x!r}")
 
     def __str__(self):
         return "Q" if self.is_rational else f"F_{self.characteristic}"
 
 
+_EXACT = ("integers", "integers or fractions")  # by Field.is_rational
 GF2 = Field(2)
 GF3 = Field(3)
 GF5 = Field(5)
@@ -127,12 +123,15 @@ def _widen(num: np.ndarray, bound: int) -> np.ndarray:
     return num.astype(object) if bound >= _INT64 and num.dtype != object else num
 
 
-def _cleared(data: np.ndarray) -> tuple[np.ndarray, int]:
-    """The numerators and the common denominator of an array of integers and
-    `Fraction`s; any other entry is refused."""
-    entries = data.ravel().tolist()
-    if not all(isinstance(x, (int, np.integer, Fraction)) for x in entries):
-        raise ValueError("matrix entries over Q must be integers or fractions")
+def _cleared(field: Field, data: np.ndarray) -> tuple[np.ndarray, int]:
+    """The numerators (mod p over F_p) and the common denominator of an array
+    of integers, and over Q also `Fraction`s; any other entry is refused."""
+    entries, p = data.ravel().tolist(), field.characteristic
+    exact = (int, np.integer) if p else (int, np.integer, Fraction)
+    if not all(isinstance(x, exact) for x in entries):
+        raise ValueError(f"matrix entries over {field} must be {_EXACT[field.is_rational]}")
+    if p:
+        return np.array([int(x) % p for x in entries], dtype=np.int64).reshape(data.shape), 1
     den = math.lcm(*[x.denominator for x in entries])
     nums = [int(x.numerator) * (den // x.denominator) for x in entries]
     return np.array(nums, dtype=object).reshape(data.shape), den
@@ -146,7 +145,8 @@ class Matrix:
 
     def __init__(self, field: Field, data: np.ndarray, den: int | None = None):
         """The matrix of `data`, an array of integers, or over Q also of
-        `Fraction`s; floats are refused, since a cast would truncate 0.5 to 0.
+        `Fraction`s; floats are refused, entry by entry in an object array
+        too, since a cast would truncate 0.5 to 0.
         With `den` (> 0), `data` is an integer array that the matrix takes
         over, and the matrix is data / den."""
         if den is None:
@@ -159,12 +159,10 @@ class Matrix:
                     )
                 data = np.zeros(data.shape, dtype=np.int64)
             den = 1
-            if field.characteristic:
-                data = np.asarray(data, dtype=np.int64)
-            elif data.dtype.kind in "ib" and _max_abs(data) < _INT64:
+            if data.dtype.kind in "iub" and _max_abs(data) < _INT64:
                 data = np.array(data, dtype=np.int64)
             else:
-                data, den = _cleared(data)
+                data, den = _cleared(field, data)
         if field.characteristic:
             data = data % field.characteristic
         elif den != 1 and (g := math.gcd(int(np.gcd.reduce(data, axis=None)), den)) != 1:
@@ -187,7 +185,7 @@ class Matrix:
         if any(len(r) != ncols for r in rows):
             raise ValueError("rows have varying lengths")
         out = np.empty((nrows, ncols), dtype=object)
-        out[...] = [[field.coerce(x) for x in r] for r in rows]
+        out[...] = rows
         return Matrix(field, out)
 
     @staticmethod
@@ -322,83 +320,23 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
+    def sparse_rows(self) -> list[dict]:
+        """The rows of the numerators as {column: value} dicts of their nonzero
+        entries, one of the forms `quotient` takes."""
+        rows: list[dict] = [{} for _ in range(self.rows)]
+        ii, jj = self.num.nonzero()
+        for i, j, v in zip(ii.tolist(), jj.tolist(), self.num[ii, jj].tolist()):
+            rows[i][j] = v
+        return rows
+
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        if self.field.is_rational:
-            return self._rref_rational()
-        a = self.num.copy()
-        p = self.field.characteristic
-        nrows, ncols = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            # choose the first nonzero entry in this column at or below r
-            piv = None
-            for i in range(r, nrows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != r:
-                a[[r, piv]] = a[[piv, r]]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r] = (a[r] * inv) % p
-            col = a[:, c].copy()
-            col[r] = 0
-            mask = col != 0
-            if mask.any():
-                a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-            pivots.append(c)
-            r += 1
-        return Matrix(self.field, a, 1), pivots
-
-    def _rref_rational(self) -> tuple["Matrix", list[int]]:
-        """`rref` over Q by fraction-free Gauss-Jordan elimination (Bareiss,
-        Math. Comp. 22, 1968) on the numerators.
-
-        Pivot row r with pivot pv eliminates column c from every other row i
-        as a[i] <- (pv a[i] - a[i, c] a[r]) / prev, prev the previous pivot
-        (1 at first).  Every entry is then a minor of the numerators, so the
-        division is exact; a step whose products could leave int64 runs on
-        Python ints.  Each step scales the earlier pivot entries by pv / prev,
-        so at the end every pivot entry is the last pivot, the denominator of
-        the result.  Pivots are chosen as in the F_p branch; the reduced row
-        echelon form is unique, so this is the one elimination over Q gives.
-        """
-        a = self.num.copy()
-        nrows, ncols = a.shape
-        pivots: list[int] = []
-        prev = 1
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            # choose the first nonzero entry in this column at or below r
-            below = a[r:, c].nonzero()[0]
-            if not below.size:
-                continue
-            if below[0]:
-                a[[r, r + below[0]]] = a[[r + below[0], r]]
-            pv = int(a[r, c])
-            # |pv a[i] - a[i, c] a[r]| <= 2 max|a|^2
-            if a.dtype != object and 2 * _max_abs(a) ** 2 >= _INT64:
-                a = a.astype(object)
-            top = a[r]
-            a = (pv * a - a[:, c, None] * top) // prev
-            a[r] = top
-            prev = pv
-            pivots.append(c)
-            r += 1
-        # rows below the pivots are zero
-        if prev < 0:
-            a, prev = -a, -prev
-        return Matrix(self.field, a, prev), pivots
+        pivots, red, den = _eliminate(self.field.characteristic, self.sparse_rows())
+        entries = [(i, j, v) for i, row in enumerate(red) for j, v in row.items()]
+        return _from_entries(self.field, self.shape, entries, den), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate(self.field.characteristic, self.sparse_rows())[0])
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """Solve self @ x = rhs; None if inconsistent.
@@ -408,19 +346,18 @@ class Matrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs has wrong row count")
-        aug = Matrix.hstack(self.field, [self, rhs])
-        red, pivots = aug.rref()
         n = self.cols
-        if any(c >= n for c in pivots):
+        aug = Matrix.hstack(self.field, [self, rhs])
+        pivots, red, den = _eliminate(self.field.characteristic, aug.sparse_rows())
+        if pivots and pivots[-1] >= n:
             return None
-        x = np.zeros((n, rhs.cols), dtype=red.num.dtype)
-        x[pivots] = red.num[: len(pivots), n:]
-        return Matrix(self.field, x, red.den)
+        entries = [(c, j - n, v) for c, row in zip(pivots, red) for j, v in row.items() if j >= n]
+        return _from_entries(self.field, (n, rhs.cols), entries, den)
 
     def kernel(self) -> "Matrix":
         """Matrix whose columns form a basis of the null space: the transpose
         of the section, so column k sets the k-th free variable to 1."""
-        return _section(*self.rref())[1].transpose()
+        return _section(self.field, self.cols, self.sparse_rows())[1].transpose()
 
     def is_injective(self) -> bool:
         return self.rank() == self.cols
@@ -461,7 +398,9 @@ def _common(field: Field, blocks: list[Matrix]) -> tuple[list[np.ndarray], int]:
 
 
 def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]:
-    """Quotient of k^dim by the span of the given relation vectors (rows).
+    """Quotient of k^dim by the span of the given relation vectors: the rows
+    of a `Matrix` or of a list of lists, or sparse rows, a list of {column:
+    integer} dicts (over Q any integer multiples of the vectors).
 
     Returns (quotient dimension, projection matrix, free columns).  The
     projection is surjective with kernel exactly the span of the relations;
@@ -469,26 +408,97 @@ def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]
     the reduced relations, so the projection restricted to the free columns
     is the identity.
     """
-    if isinstance(relations, Matrix):
-        rel = relations
-    elif isinstance(relations, np.ndarray):
-        rel = Matrix(field, relations) if relations.size else Matrix.zeros(field, 0, dim)
-    else:
-        rel = Matrix.from_rows(field, [list(r) for r in relations], cols=dim)
-    if rel.cols != dim:
+    if not isinstance(relations, Matrix):
+        relations = list(relations)
+        if not all(isinstance(r, dict) for r in relations):
+            relations = Matrix.from_rows(field, [list(r) for r in relations], cols=dim)
+    if isinstance(relations, Matrix) and relations.cols != dim:
         raise ValueError("relation vectors have wrong length")
-    free, proj = _section(*rel.rref())
+    p, index = field.characteristic, operator.index
+    rows = [
+        {index(j): x for j, v in r.items() if (x := index(v) % p if p else index(v))}
+        for r in (relations.sparse_rows() if isinstance(relations, Matrix) else relations)
+    ]
+    if any(min(r) < 0 or max(r) >= dim for r in rows if r):
+        raise ValueError("relation vectors have wrong length")
+    free, proj = _section(field, dim, rows)
     return len(free), proj, free
 
 
-def _section(red: Matrix, pivots: list[int]) -> tuple[list[int], Matrix]:
-    """The free (non-pivot) columns of a reduced row echelon form and the
+def _section(field: Field, dim: int, rows: list[dict]) -> tuple[list[int], Matrix]:
+    """The free (non-pivot) columns of the row space of `rows` and the
     projection onto them whose kernel is the row space: the identity on the
-    free columns, and minus its row's free-coordinate tail on a pivot column."""
-    field, dim = red.field, red.cols
+    free columns, minus the reduced row's free tail on a pivot column."""
+    pivots, red, den = _eliminate(field.characteristic, rows)
     pivot_set = set(pivots)
     free = [c for c in range(dim) if c not in pivot_set]
-    proj = np.zeros((len(free), dim), dtype=red.num.dtype)
-    proj[np.arange(len(free)), free] = red.den
-    proj[:, pivots] = -red.num[: len(pivots)][:, free].T
-    return free, Matrix(field, proj, red.den)
+    at = {c: k for k, c in enumerate(free)}
+    entries = [(k, c, den) for k, c in enumerate(free)]
+    entries += [(at[j], c, -v) for c, row in zip(pivots, red) for j, v in row.items() if j != c]
+    return free, _from_entries(field, (len(free), dim), entries, den)
+
+
+def _from_entries(field: Field, shape: tuple[int, int], entries: list, den: int) -> Matrix:
+    """The matrix of (row, column, numerator) entries, zero elsewhere, over den."""
+    big = not field.characteristic and any(abs(v) >= _INT64 for _, _, v in entries)
+    num = np.zeros(shape, dtype=object if big else np.int64)
+    if entries:
+        ii, jj, vv = zip(*entries)
+        num[ii, jj] = vv
+    return Matrix(field, num, den)
+
+
+def _eliminate(p: int, rows: list[dict]) -> tuple[list[int], list[dict], int]:
+    """Sparse Gauss-Jordan elimination over F_p (over Q if p is 0), in place,
+    of `rows`, each {column: nonzero integer} (reduced mod p).  Columns are
+    taken in order; a column's pivot is the shortest row with an entry there
+    that is not a pivot row yet (then the lowest index), and the column is
+    cleared from every other row.  Over F_p the pivot row is scaled to pivot
+    1; over Q row_j becomes a row_j - b row_i, a/b the pivot over row_j's
+    entry in lowest terms, divided by its content.  Returns the pivot columns
+    and the reduced row echelon form's rows as {column: numerator} dicts over
+    one common denominator: 1 over F_p, the lcm of the pivots over Q."""
+    index = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            index[j].add(i)
+    pivots, red, done = [], [], set()
+    for c in sorted(index):
+        holders = index[c]
+        candidates = [(len(rows[i]), i) for i in holders if i not in done]
+        if not candidates:
+            continue
+        i = min(candidates)[1]
+        done.add(i)
+        top, pv = rows[i], rows[i][c]
+        if p and pv != 1:
+            inv = pow(pv, -1, p)
+            top.update({j: v * inv % p for j, v in top.items()})
+        for r in [r for r in holders if r != i]:
+            row, b = rows[r], rows[r][c]
+            if not p:
+                g = math.gcd(pv, b)
+                a, b = pv // g, b // g
+                row.update({j: v * a for j, v in row.items()})
+            for j, v in top.items():
+                x = row.get(j, 0) - b * v
+                if p:
+                    x %= p
+                if x:
+                    if j not in row:
+                        index[j].add(r)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    index[j].discard(r)
+            if not p and (g := math.gcd(*row.values())) > 1:
+                row.update({j: v // g for j, v in row.items()})
+        pivots.append(c)
+        red.append(top)
+    if p:
+        return pivots, red, 1
+    den = math.lcm(*[row[c] for c, row in zip(pivots, red)])
+    for c, row in zip(pivots, red):
+        k = den // row[c]
+        row.update({j: v * k for j, v in row.items()})
+    return pivots, red, den

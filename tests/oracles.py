@@ -1,10 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here is written from first principles on plain Python lists:
-its own Gaussian elimination, its own surjection enumeration, its own
-comma-category crawl, its own signed permutation action.  The point is to
-check the library against code that shares nothing with it beyond the
-definitions.
+Everything here is written from first principles, nearly all of it on plain
+Python lists: its own Gaussian elimination, its own surjection enumeration,
+its own comma-category crawl, its own signed permutation action.  The one
+numpy oracle is `oracle_fp_rref`, the dense elimination the library used to
+run.  The point is to check the library against code that shares nothing
+with it beyond the definitions.
 """
 
 from fractions import Fraction
@@ -117,6 +118,56 @@ def oracle_q_rref(rows, ncols, p=0):
         pivots.append(col)
         row += 1
     return m, pivots
+
+
+def oracle_fp_rref(rows, ncols, p):
+    """Reduced row echelon form over F_p and its pivot columns, as plain
+    lists, by the dense column loop the library ran before its elimination
+    became sparse: int64 rows in numpy, the first nonzero entry at or below
+    the current row as pivot, that row scaled by the inverse of its pivot,
+    and one vectorised update of every other row per pivot."""
+    import numpy as np
+
+    a = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64).reshape(len(rows), ncols)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            continue
+        piv = r + int(nonzero[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a.tolist(), pivots
+
+
+def pushout_universal(leg_b, leg_c, u, v):
+    """The universal map out of a pushout, solved for: the unique w with
+    w.leg_b = u and w.leg_c = v, one `induced_matrix` solve per degree.  It
+    uses the library's `solve`, and is the reference for `Colimit.induce`,
+    which reads the map off the colimit's section instead."""
+    from cosegal.chain import ChainMap, induced_matrix
+    from cosegal.field_linalg import Matrix
+
+    p = leg_b.target
+    fld = p.field
+    comps = {}
+    for n in p.dims:
+        stacked = Matrix.hstack(fld, [leg_b.component(n), leg_c.component(n)])
+        rhs = Matrix.hstack(fld, [u.component(n), v.component(n)])
+        comps[n] = induced_matrix(stacked, rhs)
+    return ChainMap(p, u.target, comps)
 
 
 # ---------------------------------------------------------------------------

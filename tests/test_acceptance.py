@@ -22,7 +22,6 @@ from cosegal.chain import (
     is_fibration,
     is_quasi_iso,
     is_trivial_fibration,
-    pushout_universal,
     rlp_window,
     single_complex,
     tensor,
@@ -63,7 +62,7 @@ from cosegal.two_constant import (
     wide_pushout_two_constant,
 )
 
-from oracles import colimit_dim, oracle_sym_power_dims
+from oracles import colimit_dim, oracle_sym_power_dims, pushout_universal
 
 FIELDS = (GF2, GF3, GF5, QQ)
 

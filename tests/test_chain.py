@@ -20,7 +20,6 @@ from cosegal.chain import (
     is_quasi_iso,
     is_trivial_fibration,
     pushout,
-    pushout_universal,
     rlp_window,
     single_complex,
     solve_lifting,
@@ -44,6 +43,7 @@ from oracles import (
     oracle_braiding,
     oracle_tensor_d,
     oracle_tensor_map,
+    pushout_universal,
     tensor_basis,
 )
 

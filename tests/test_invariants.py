@@ -257,6 +257,33 @@ def test_shared_matrices_refuse_in_place_writes(field):
     assert tensor(c, c) is p and p.d(1).tolist() == before
 
 
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_shared_complexes_and_maps_refuse_in_place_writes(field):
+    # the mappings inside a shared tensor product and a colimit leg are
+    # read-only too: a write used to change what the next tensor(c, c)
+    # returned, without running the d.d check again
+    c = ChainComplex(field, {0: 1, 1: 2}, {1: Matrix.from_rows(field, [[1, 1]])})
+    p = tensor(c, c)
+    dims, d1 = dict(p.dims), p.d(1)
+    leg = chain.colimit([c, c], [(0, 1, ChainMap.identity(c))]).legs[0]
+    component = leg.component(1)
+    for mapping, key, value in (
+        (p.dims, 0, 99), (p.diff, 1, d1), (leg.components, 1, component),
+        (leg.source.dims, 0, 99), (leg.target.diff, 1, leg.target.d(1)),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
+    again = tensor(c, c)
+    assert again is p and dict(again.dims) == dims and again.d(1) == d1
+    assert leg.component(1) == component
+    # equality and the printed form see the contents, as before
+    assert again == ChainComplex(field, dims, {1: d1, 2: p.d(2)})
+    assert repr(c) == f"ChainComplex({field}, dims={{0: 1, 1: 2}})"
+    assert repr(leg) == "ChainMap({0: 1, 1: 2} -> {0: 1, 1: 2})"
+
+
 # ---------------------------------------------------------------------------
 # cached enumerations
 # ---------------------------------------------------------------------------

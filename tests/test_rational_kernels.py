@@ -286,3 +286,29 @@ def test_q_matrix_takes_exact_entries_of_every_integer_type():
     assert Matrix(QQ, big).tolist() == [[2**64 - 1]]
     low = np.array([[-(2**63)]], dtype=np.int64)
     assert (-Matrix(QQ, low)).tolist() == [[2**63]]
+
+
+def test_float_entries_are_refused_over_every_field():
+    # each call used to give a wrong matrix without a word: F_p truncated
+    # 0.5 to 0 and 2.7 to 2, and Q read 0.1 as its binary fraction
+    # 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="integers"):
+        Matrix.from_rows(GF5, [[0.5, 2.7]])
+    with pytest.raises(ValueError, match="integers"):
+        Matrix(GF5, np.array([[0.5]], dtype=object))
+    with pytest.raises(ValueError, match="integers or fractions"):
+        Matrix.from_rows(QQ, [[0.1]])
+    for field in (GF2, GF5, QQ):
+        for x in (0.5, 2.0, np.float64(1.0), 1 + 0j, "1"):
+            with pytest.raises(ValueError):
+                field.coerce(x)
+    with pytest.raises(ValueError, match="integers"):
+        GF5.coerce(Fraction(1, 2))
+    with pytest.raises(ValueError, match="integers"):
+        Matrix(GF5, np.array([[Fraction(2, 1)]], dtype=object))
+    # exact entries of every integer type still work, reduced over F_p
+    assert Matrix.from_rows(GF5, [[np.int64(7), True, -1]]).tolist() == [[2, 1, 4]]
+    assert Matrix(GF5, np.array([[2**70, np.uint64(2**64 - 1)]], dtype=object)).tolist() == [
+        [2**70 % 5, (2**64 - 1) % 5]
+    ]
+    assert Matrix.from_rows(QQ, [[Fraction(1, 3), np.int64(2)]]).tolist() == [[Fraction(1, 3), 2]]

@@ -7,7 +7,6 @@ from cosegal.chain import (
     homology_dims,
     is_cofibration,
     is_trivial_fibration,
-    pushout_universal,
     unit_complex,
 )
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
@@ -40,6 +39,8 @@ from cosegal.two_constant import (
     upsilon_morphism,
     wide_pushout_two_constant,
 )
+
+from oracles import pushout_universal
 
 
 def test_localizing_set_counts():
