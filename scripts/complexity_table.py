@@ -2,11 +2,10 @@
 """Print the growth of the latching shapes feeding the free construction.
 
 For each level n this reports the number of decomposition objects, the
-number of single-level objects, the number of shape arrows, and the
-dimension multiplier on a one-dimensional input (the total number of value
-summands entering the level-n colimit).  This is the table cited in the
-README: the free construction is practical at n <= 3 and only feasible for
-very small objects at n = 4.
+number of single-level objects, the number of shape arrows, the number of
+classical objects, and the seconds to build the lax shape.  This is the
+table cited in the README: the free construction is practical at n <= 3 and
+only feasible for very small objects at n = 4.
 """
 
 import argparse
@@ -20,7 +19,7 @@ from cosegal.phi_epi import PairObject, PlusObject, latching_shape
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max", type=int, default=4, help="deepest level (5 takes ~2 min)")
+    ap.add_argument("--max", type=int, default=4, help="deepest level (5 takes about 5 s)")
     args = ap.parse_args()
     print(f"{'n':>2} {'pair objs':>10} {'plus objs':>10} {'arrows':>8} "
           f"{'classical':>10} {'build time':>11}")

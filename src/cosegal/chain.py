@@ -237,9 +237,10 @@ def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
 
 def homology_dims(c: ChainComplex) -> dict:
     """dim H_n per degree (nonzero entries only), computed by exact ranks."""
+    ranks = {n: m.rank() for n, m in c.diff.items()}
     out = {}
     for n in c.degrees(inflate=1):
-        h = c.dim(n) - c.d(n).rank() - c.d(n + 1).rank()
+        h = c.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if h:
             out[n] = h
     return out
@@ -721,7 +722,6 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
     fld = nodes[0].field
     degs = sorted({n for c in nodes for n in c.dims})
     offsets = {n: list(accumulate((c.dim(n) for c in nodes), initial=0)) for n in degs}
-    totals = {n: offs.pop() for n, offs in offsets.items()}
     projs, frees = {}, {}
     for n in degs:
         # one sparse row per arrow and source coordinate x: x in node s equals
@@ -735,19 +735,21 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
                     row = {tgt + y: -v for y, v in col.items()}
                     row[src + x] = row.get(src + x, 0) + m.den
                     rows.append(row)
-        _, projs[n], frees[n] = quotient(fld, totals[n], rows)
+        _, projs[n], frees[n] = quotient(fld, offsets[n][-1], rows)
 
+    # node i's column block of each projection is its leg; the differential
+    # descends from the blocks after the nodes' own differentials
+    cols = [
+        {n: projs[n][:, offs[i] : offs[i + 1]] for n, offs in offsets.items()}
+        for i in range(len(nodes))
+    ]
     diff = {}
     for n in degs:
         if frees[n] and frees.get(n - 1):
-            blk = Matrix.block_diag(fld, [c.d(n) for c in nodes])
-            diff[n] = _descend(projs[n], frees[n], projs[n - 1] @ blk)
+            composite = Matrix.hstack(fld, [col[n - 1] @ c.d(n) for col, c in zip(cols, nodes)])
+            diff[n] = _descend(projs[n], frees[n], composite)
     q = ChainComplex(fld, {n: len(free) for n, free in frees.items()}, diff)
-
-    legs = [
-        ChainMap(c, q, {n: projs[n][:, offsets[n][i] : offsets[n][i] + c.dim(n)] for n in c.dims})
-        for i, c in enumerate(nodes)
-    ]
+    legs = [ChainMap(c, q, {n: col[n] for n in c.dims}) for col, c in zip(cols, nodes)]
     return Colimit(q, legs, projs, frees)
 
 

@@ -41,8 +41,8 @@ PARSE_ERROR = 2
 SEMANTIC_ERROR = 1
 # `surjections M N` walks all N^M maps; 7^7 is under a million
 MAX_SURJECTION_SOURCE = 7
-# `gamma` builds the latching shape of every level; the level-5 shape alone
-# (95,460 arrows) takes minutes to enumerate
+# `gamma` glues every level as one colimit; at level 5 it has 2,373 nodes and
+# 115,922 arrows, and building their maps on the point tower passes 2.8 GB
 MAX_GAMMA_LEVEL = 4
 
 

@@ -451,6 +451,15 @@ _TO = {
     "instruction": instruction_to_dict,
 }
 
+_FROM = {
+    "complex": complex_from_dict,
+    "map": map_from_dict,
+    **{kind: partial(diagram_from_dict, kind=kind) for kind in _SECTIONS},
+    "morphism": morphism_from_dict,
+    "two_constant": two_constant_from_dict,
+    "instruction": lambda d, max_dim: d,
+}
+
 
 def dump_document(obj, kind: str) -> str:
     if kind not in _TO:
@@ -466,18 +475,6 @@ def load_document(d: dict, max_dim: int | None = None):
     if not isinstance(d, dict):
         raise DocumentError("document must be a JSON object")
     kind = d.get("kind")
-    if not isinstance(kind, str):
+    if not isinstance(kind, str) or kind not in _FROM:
         raise DocumentError(f"unknown document kind {kind!r}")
-    if kind == "complex":
-        return kind, complex_from_dict(d, max_dim)
-    if kind == "map":
-        return kind, map_from_dict(d, max_dim)
-    if kind in _SECTIONS:
-        return kind, diagram_from_dict(d, max_dim, kind)
-    if kind == "morphism":
-        return kind, morphism_from_dict(d, max_dim)
-    if kind == "two_constant":
-        return kind, two_constant_from_dict(d, max_dim)
-    if kind == "instruction":
-        return kind, d
-    raise DocumentError(f"unknown document kind {kind!r}")
+    return kind, _FROM[kind](d, max_dim)

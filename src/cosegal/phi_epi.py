@@ -193,57 +193,56 @@ def latching_shape(n: int, classical: bool = False) -> LatchingDiagramShape:
     truncation: objects (p, n ->> p) with p < n.  classical=False adds the
     decomposition objects ((p, q), n ->> p+q) with p, q >= 1; the objects
     that would refer to level n itself are excluded.
+
+    The shape is thin (Mac Lane, CWM II.6): an arrow from the object with
+    surjection s to the one with surjection t is a c with c . t = s, and t
+    is surjective, so c is s read off the fibres of t.  Each such factor is
+    one arrow, except the identity of an object: "pair" when c splits as
+    a (+) b, "gamma" or "plus" into a single-level object.  Arrows are
+    ordered by (src, tgt).
     """
     if n < 2:
         raise ValueError("latching shapes start at level 2")
     return _latching_shape(n, bool(classical))
 
 
+def _factor(s: Surjection, t: Surjection) -> tuple | None:
+    """The image array of the unique c with c . t = s, or None when s is not
+    constant on the fibres of t (as when t has fewer fibres than s)."""
+    if t.target_size < s.target_size:
+        return None
+    c: dict = {}
+    for x, y in zip(s.map, t.map):
+        if c.setdefault(y, x) != x:
+            return None
+    return tuple(c[y] for y in range(t.target_size))
+
+
 @lru_cache(maxsize=16)
 def _latching_shape(n: int, classical: bool) -> LatchingDiagramShape:
-    objects: list = []
-    if not classical:
-        for p in range(1, n):
-            for q in range(1, n - p + 1):
-                for v in enumerate_surjections(n, p + q):
-                    objects.append(PairObject(p, q, v))
-    for p in range(1, n):
-        for v in enumerate_surjections(n, p):
-            objects.append(PlusObject(p, v))
-    objects.sort(key=_object_key)
+    # pair objects by (p, q, surjection), then plus objects by (p, surjection)
+    sums = [] if classical else [(p, q) for p in range(1, n) for q in range(1, n - p + 1)]
+    objects: list = [PairObject(p, q, v) for p, q in sums for v in enumerate_surjections(n, p + q)]
+    first_plus = len(objects)
+    objects += [PlusObject(p, v) for p in range(1, n) for v in enumerate_surjections(n, p)]
+    surjs = [ob.to_sum if isinstance(ob, PairObject) else ob.to_level for ob in objects]
 
     arrows: list = []
-    for s, ob in enumerate(objects):
-        if isinstance(ob, PairObject):
-            # (a, b) arrows into other pair objects
-            for t, tgt in enumerate(objects):
-                if not isinstance(tgt, PairObject):
-                    continue
-                for a in enumerate_surjections(tgt.p, ob.p):
-                    for b in enumerate_surjections(tgt.q, ob.q):
-                        if compose(disjoint_sum(a, b), tgt.to_sum) == ob.to_sum:
-                            if s != t or not (a.is_identity() and b.is_identity()):
-                                arrows.append(ShapeArrow(s, t, "pair", a=a, b=b))
-            # gamma-type arrows into plus objects through some c: r ->> p+q
-            for t, tgt in enumerate(objects):
-                if not isinstance(tgt, PlusObject):
-                    continue
-                for c in enumerate_surjections(tgt.p, ob.p + ob.q):
-                    if compose(c, tgt.to_level) == ob.to_sum:
-                        arrows.append(ShapeArrow(s, t, "gamma", c=c))
-        else:
-            for t, tgt in enumerate(objects):
-                if not isinstance(tgt, PlusObject):
-                    continue
-                for c in enumerate_surjections(tgt.p, ob.p):
-                    if compose(c, tgt.to_level) == ob.to_level:
-                        if s == t and c.is_identity():
-                            continue
-                        arrows.append(ShapeArrow(s, t, "plus", c=c))
+    for i, (ob, s) in enumerate(zip(objects, surjs)):
+        # a plus object maps only to plus objects, which come last, and a pair
+        # arrow (a, b) needs a : p' ->> p and b : q' ->> q
+        for j in range(0 if isinstance(ob, PairObject) else first_plus, len(objects)):
+            tgt = objects[j]
+            if j == i or (isinstance(tgt, PairObject) and (tgt.p < ob.p or tgt.q < ob.q)):
+                continue
+            c = _factor(s, surjs[j])
+            if c is None:
+                continue
+            if isinstance(tgt, PlusObject):
+                kind = "gamma" if isinstance(ob, PairObject) else "plus"
+                arrows.append(ShapeArrow(i, j, kind, c=Surjection(tgt.p, s.target_size, c)))
+            elif max(c[: tgt.p]) < ob.p <= min(c[tgt.p :]):
+                a = Surjection(tgt.p, ob.p, c[: tgt.p])
+                b = Surjection(tgt.q, ob.q, tuple(x - ob.p for x in c[tgt.p :]))
+                arrows.append(ShapeArrow(i, j, "pair", a=a, b=b))
     return LatchingDiagramShape(n, classical, tuple(objects), tuple(arrows))
-
-
-def _object_key(ob):
-    if isinstance(ob, PairObject):
-        return (0, ob.p, ob.q, ob.to_sum.map)
-    return (1, ob.p, ob.to_level.map)

@@ -147,11 +147,11 @@ def test_bad_string_entry_is_exit2_with_one_line(field, entry, tmp_path, capsys)
     assert out.err == ""
 
 
-@pytest.mark.parametrize("kind", [{"a": 1}, ["premonoid"], 7, None])
+@pytest.mark.parametrize("kind", [{"a": 1}, ["premonoid"], 7, None, "tensor"])
 @pytest.mark.parametrize("command", ["validate", "gamma", "cosegalify", "pushout-k2"])
 def test_non_string_kind_is_exit2_with_one_line(command, kind, tmp_path, capsys):
     # a JSON object or list as kind used to escape as an unhashable-key
-    # TypeError traceback
+    # TypeError traceback; an unknown string gets the same line
     payload = {"kind": kind, "field": 2}
     with pytest.raises(docs.DocumentError, match="unknown document kind"):
         docs.load_document(payload)
@@ -161,6 +161,13 @@ def test_non_string_kind_is_exit2_with_one_line(command, kind, tmp_path, capsys)
     out = capsys.readouterr()
     lines = (out.out + out.err).splitlines()
     assert len(lines) == 1 and f"unknown document kind {kind!r}" in lines[0]
+
+
+@pytest.mark.parametrize("payload", [[], "complex", 3])
+def test_load_document_refuses_a_non_object(payload):
+    with pytest.raises(docs.DocumentError) as err:
+        docs.load_document(payload)
+    assert str(err.value) == "document must be a JSON object"
 
 
 def test_max_dim_cap():

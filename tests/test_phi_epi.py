@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cosegal.phi_epi import (
     PairObject,
     PlusObject,
+    ShapeArrow,
     Surjection,
     block_swap,
     compose,
@@ -101,13 +102,47 @@ def test_latching_shape_level2_classical():
     assert isinstance(sh.objects[0], PlusObject)
 
 
+def _shape_object(n, ob):
+    """The shape object of an oracle tuple."""
+    if ob[0] == "pair":
+        _, p, q, v = ob
+        return PairObject(p, q, Surjection(n, p + q, v))
+    _, p, v = ob
+    return PlusObject(p, Surjection(n, p, v))
+
+
+def _oracle_arrows(n, shape, oracle):
+    """The oracle's arrows among the objects of `shape` (only plus -> plus for
+    the classical one), as ShapeArrows ordered by (src, tgt)."""
+    out = []
+    for src, tgt, label in oracle:
+        if shape.classical and label[0] != "plus":
+            continue
+        s, t = _shape_object(n, src), _shape_object(n, tgt)
+        i, j = shape.index(s), shape.index(t)
+        if label[0] == "pair":
+            a = Surjection(t.p, s.p, label[1])
+            b = Surjection(t.q, s.q, label[2])
+            out.append(ShapeArrow(i, j, "pair", a=a, b=b))
+        else:
+            size = s.p + s.q if label[0] == "gamma" else s.p
+            out.append(ShapeArrow(i, j, label[0], c=Surjection(t.p, size, label[1])))
+    return sorted(out, key=lambda arr: (arr.src, arr.tgt))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_latching_shape_matches_comma_category_oracle(n):
     sh = latching_shape(n)
     pairs, plus = oracle_lax_shape(n)
     assert len([o for o in sh.objects if isinstance(o, PairObject)]) == len(pairs)
     assert len([o for o in sh.objects if isinstance(o, PlusObject)]) == len(plus)
-    assert len(sh.arrows) == len(oracle_lax_shape_arrows(n))
+    oracle = oracle_lax_shape_arrows(n)
+    assert len(sh.arrows) == len(oracle)
+    for shape in (sh, latching_shape(n, classical=True)):
+        # endpoints, kinds and labels, in (src, tgt) order
+        assert list(shape.arrows) == _oracle_arrows(n, shape, oracle)
+        # thin: at most one arrow between two objects
+        assert len({(arr.src, arr.tgt) for arr in shape.arrows}) == len(shape.arrows)
 
 
 def test_latching_shape_classical_counts():
