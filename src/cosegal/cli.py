@@ -42,7 +42,7 @@ SEMANTIC_ERROR = 1
 # `surjections M N` walks all N^M maps; 7^7 is under a million
 MAX_SURJECTION_SOURCE = 7
 # `gamma` glues every level as one colimit; at level 5 it has 2,373 nodes and
-# 115,922 arrows, and building their maps on the point tower passes 2.8 GB
+# 96,302 arrows, and building their maps on the point tower exceeds 3 GB
 MAX_GAMMA_LEVEL = 4
 
 
@@ -69,7 +69,8 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # an undecodable file, or nesting beyond the parser's recursion limit
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
@@ -230,6 +231,8 @@ def cmd_pushout_k2(args) -> int:
             degree = args.degree
         else:
             lo, hi = args.window
+            if lo > hi:
+                raise DocumentError(f"--window {lo} {hi} is empty: LO must be at most HI")
             templates = localizing_set((lo, hi), 2)
             degree = rng.choice([t.degree for t in templates])
         ins = random_k2_instruction(rng, f, degree)

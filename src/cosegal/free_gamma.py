@@ -7,18 +7,18 @@ the comparison map into the lax latching object of the part of G already
 built.  Structure maps, multiplication-style laxity maps and the unit
 transformation eta : F -> G all fall out of the colimit legs.
 
-All colimits are computed as cokernels of explicit relation matrices with a
-deterministic generator order (shape-object order, then basis order), so
-repeated runs are bit-identical.  Every map out of a level (the bijection
-actions, the universal extension) is read off the free generator columns of
-its colimit by `Colimit.induce`.  The free diagram on f is shared while it
-is alive, like `tensor(c, d)`, and carries its unit and joint colimits
-privately, so `universal_extension(f, ...)` reads the joints of a live
-`gamma_na(f)` result instead of rebuilding them.
+All colimits take one sparse relation row per arrow and source coordinate,
+with a deterministic generator order (shape-object order, then basis
+order), so repeated runs are bit-identical.  Every map out of a level (the
+bijection actions, the universal extension) is read off the free generator
+columns of its colimit by `Colimit.induce`.  The free diagram on f is
+shared while it is alive, like `tensor(c, d)`, and carries its unit and
+joint colimits privately, so `universal_extension(f, ...)` reads the joints
+of a live `gamma_na(f)` result instead of rebuilding them.
 
 Size warning: the latching shapes grow like surjection counts times level
-decompositions; see the complexity table in the README.  Keep N <= 3 for
-dense experiments and N = 4 only for very small objects.
+decompositions; see the complexity table in the README.  The N = 4 point
+tower takes about a second; `cosegal gamma` refuses N = 5.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .chain import (
 from .phi_epi import (
     PairObject,
     PlusObject,
-    Surjection,
     compose,
     enumerate_surjections,
     latching_shape,
@@ -80,16 +79,13 @@ def _shape_arrow_map(d: LaxDiagram, shape, arr) -> ChainMap:
     return d.structure_map(arr.c)
 
 
-def _shape_diagram(d: LaxDiagram, n: int, classical: bool, offset: int = 0):
-    """The level-n latching shape with its nodes over d and its arrows, whose
-    endpoints are shifted by `offset`.  The shape reads levels below n."""
+def _shape_diagram(d: LaxDiagram, n: int, classical: bool):
+    """The level-n latching shape with its nodes over d and its arrows.  The
+    shape reads levels below n."""
     if n < 2 or n > d.level + 1:
         raise ValueError("level out of range for the given diagram")
     shape = latching_shape(n, classical=classical)
-    arrows = [
-        (offset + arr.src, offset + arr.tgt, _shape_arrow_map(d, shape, arr))
-        for arr in shape.arrows
-    ]
+    arrows = [(arr.src, arr.tgt, _shape_arrow_map(d, shape, arr)) for arr in shape.arrows]
     return shape, _shape_values(d, shape), arrows
 
 
@@ -106,17 +102,15 @@ def classical_latching(f, n: int) -> Colimit:
     return colimit(nodes, arrows)
 
 
-def delta_map(f, h, n: int, unit: dict | None = None) -> ChainMap:
+def delta_map(f, h, n: int) -> ChainMap:
     """The canonical comparison from the classical latching of f into the lax
     latching of h, sending each classical leg into the matching single-level
-    leg.  `unit` gives the components f(p) -> h(p) (identity if omitted)."""
+    leg; composing with the identity of f(p) checks that h(p) is f(p)."""
     lat = classical_latching(f, n)
     llegs = lax_latching(h, n).legs
     lshape = latching_shape(n, classical=False)
-    if unit is None:
-        unit = {p: ChainMap.identity(f.objects[p]) for p in range(1, n)}
     return lat.induce([
-        llegs[lshape.plus_index(ob.p, ob.to_level)] @ unit[ob.p]
+        llegs[lshape.plus_index(ob.p, ob.to_level)] @ ChainMap.identity(f.objects[ob.p])
         for ob in latching_shape(n, classical=True).objects
     ])
 
@@ -127,21 +121,24 @@ def delta_map(f, h, n: int, unit: dict | None = None) -> ChainMap:
 
 
 def _joint_level(f: LaxDiagram, below: LaxDiagram, eta: dict, n: int):
-    """The colimit whose object is the level-n value of the free
-    construction, over the lax shape on `below` (the free diagram up to
-    level n - 1), the classical shape on f, and the node f(n) itself, which
-    comes last.  Returns the two shapes and the colimit."""
+    """The lax shape and the colimit whose object is free(n): the lax shape
+    on `below` (the free diagram up to level n - 1), then one middle node
+    f(p) per plus object (p, v), spanning f(n) <- f(p) -> below(p) along
+    f(v) and eta_p, then f(n).
+
+    No classical latching arrow is needed, because f is a functor: an arrow
+    c : (p, v) -> (p', t) with c . t = v relates x to f(c)x, and both already
+    equal f(v)x = f(t)f(c)x in f(n).  The relation span, and so its unique
+    reduced echelon form, proj, free, legs and object, stay the classical ones.
+    """
     lshape, nodes, arrows = _shape_diagram(below, n, classical=False)
-    coff = len(nodes)
-    cshape, cnodes, carrows = _shape_diagram(f, n, classical=True, offset=coff)
-    nodes += cnodes
-    arrows += carrows
-    fnode = len(nodes)
+    plus = [(k, ob) for k, ob in enumerate(lshape.objects) if isinstance(ob, PlusObject)]
+    fnode = len(nodes) + len(plus)
+    for mid, (k, ob) in enumerate(plus, start=len(nodes)):
+        nodes.append(f.objects[ob.p])
+        arrows += [(mid, fnode, f.structure_map(ob.to_level)), (mid, k, eta[ob.p])]
     nodes.append(f.objects[n])
-    for k, ob in enumerate(cshape.objects):
-        arrows.append((coff + k, fnode, f.structure_map(ob.to_level)))
-        arrows.append((coff + k, lshape.plus_index(ob.p, ob.to_level), eta[ob.p]))
-    return lshape, cshape, colimit(nodes, arrows)
+    return lshape, colimit(nodes, arrows)
 
 
 _FREE_MEMO: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -149,8 +146,8 @@ _FREE_MEMO: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _free_levels(f: LaxDiagram) -> LaxDiagram:
     """The free diagram on f, shared while alive; privately it carries the unit
-    f -> free (`_free_unit`) and per level n >= 2 the lax and classical shapes
-    and the joint colimit whose object is free(n) (`_free_joints`)."""
+    f -> free (`_free_unit`) and per level n >= 2 the lax shape and the joint
+    colimit whose object is free(n) (`_free_joints`)."""
     return _shared(_FREE_MEMO, _build_free, f)
 
 
@@ -162,8 +159,8 @@ def _build_free(f: LaxDiagram) -> LaxDiagram:
     joints = {}
     for n in range(2, f.level + 1):
         below = LaxDiagram(n - 1, objects, structure, laxity)
-        lshape, cshape, joint = _joint_level(f, below, eta, n)
-        joints[n] = (lshape, cshape, joint)
+        lshape, joint = _joint_level(f, below, eta, n)
+        joints[n] = (lshape, joint)
         legs = joint.legs
         objects[n] = joint.obj
         eta[n] = legs[-1]
@@ -172,22 +169,21 @@ def _build_free(f: LaxDiagram) -> LaxDiagram:
                 structure[ob.to_level] = legs[k]
             elif ob.p + ob.q == n and ob.to_sum.is_identity():
                 laxity[(ob.p, ob.q)] = legs[k]
-        # bijections act by reindexing the whole cocone
+        # bijections act by reindexing the whole cocone; the middle nodes
+        # move like the plus objects, the last `mids` shape objects
+        mids = len(legs) - 1 - len(lshape.objects)
         for pi in enumerate_surjections(n, n):
             if pi.is_identity():
                 continue
-            relabeled = []
+            moved = []
             for ob in lshape.objects:
                 if isinstance(ob, PairObject):
-                    moved = PairObject(ob.p, ob.q, compose(ob.to_sum, pi))
+                    ob = PairObject(ob.p, ob.q, compose(ob.to_sum, pi))
                 else:
-                    moved = PlusObject(ob.p, compose(ob.to_level, pi))
-                relabeled.append(legs[lshape.index(moved)])
-            for ob in cshape.objects:
-                j = lshape.plus_index(ob.p, compose(ob.to_level, pi))
-                relabeled.append(legs[j] @ eta[ob.p])
-            relabeled.append(eta[n] @ f.structure_map(pi))
-            structure[pi] = joint.induce(relabeled)
+                    ob = PlusObject(ob.p, compose(ob.to_level, pi))
+                moved.append(lshape.index(ob))
+            moved += [k + mids for k in moved[-mids:]]
+            structure[pi] = joint.induce([legs[k] for k in moved] + [eta[n] @ f.structure_map(pi)])
     free = LaxDiagram(f.level, objects, structure, laxity)
     free._free_unit, free._free_joints = eta, joints
     return free
@@ -196,10 +192,12 @@ def _build_free(f: LaxDiagram) -> LaxDiagram:
 def gamma_na(f: LaxDiagram):
     """Free nonassociative lax diagram on f, with the unit transformation.
 
-    The level-1 value is f(1) verbatim.  Each higher value is the pushout of
-    the classical-latching map into f(n) along the comparison into the lax
-    latching object; laxity maps and structure maps are colimit legs, and
-    the action of the level-n bijections is induced by reindexing the legs.
+    f must be a functor (the CLI validates it): the level-n gluing relies on
+    it.  The level-1 value is f(1) verbatim.  Each higher value is the
+    pushout of the classical-latching map into f(n) along the comparison
+    into the lax latching object; laxity maps and structure maps are colimit
+    legs, and the action of the level-n bijections is induced by reindexing
+    the legs.
     """
     g = _free_levels(f)
     return g, DiagramMorphism(f, g, g._free_unit)
@@ -222,8 +220,8 @@ def universal_extension(
     free = _free_levels(f)
     ext = {1: phi.component(1)}
     lax_ext = {}
-    for n, (lshape, cshape, joint) in free._free_joints.items():
-        cocone = []
+    for n, (lshape, joint) in free._free_joints.items():
+        cocone, mids = [], []
         for ob in lshape.objects:
             if isinstance(ob, PairObject):
                 pq = (ob.p, ob.q)
@@ -232,9 +230,8 @@ def universal_extension(
                 cocone.append(g.structure_map(ob.to_sum) @ lax_ext[pq])
             else:
                 cocone.append(g.structure_map(ob.to_level) @ ext[ob.p])
-        cocone += [g.structure_map(ob.to_level) @ phi.component(ob.p) for ob in cshape.objects]
-        cocone.append(phi.component(n))
-        ext[n] = joint.induce(cocone)
+                mids.append(g.structure_map(ob.to_level) @ phi.component(ob.p))
+        ext[n] = joint.induce(cocone + mids + [phi.component(n)])
     return DiagramMorphism(free, g, ext)
 
 

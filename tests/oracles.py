@@ -170,6 +170,30 @@ def pushout_universal(leg_b, leg_c, u, v):
     return ChainMap(p, u.target, comps)
 
 
+def classical_joint(f, below, eta, n):
+    """The level-n joint colimit of the free construction glued along the
+    classical latching diagram: the lax shape on `below`, the classical
+    shape on f with all its arrows, and f(n), each classical node (p, v)
+    mapped into f(n) by f(v) and into its plus node by eta_p.  The library
+    drops the classical arrows, which f's functoriality implies; this is its
+    reference.  It uses the library's shapes and `colimit`, and returns the
+    colimit and its arrow count."""
+    from cosegal.chain import colimit
+    from cosegal.free_gamma import _shape_diagram
+
+    lshape, nodes, arrows = _shape_diagram(below, n, classical=False)
+    coff = len(nodes)
+    cshape, cnodes, carrows = _shape_diagram(f, n, classical=True)
+    nodes += cnodes
+    arrows += [(coff + s, coff + t, m) for s, t, m in carrows]
+    fnode = len(nodes)
+    nodes.append(f.objects[n])
+    for k, ob in enumerate(cshape.objects):
+        arrows.append((coff + k, fnode, f.structure_map(ob.to_level)))
+        arrows.append((coff + k, lshape.plus_index(ob.p, ob.to_level), eta[ob.p]))
+    return colimit(nodes, arrows), len(arrows)
+
+
 # ---------------------------------------------------------------------------
 # the tensor basis
 # ---------------------------------------------------------------------------

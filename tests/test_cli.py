@@ -82,6 +82,31 @@ def test_validate_premonoid_axiom_violation_exit1(tmp_path):
     assert "diag-unitality" in out
 
 
+@pytest.mark.parametrize(
+    "payload, why",
+    [
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-200000-deep"],
+)
+def test_unreadable_json_is_exit2_and_validate_goes_on(
+    tmp_path, capsys, two_constant_file, payload, why
+):
+    # both used to escape _read_json: the UnicodeDecodeError as a ValueError
+    # (exit 1, later paths never reported), the RecursionError as a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    assert main(["validate", str(bad), str(two_constant_file)]) == 2
+    out = capsys.readouterr()
+    first, second = out.out.splitlines()
+    assert first.startswith(f"ERROR {bad}: cannot read {bad}: ") and why in first
+    assert second == f"OK {two_constant_file}"
+    assert main(["gamma", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: cannot read") and err.count("\n") == 1
+
+
 def test_cosegalify_command(tmp_path, two_constant_file):
     out_path = tmp_path / "s.json"
     rc, out = run_cli(
@@ -150,6 +175,18 @@ def test_pushout_k2_takes_the_zero_cycle_after_k2_tries_misses(tmp_path):
     assert rep["alpha_degree"] == 1
     assert rep["upsilon_validates"] and rep["reflection_preserved"]
     assert rep["upsilon_upper_identity"] and rep["leg_cofibration"]
+
+
+@pytest.mark.parametrize("window", [("5", "1"), ("2", "1")])
+def test_pushout_k2_refuses_an_empty_window(capsys, two_constant_file, window):
+    # LO > HI used to die with an IndexError (5 1) or sample degree LO from
+    # an empty window (2 1); a window that is not sampled is not read
+    rc = main(["pushout-k2", str(two_constant_file), "--window", *window])
+    assert rc == 2
+    lo, hi = window
+    err = capsys.readouterr().err
+    assert err == f"ERROR: --window {lo} {hi} is empty: LO must be at most HI\n"
+    assert main(["pushout-k2", str(two_constant_file), "--window", *window, "--degree", "1"]) == 0
 
 
 def test_pushout_k2_with_instruction_file(tmp_path, two_constant_file):

@@ -33,9 +33,10 @@ from cosegal.sampling import (
     random_diagram_morphism,
     random_strict_monoid,
     random_tower_diagram,
+    tower_diagram,
 )
 
-from oracles import colimit_dim
+from oracles import classical_joint, colimit_dim
 
 
 def s0_fixture(field=GF2):
@@ -268,6 +269,60 @@ def test_free_construction_builds_each_joint_colimit_once(monkeypatch):
     # the extension reads the joints of the live gamma_na(f) result
     assert len(calls) == 2
     assert ext.source is g
+
+
+def _below(g, n):
+    """g truncated to the levels below n, as the free construction sees it
+    when it glues level n."""
+    return LaxDiagram(
+        n - 1,
+        {p: g.objects[p] for p in range(1, n)},
+        {v: m for v, m in g.structure.items() if v.source_size < n},
+        laxity={pq: m for pq, m in g.laxity.items() if sum(pq) < n},
+    )
+
+
+def test_joint_colimits_match_the_classical_latching_oracle(monkeypatch):
+    # each level is glued along one span f(n) <- f(p) -> free(p) per plus
+    # object; the classical latching arrows it leaves out add no relation,
+    # so the object, legs, projections and free columns in every degree
+    # equal those of the gluing along the whole classical shape
+    import cosegal.free_gamma as free_gamma
+
+    arrow_counts, classical_shapes = [], []
+    real_colimit, real_shape = free_gamma.colimit, free_gamma.latching_shape
+
+    def counting_colimit(nodes, arrows):
+        arrow_counts.append(len(arrows))
+        return real_colimit(nodes, arrows)
+
+    def watched_shape(n, classical=False):
+        classical_shapes.append(classical)
+        return real_shape(n, classical=classical)
+
+    monkeypatch.setattr(free_gamma, "colimit", counting_colimit)
+    monkeypatch.setattr(free_gamma, "latching_shape", watched_shape)
+    rng = random.Random(59)
+    towers = [
+        random_tower_diagram(rng, field, level, 0, 1, 2)
+        for field in (GF2, GF3, QQ)
+        for level in (2, 3, 3, 3)
+    ]
+    s0 = single_complex(GF2, 0, 1)
+    towers.append(tower_diagram([ChainMap.identity(s0)] * 3))
+    for f in towers:
+        arrow_counts.clear()
+        classical_shapes.clear()
+        g, eta = gamma_na(f)
+        assert not any(classical_shapes)
+        # 2, 62 and 2,150 arrows against the classical gluing's 2, 74, 2,610
+        assert arrow_counts == [2, 62, 2150][: f.level - 1]
+        for n, (_, joint) in g._free_joints.items():
+            want, count = classical_joint(f, _below(g, n), eta.components, n)
+            assert count == [2, 74, 2610][n - 2]
+            assert joint.obj == want.obj
+            assert joint.legs == want.legs
+            assert joint.proj == want.proj and joint.free == want.free
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F_2", "F_3", "Q"])
