@@ -6,9 +6,9 @@ degree ascending, then left index, then right index, so unitors against the
 one-dimensional unit complex are literal identities and associators are
 permutation matrices.
 
-Homological predicates (quasi-isomorphism, fibration, cofibration, lifting)
-are computed on a window inflated by one degree on each side so boundary
-degrees are never silently truncated.
+Homology is read at the stored degrees.  Lifting is checked against the
+generating cofibrations on a window inflated by one degree on each side so
+boundary degrees are never silently truncated.
 """
 
 from __future__ import annotations
@@ -134,7 +134,9 @@ def zero_complex(field: Field) -> ChainComplex:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """A degreewise linear map commuting with the differentials (read-only components)."""
+    """A degreewise linear map commuting with the differentials (read-only
+    components).  `ChainMap(...)` checks that, for maps from outside; the
+    operations here, which preserve it, build theirs with `_trusted_map`."""
 
     source: ChainComplex
     target: ChainComplex
@@ -151,10 +153,11 @@ class ChainMap:
             if not m.is_zero():
                 comps[n] = m
         object.__setattr__(self, "components", MappingProxyType(comps))
-        # d.f = f.d in every degree.  Zero blocks are stored as absent, so a
-        # product with an absent factor is zero and is never formed.
+        # d.f = f.d in every degree; both sides vanish unless f_n or f_{n-1}
+        # is stored.  Zero blocks are stored as absent, so a product with an
+        # absent factor is zero and is never formed.
         d_src, d_tgt = self.source.diff, self.target.diff
-        for n in self._degrees():
+        for n in sorted(comps.keys() | {m + 1 for m in comps}):
             lhs = _product(d_tgt.get(n), comps.get(n))
             rhs = _product(comps.get(n - 1), d_src.get(n))
             if lhs is None:
@@ -165,12 +168,6 @@ class ChainMap:
                 ok = lhs == rhs
             if not ok:
                 raise ValueError(f"not a chain map at degree {n}")
-
-    def _degrees(self):
-        degs = set(self.source.dims) | set(self.target.dims)
-        if not degs:
-            return range(0)
-        return range(min(degs), max(degs) + 2)
 
     @property
     def field(self) -> Field:
@@ -194,7 +191,7 @@ class ChainMap:
             outer = self.components.get(n)
             if outer is not None:
                 comps[n] = outer @ m
-        return ChainMap(other.source, self.target, comps)
+        return _trusted_map(other.source, self.target, comps)
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         return self.compose(other)
@@ -207,13 +204,13 @@ class ChainMap:
         self._check_parallel(other)
         degs = set(self.components) | set(other.components)
         comps = {n: self.component(n) + other.component(n) for n in degs}
-        return ChainMap(self.source, self.target, comps)
+        return _trusted_map(self.source, self.target, comps)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         self._check_parallel(other)
         degs = set(self.components) | set(other.components)
         comps = {n: self.component(n) - other.component(n) for n in degs}
-        return ChainMap(self.source, self.target, comps)
+        return _trusted_map(self.source, self.target, comps)
 
     def __repr__(self):
         return f"ChainMap({dict(self.source.dims)} -> {dict(self.target.dims)})"
@@ -221,11 +218,21 @@ class ChainMap:
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":
         comps = {n: Matrix.identity(c.field, c.dim(n)) for n in c.dims}
-        return ChainMap(c, c, comps)
+        return _trusted_map(c, c, comps)
 
     @staticmethod
     def zero(source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        return ChainMap(source, target, {})
+        return _trusted_map(source, target, {})
+
+
+def _trusted_map(source: ChainComplex, target: ChainComplex, components: dict) -> ChainMap:
+    """`ChainMap(...)` without its checks, like the trusted `Matrix(field, num,
+    den)`: the caller vouches for shapes and d.f = f.d.  Zero blocks are still
+    dropped, so equal maps compare equal."""
+    out = object.__new__(ChainMap)
+    comps = {n: m for n, m in components.items() if not m.is_zero()}
+    vars(out).update(source=source, target=target, components=MappingProxyType(comps))
+    return out
 
 
 def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
@@ -239,7 +246,7 @@ def homology_dims(c: ChainComplex) -> dict:
     """dim H_n per degree (nonzero entries only), computed by exact ranks."""
     ranks = {n: m.rank() for n, m in c.diff.items()}
     out = {}
-    for n in c.degrees(inflate=1):
+    for n in sorted(c.dims):
         h = c.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if h:
             out[n] = h
@@ -303,11 +310,13 @@ def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     if c.field != d.field:
         raise ValueError("field mismatch in tensor")
     fld = c.field
-    degs = range(c.window[0] + d.window[0], c.window[1] + d.window[1] + 1)
+    degs = sorted({i + j for i in c.dims for j in d.dims})
     layouts = {n: _tensor_layout(c, d, n) for n in degs}
     dims = {n: max((s.stop for s in layout.values()), default=0) for n, layout in layouts.items()}
     diff = {}
-    for n in degs[1:]:
+    for n in degs:
+        if n - 1 not in layouts:
+            continue
         tgt, blocks = layouts[n - 1], []
         for (i, j), cols in layouts[n].items():
             if (i - 1, j) in tgt:
@@ -333,7 +342,7 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
             if (i, j) in rows
         ]
         comps[n] = Matrix.assemble(f.field, tgt.dim(n), src.dim(n), blocks)
-    return ChainMap(src, tgt, comps)
+    return _trusted_map(src, tgt, comps)
 
 
 def braiding(c: ChainComplex, d: ChainComplex) -> ChainMap:
@@ -351,7 +360,7 @@ def braiding(c: ChainComplex, d: ChainComplex) -> ChainMap:
             # x (x) y -> y (x) x: the (j, i) grid transposed
             out[_grid(rows[(j, i)], c.dim(i)).T, _grid(cols, d.dim(j))] = (1, -1)[i * j % 2]
         comps[n] = Matrix(fld, out, 1)
-    return ChainMap(src, tgt, comps)
+    return _trusted_map(src, tgt, comps)
 
 
 def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
@@ -374,13 +383,13 @@ def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
                 cols = _grid(left[(i + j, l)], c.dim(l))[_grid(ab_layout[i + j][(i, j)], b.dim(j))]
                 out[rows, cols] = 1
         comps[n] = Matrix(fld, out, 1)
-    return ChainMap(src, tgt, comps)
+    return _trusted_map(src, tgt, comps)
 
 
 def _associator_inverse(alpha: ChainMap) -> ChainMap:
     """The inverse of an associator: it permutes a basis, so its inverse is
     its transpose."""
-    return ChainMap(
+    return _trusted_map(
         alpha.target,
         alpha.source,
         {n: m.transpose() for n, m in alpha.components.items()},
@@ -394,7 +403,7 @@ def direct_sum(summands: list[ChainComplex]):
         raise ValueError("direct sum of no complexes")
     c = colimit(summands, [])
     projs = [
-        ChainMap(c.obj, leg.source, {n: m.transpose() for n, m in leg.components.items()})
+        _trusted_map(c.obj, leg.source, {n: m.transpose() for n, m in leg.components.items()})
         for leg in c.legs
     ]
     return c.obj, c.legs, projs
@@ -471,9 +480,7 @@ def cylinder_factorization(f: ChainMap) -> tuple[ChainMap, ChainMap]:
         comps_p[n] = Matrix.assemble(fld, cb, cyl.dim(n), [
             (0, 0, f.component(n)), (0, ca + ca1, Matrix.identity(fld, cb)),
         ])
-    i = ChainMap(a, cyl, comps_i)
-    p = ChainMap(cyl, b, comps_p)
-    return i, p
+    return _trusted_map(a, cyl, comps_i), _trusted_map(cyl, b, comps_p)
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +545,19 @@ class _Hom:
         return Matrix.assemble(self.field, self.size, 1, blocks)
 
     def unvec(self, column: Matrix) -> ChainMap:
-        """The map whose coordinates are the one-column matrix `column`."""
+        """The map whose coordinates are `column`, a solution of a system holding `d0`."""
         s, t = self.source, self.target
         comps = {
             n: column[self._span(n), :].reshape(s.dim(n), t.dim(n)).transpose()
             for n in self.offsets
         }
-        return ChainMap(s, t, comps)
+        return _trusted_map(s, t, comps)
 
 
 def _lifts(alpha: ChainMap, g: ChainMap, squares: list) -> list[ChainMap] | None:
     """One lift k (k.alpha = top, g.k = bottom, k a chain map) per commuting
     square (top, bottom), from one system whose right-hand sides are all the
     squares; None if some square has no lift."""
-    for top, bottom in squares:
-        if g @ top != bottom @ alpha:
-            raise ValueError("lifting square does not commute")
     fld = alpha.field
     hom = _Hom(alpha.target, g.source)
     at_top, at_bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
@@ -584,6 +588,8 @@ def solve_lifting(
     alpha : U -> V, g : X -> Y, top : U -> X, bottom : V -> Y, and the square
     must commute: g.top = bottom.alpha.
     """
+    if g @ top != bottom @ alpha:
+        raise ValueError("lifting square does not commute")
     lifts = _lifts(alpha, g, [(top, bottom)])
     return None if lifts is None else lifts[0]
 
@@ -617,7 +623,7 @@ def has_rlp(alpha: ChainMap, g: ChainMap) -> bool:
 
     The commuting squares over (alpha, g) form a vector space and lifts
     depend linearly on the square, so it suffices to solve the lifting
-    problem on a basis of that space, all at once.
+    problem on a basis of that space (kernel vectors, so they commute), all at once.
     """
     squares = _square_space_basis(alpha, g)
     return not squares or _lifts(alpha, g, squares) is not None
@@ -650,7 +656,7 @@ class GeneratingCofibration:
 
     @property
     def inclusion(self) -> ChainMap:
-        return ChainMap(
+        return _trusted_map(
             self.sphere,
             self.disc,
             {self.degree - 1: Matrix.identity(self.field, 1)},
@@ -695,18 +701,14 @@ class Colimit:
         fld = self.obj.field
         comps = {}
         for n, proj in self.proj.items():
+            # m @ proj = composite: `quotient` makes proj the identity on its
+            # free columns, so m can only be those columns of the composite
             composite = Matrix.hstack(fld, [c.component(n) for c in cocone])
-            comps[n] = _descend(proj, self.free[n], composite)
-        return ChainMap(self.obj, cocone[0].target, comps)
-
-
-def _descend(proj: Matrix, free: list[int], composite: Matrix) -> Matrix:
-    """The m with m @ proj = composite.  `quotient` makes proj the identity on
-    its free columns, so m can only be those columns of the composite."""
-    m = composite[:, free]
-    if m @ proj != composite:
-        raise ValueError("map does not descend through the projection")
-    return m
+            comps[n] = m = composite[:, self.free[n]]
+            if m @ proj != composite:
+                raise ValueError("map does not descend through the projection")
+        # proj is onto and the cocone's maps are chain maps, so the map is one
+        return _trusted_map(self.obj, cocone[0].target, comps)
 
 
 def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) -> Colimit:
@@ -737,8 +739,9 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
                     rows.append(row)
         _, projs[n], frees[n] = quotient(fld, offsets[n][-1], rows)
 
-    # node i's column block of each projection is its leg; the differential
-    # descends from the blocks after the nodes' own differentials
+    # node i's column block of each projection is its leg.  The arrows are
+    # chain maps, so the legs after the nodes' own differentials descend to
+    # Q's differential, which is read off on the free columns.
     cols = [
         {n: projs[n][:, offs[i] : offs[i + 1]] for n, offs in offsets.items()}
         for i in range(len(nodes))
@@ -747,9 +750,9 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
     for n in degs:
         if frees[n] and frees.get(n - 1):
             composite = Matrix.hstack(fld, [col[n - 1] @ c.d(n) for col, c in zip(cols, nodes)])
-            diff[n] = _descend(projs[n], frees[n], composite)
+            diff[n] = composite[:, frees[n]]
     q = ChainComplex(fld, {n: len(free) for n, free in frees.items()}, diff)
-    legs = [ChainMap(c, q, {n: col[n] for n in c.dims}) for col, c in zip(cols, nodes)]
+    legs = [_trusted_map(c, q, {n: col[n] for n in c.dims}) for col, c in zip(cols, nodes)]
     return Colimit(q, legs, projs, frees)
 
 

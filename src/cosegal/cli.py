@@ -30,7 +30,6 @@ from .two_constant import (
     cosegalify_two_constant,
     expand_to_premonoid,
     is_k_injective,
-    localizing_set,
     package_two_constant,
     pushout_k2,
     reflect,
@@ -233,8 +232,8 @@ def cmd_pushout_k2(args) -> int:
             lo, hi = args.window
             if lo > hi:
                 raise DocumentError(f"--window {lo} {hi} is empty: LO must be at most HI")
-            templates = localizing_set((lo, hi), 2)
-            degree = rng.choice([t.degree for t in templates])
+            # a level-2 localizing template over the window: disc degree lo..hi + 1
+            degree = rng.choice(range(lo, hi + 2))
         ins = random_k2_instruction(rng, f, degree)
     e, eps, i_v = pushout_k2(f, ins)
     ups = upsilon_morphism(f, e, eps, args.level)

@@ -63,13 +63,6 @@ def random_matrix(rng: Random, field: Field, rows: int, cols: int) -> Matrix:
     )
 
 
-def _random_kernel_element(rng: Random, a: Matrix) -> Matrix:
-    """A random column vector in the null space of a."""
-    ker = a.kernel()
-    coeffs = random_matrix(rng, a.field, ker.cols, 1)
-    return ker @ coeffs
-
-
 def random_complex(
     rng: Random, field: Field, lo: int, hi: int, max_dim: int
 ) -> ChainComplex:
@@ -85,10 +78,9 @@ def random_complex(
         if upper is None or upper.is_zero():
             m = random_matrix(rng, field, rows, cols)
         else:
-            # rows x cols unknowns M with M @ upper = 0
-            sys = upper.transpose().kron(Matrix.identity(field, rows))
-            vec = _random_kernel_element(rng, sys)
-            m = vec.reshape(cols, rows).transpose()
+            # M @ upper = 0: every row of M lies in the left kernel of upper
+            ker = upper.transpose().kernel()
+            m = (ker @ random_matrix(rng, field, ker.cols, rows)).transpose()
         if not m.is_zero():
             diff[n] = m
     return ChainComplex(field, dims, diff)

@@ -650,3 +650,37 @@ def oracle_lax_functor_failures(level, dims, structure, laxity, p):
                             out.append(("laxity-naturality", (lp, lq, pp, qq, a, b)))
                             break
     return out
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling
+# ---------------------------------------------------------------------------
+
+
+def random_complex_by_kron(rng, field, lo, hi, max_dim):
+    """`sampling.random_complex` as it was first written: each differential M
+    is drawn from the kernel of the Kronecker system (upper^T (x) I) vec(M) = 0,
+    quadratic in the dimensions.  It uses the library's `Matrix` and
+    `random_matrix`, and is the reference for the draw from the left kernel of
+    upper, which must give the same complex and leave rng in the same state."""
+    from cosegal.chain import ChainComplex
+    from cosegal.field_linalg import Matrix
+    from cosegal.sampling import random_matrix
+
+    dims = {n: rng.randrange(max_dim + 1) for n in range(lo, hi + 1)}
+    dims = {n: d for n, d in dims.items() if d}
+    diff = {}
+    for n in sorted(dims, reverse=True):
+        rows, cols = dims.get(n - 1, 0), dims[n]
+        if rows == 0:
+            continue
+        upper = diff.get(n + 1)
+        if upper is None or upper.is_zero():
+            m = random_matrix(rng, field, rows, cols)
+        else:
+            ker = upper.transpose().kron(Matrix.identity(field, rows)).kernel()
+            vec = ker @ random_matrix(rng, field, ker.cols, 1)
+            m = vec.reshape(cols, rows).transpose()
+        if not m.is_zero():
+            diff[n] = m
+    return ChainComplex(field, dims, diff)

@@ -44,6 +44,7 @@ from oracles import (
     oracle_tensor_d,
     oracle_tensor_map,
     pushout_universal,
+    random_complex_by_kron,
     tensor_basis,
 )
 
@@ -116,7 +117,7 @@ def test_braiding_chain_map_involution_hexagon():
             a = random_complex(rng, field, 0, 1, 2)
             b = random_complex(rng, field, -1, 1, 2)
             c = random_complex(rng, field, 0, 2, 2)
-            tau = braiding(a, b)  # constructor checks the chain-map property
+            tau = braiding(a, b)  # a chain map: test_trust_boundary checks it here
             assert braiding(b, a) @ tau == ChainMap.identity(tensor(a, b))
             lhs = associator(b, c, a) @ braiding(a, tensor(b, c)) @ associator(a, b, c)
             rhs = (
@@ -379,3 +380,16 @@ def test_cone_detects_quasi_iso_both_ways():
     for field in (GF2, QQ):
         c = random_complex(rng, field, 0, 2, 2)
         assert not homology_dims(cone(ChainMap.identity(c)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_random_complex_matches_the_kronecker_draw(field):
+    # the same seed gives the same complex and the same rng state afterwards,
+    # over windows long enough for differentials drawn under a nonzero one
+    for seed in range(200):
+        old, new = random.Random(seed), random.Random(seed)
+        for lo, hi, max_dim in ((0, 2, 3), (-1, 3, 4)):
+            assert random_complex(new, field, lo, hi, max_dim) == random_complex_by_kron(
+                old, field, lo, hi, max_dim
+            )
+        assert new.getstate() == old.getstate()

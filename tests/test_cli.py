@@ -484,3 +484,49 @@ def test_gamma_level_cap_is_exit2(tmp_path):
     assert run.returncode == 2
     assert run.stderr == f"ERROR: gamma: level is at most {MAX_GAMMA_LEVEL}, got {level}\n"
     assert run.stdout == ""
+
+
+def _run_limited(args, timeout):
+    """The CLI in a subprocess under a 1.5 GB address-space limit."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import cosegal
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    src = os.path.dirname(os.path.dirname(cosegal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cosegal.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=limit,
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "cosegalify", "pushout-k2"])
+def test_a_distant_degree_is_walked_only_where_stored(command, tmp_path):
+    # one apex dimension at degree 10^8: the chain-map check, homology and
+    # the tensor product visit the stored degrees, not the window between
+    doc = json.loads(docs.dump_document(random_two_constant(random.Random(1), GF2), "two_constant"))
+    doc["apex"]["dims"]["100000000"] = 1
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    run = _run_limited([command, str(path)], timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    if command == "validate":
+        assert run.stdout == f"OK {path}\n"
+    else:
+        assert "  100000000: 1\n" in run.stdout
+
+
+def test_pushout_k2_draws_from_a_huge_window_without_building_it(two_constant_file):
+    run = _run_limited(
+        ["pushout-k2", str(two_constant_file), "--window", "0", "100000000"], timeout=20
+    )
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout.startswith("alpha_degree: ")
