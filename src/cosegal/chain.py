@@ -62,6 +62,8 @@ class ChainComplex:
     to the matrix of d_n : C_n -> C_{n-1}.  Zero differentials are dropped,
     so equality of complexes is equality of the stored data.  Both mappings
     are read-only, since results such as `tensor(c, d)` are shared.
+    `ChainComplex(...)` checks shapes and d.d = 0, for complexes from
+    outside; the operations here build theirs with `_trusted_complex`.
     """
 
     field: Field
@@ -95,10 +97,6 @@ class ChainComplex:
             return (0, -1)
         return (min(self.dims), max(self.dims))
 
-    def degrees(self, inflate: int = 0):
-        lo, hi = self.window
-        return range(lo - inflate, hi + 1 + inflate)
-
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
@@ -116,6 +114,15 @@ class ChainComplex:
 
     def __repr__(self):
         return f"ChainComplex({self.field}, dims={dict(self.dims)})"
+
+
+def _trusted_complex(field: Field, dims: dict, diff: dict) -> ChainComplex:
+    """`ChainComplex(...)` without its checks, like `_trusted_map`."""
+    out = object.__new__(ChainComplex)
+    dims = {n: k for n, k in dims.items() if k}
+    diff = {n: m for n, m in diff.items() if not m.is_zero()}
+    vars(out).update(field=field, dims=MappingProxyType(dims), diff=MappingProxyType(diff))
+    return out
 
 
 def single_complex(field: Field, degree: int, dim: int = 1) -> ChainComplex:
@@ -326,7 +333,7 @@ def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
                 blk = Matrix.identity(fld, c.dim(i)).kron(d.d(j))
                 blocks.append((tgt[(i, j - 1)].start, cols.start, -blk if i % 2 else blk))
         diff[n] = Matrix.assemble(fld, dims[n - 1], dims[n], blocks)
-    return ChainComplex(fld, dims, diff)
+    return _trusted_complex(fld, dims, diff)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -428,7 +435,7 @@ def cone(f: ChainMap) -> ChainComplex:
         diff[n] = Matrix.assemble(fld, rows_a + rows_b, cols_a + cols_b, [
             (0, 0, -a.d(n - 1)), (rows_a, 0, -f.component(n - 1)), (rows_a, cols_a, b.d(n)),
         ])
-    return ChainComplex(fld, dims, diff)
+    return _trusted_complex(fld, dims, diff)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -472,7 +479,7 @@ def cylinder_factorization(f: ChainMap) -> tuple[ChainMap, ChainMap]:
             (r[0] + r[1], c[0], f.component(n - 1)),
             (r[0] + r[1], c[0] + c[1], b.d(n)),
         ])
-    cyl = ChainComplex(fld, dims, diff)
+    cyl = _trusted_complex(fld, dims, diff)
     comps_i, comps_p = {}, {}
     for n in cyl.dims:
         ca, ca1, cb = a.dim(n), a.dim(n - 1), b.dim(n)
@@ -696,19 +703,25 @@ class Colimit:
 
     def induce(self, cocone: list[ChainMap]) -> ChainMap:
         """The unique map out of Q whose composite with legs[i] is cocone[i]."""
-        if len(cocone) != len(self.legs):
-            raise ValueError("cocone and colimit have different node counts")
-        fld = self.obj.field
-        comps = {}
+        out = _read_off(self, cocone)
         for n, proj in self.proj.items():
-            # m @ proj = composite: `quotient` makes proj the identity on its
-            # free columns, so m can only be those columns of the composite
-            composite = Matrix.hstack(fld, [c.component(n) for c in cocone])
-            comps[n] = m = composite[:, self.free[n]]
-            if m @ proj != composite:
+            composite = Matrix.hstack(self.obj.field, [c.component(n) for c in cocone])
+            if out.component(n) @ proj != composite:
                 raise ValueError("map does not descend through the projection")
-        # proj is onto and the cocone's maps are chain maps, so the map is one
-        return _trusted_map(self.obj, cocone[0].target, comps)
+        return out
+
+
+def _read_off(c: Colimit, cocone: list[ChainMap]) -> ChainMap:
+    """`Colimit.induce` without its descent check, for a cocone that descends
+    by construction: `quotient` makes each projection the identity on its free
+    columns, so the map can only be those columns of the composite."""
+    if len(cocone) != len(c.legs):
+        raise ValueError("cocone and colimit have different node counts")
+    comps = {}
+    for n, free in c.free.items():
+        comps[n] = Matrix.hstack(c.obj.field, [m.component(n) for m in cocone])[:, free]
+    # proj is onto and the cocone's maps are chain maps, so the map is one
+    return _trusted_map(c.obj, cocone[0].target, comps)
 
 
 def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) -> Colimit:
@@ -751,7 +764,7 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
         if frees[n] and frees.get(n - 1):
             composite = Matrix.hstack(fld, [col[n - 1] @ c.d(n) for col, c in zip(cols, nodes)])
             diff[n] = composite[:, frees[n]]
-    q = ChainComplex(fld, {n: len(free) for n, free in frees.items()}, diff)
+    q = _trusted_complex(fld, {n: len(free) for n, free in frees.items()}, diff)
     legs = [_trusted_map(c, q, {n: col[n] for n in c.dims}) for col, c in zip(cols, nodes)]
     return Colimit(q, legs, projs, frees)
 

@@ -116,8 +116,7 @@ def cmd_validate(args) -> int:
     worst = 0
     for path in args.paths:
         try:
-            payload = _read_json(path)
-            kind, obj = docs.load_document(payload, args.max_dim)
+            kind, obj = docs.load_document(_read_json(path), args.max_dim)
             violations = []
             if kind in ("diagram", "na_diagram", "premonoid"):
                 violations = validate(obj)
@@ -125,21 +124,19 @@ def cmd_validate(args) -> int:
                 violations = validate_morphism(obj)
             elif kind == "two_constant":
                 violations = obj.validate()
-            if violations:
-                print(f"INVALID {path}")
-                for v in violations:
-                    print(f"  {v}")
-                worst = max(worst, SEMANTIC_ERROR)
-            else:
-                print(f"OK {path}")
         except ValidationFailure as exc:
-            print(f"INVALID {path}")
-            for v in exc.violations:
-                print(f"  {v}")
-            worst = max(worst, SEMANTIC_ERROR)
+            violations = exc.violations
         except DocumentError as exc:
             print(f"ERROR {path}: {exc}")
             worst = PARSE_ERROR
+            continue
+        if violations:
+            print(f"INVALID {path}")
+            for v in violations:
+                print(f"  {v}")
+            worst = max(worst, SEMANTIC_ERROR)
+        else:
+            print(f"OK {path}")
     return worst
 
 

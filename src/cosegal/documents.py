@@ -423,10 +423,19 @@ def instruction_to_dict(ins: K2Instruction) -> dict:
     }
 
 
-def instruction_from_dict(d: dict, f: TwoConstantPremonoid) -> K2Instruction:
+def _raw_instruction(d: dict, max_dim: int | None = None) -> dict:
+    """d, with what needs no premonoid checked: alpha_degree, q and p."""
     deg = d.get("alpha_degree")
     if not isinstance(deg, int) or isinstance(deg, bool):
         raise DocumentError("alpha_degree must be an integer")
+    for key in ("q", "p"):
+        if not isinstance(d.get(key, {}), dict):
+            raise DocumentError(f"{key} must be an object")
+    return d
+
+
+def instruction_from_dict(d: dict, f: TwoConstantPremonoid) -> K2Instruction:
+    deg = _raw_instruction(d)["alpha_degree"]
     gen = GeneratingCofibration(deg, f.field)
     q = _components_from(f.field, d.get("q", {}), gen.sphere, f.apex, ("q",))
     p = _components_from(f.field, d.get("p", {}), gen.disc, f.base.obj, ("p",))
@@ -457,7 +466,7 @@ _FROM = {
     **{kind: partial(diagram_from_dict, kind=kind) for kind in _SECTIONS},
     "morphism": morphism_from_dict,
     "two_constant": two_constant_from_dict,
-    "instruction": lambda d, max_dim: d,
+    "instruction": _raw_instruction,
 }
 
 
@@ -470,7 +479,7 @@ def dump_document(obj, kind: str) -> str:
 def load_document(d: dict, max_dim: int | None = None):
     """Load a kind-tagged document; returns (kind, object).
 
-    Instructions are returned raw (they need a premonoid for context).
+    Instructions are returned raw once checked (they need a premonoid for context).
     """
     if not isinstance(d, dict):
         raise DocumentError("document must be a JSON object")

@@ -322,7 +322,7 @@ class Matrix:
 
     def sparse_rows(self) -> list[dict]:
         """The rows of the numerators as {column: value} dicts of their nonzero
-        entries, one of the forms `quotient` takes."""
+        entries, the form `quotient` takes."""
         rows: list[dict] = [{} for _ in range(self.rows)]
         ii, jj = self.num.nonzero()
         for i, j, v in zip(ii.tolist(), jj.tolist(), self.num[ii, jj].tolist()):
@@ -397,10 +397,10 @@ def _common(field: Field, blocks: list[Matrix]) -> tuple[list[np.ndarray], int]:
     return [_widen(b.num, bound) * k for b, k in zip(blocks, scales)], den
 
 
-def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]:
-    """Quotient of k^dim by the span of the given relation vectors: the rows
-    of a `Matrix` or of a list of lists, or sparse rows, a list of {column:
-    integer} dicts (over Q any integer multiples of the vectors).
+def quotient(field: Field, dim: int, relations: list[dict]) -> tuple[int, Matrix, list[int]]:
+    """Quotient of k^dim by the span of the given relation vectors, as sparse
+    rows {column: integer} (over Q any integer multiples of the vectors;
+    `Matrix.sparse_rows` gives a matrix's rows in this form).
 
     Returns (quotient dimension, projection matrix, free columns).  The
     projection is surjective with kernel exactly the span of the relations;
@@ -408,16 +408,10 @@ def quotient(field: Field, dim: int, relations) -> tuple[int, Matrix, list[int]]
     the reduced relations, so the projection restricted to the free columns
     is the identity.
     """
-    if not isinstance(relations, Matrix):
-        relations = list(relations)
-        if not all(isinstance(r, dict) for r in relations):
-            relations = Matrix.from_rows(field, [list(r) for r in relations], cols=dim)
-    if isinstance(relations, Matrix) and relations.cols != dim:
-        raise ValueError("relation vectors have wrong length")
     p, index = field.characteristic, operator.index
     rows = [
         {index(j): x for j, v in r.items() if (x := index(v) % p if p else index(v))}
-        for r in (relations.sparse_rows() if isinstance(relations, Matrix) else relations)
+        for r in relations
     ]
     if any(min(r) < 0 or max(r) >= dim for r in rows if r):
         raise ValueError("relation vectors have wrong length")

@@ -9,12 +9,12 @@ transformation eta : F -> G all fall out of the colimit legs.
 
 All colimits take one sparse relation row per arrow and source coordinate,
 with a deterministic generator order (shape-object order, then basis
-order), so repeated runs are bit-identical.  Every map out of a level (the
-bijection actions, the universal extension) is read off the free generator
-columns of its colimit by `Colimit.induce`.  The free diagram on f is
-shared while it is alive, like `tensor(c, d)`, and carries its unit and
-joint colimits privately, so `universal_extension(f, ...)` reads the joints
-of a live `gamma_na(f)` result instead of rebuilding them.
+order), so repeated runs are bit-identical.  Every map out of a level is
+read off the free generator columns of its colimit; only the universal
+extension's cocone is checked to descend (see `_build_free`).  The free
+diagram on f is shared while it is alive, like `tensor(c, d)`, and carries
+its unit and joint colimits privately, so `universal_extension(f, ...)`
+reads the joints of a live `gamma_na(f)` result instead of rebuilding them.
 
 Size warning: the latching shapes grow like surjection counts times level
 decompositions; see the complexity table in the README.  The N = 4 point
@@ -29,6 +29,7 @@ from .chain import (
     ChainComplex,
     ChainMap,
     Colimit,
+    _read_off,
     _shared,
     colimit,
     tensor,
@@ -110,7 +111,7 @@ def delta_map(f, h, n: int) -> ChainMap:
     llegs = lax_latching(h, n).legs
     lshape = latching_shape(n, classical=False)
     return lat.induce([
-        llegs[lshape.plus_index(ob.p, ob.to_level)] @ ChainMap.identity(f.objects[ob.p])
+        llegs[lshape.index(ob)] @ ChainMap.identity(f.objects[ob.p])
         for ob in latching_shape(n, classical=True).objects
     ])
 
@@ -152,6 +153,10 @@ def _free_levels(f: LaxDiagram) -> LaxDiagram:
 
 
 def _build_free(f: LaxDiagram) -> LaxDiagram:
+    """Each bijection pi acts on free(n) by reindexing the joint cocone: each
+    node moves like its shape object (a middle node like its plus object),
+    and f(n) by f(pi).  That is an automorphism of the joint diagram, so the
+    reindexed legs descend and the action is read off without a check."""
     objects = {1: f.objects[1]}
     structure: dict = {}
     laxity: dict = {}
@@ -169,8 +174,7 @@ def _build_free(f: LaxDiagram) -> LaxDiagram:
                 structure[ob.to_level] = legs[k]
             elif ob.p + ob.q == n and ob.to_sum.is_identity():
                 laxity[(ob.p, ob.q)] = legs[k]
-        # bijections act by reindexing the whole cocone; the middle nodes
-        # move like the plus objects, the last `mids` shape objects
+        # the middle nodes stand for the last `mids` shape objects
         mids = len(legs) - 1 - len(lshape.objects)
         for pi in enumerate_surjections(n, n):
             if pi.is_identity():
@@ -183,7 +187,8 @@ def _build_free(f: LaxDiagram) -> LaxDiagram:
                     ob = PlusObject(ob.p, compose(ob.to_level, pi))
                 moved.append(lshape.index(ob))
             moved += [k + mids for k in moved[-mids:]]
-            structure[pi] = joint.induce([legs[k] for k in moved] + [eta[n] @ f.structure_map(pi)])
+            cocone = [legs[k] for k in moved] + [eta[n] @ f.structure_map(pi)]
+            structure[pi] = _read_off(joint, cocone)
     free = LaxDiagram(f.level, objects, structure, laxity)
     free._free_unit, free._free_joints = eta, joints
     return free

@@ -180,11 +180,6 @@ class LatchingDiagramShape:
         """Position of the object ob.  Raises KeyError if it is not one."""
         return self._index[ob]
 
-    def plus_index(self, p: int, surj: Surjection) -> int:
-        """Index of the plus object (p, surj); the embedding of the classical
-        shape into the full shape.  Raises KeyError if there is none."""
-        return self._index[PlusObject(p, surj)]
-
 
 def latching_shape(n: int, classical: bool = False) -> LatchingDiagramShape:
     """The shape of the latching diagram at level n.

@@ -23,6 +23,7 @@ from .chain import (
     ChainComplex,
     ChainMap,
     GeneratingCofibration,
+    _read_off,
     colimit,
     cylinder_factorization,
     generating_cofibrations,
@@ -227,14 +228,15 @@ def pushout_k2(
     Returns (e, eps, i_v): the new 2-constant premonoid e whose apex is the
     pushout of alpha along q; eps is the apex leg (level-1 component of the
     canonical morphism into e, identity at levels >= 2); i_v the disc leg.
-    The base is untouched, so the reflection is preserved verbatim.
+    The base is untouched, so the reflection is preserved verbatim.  The
+    square's check is gamma's descent check, so gamma is read off unchecked.
     """
     if f.h @ ins.q != ins.p @ ins.alpha.inclusion:
         raise ValueError("square does not commute")
     alpha = ins.alpha.inclusion
     c = colimit([alpha.source, alpha.target, f.apex], [(0, 1, alpha), (0, 2, ins.q)])
     i_v, eps = c.legs[1], c.legs[2]
-    gamma = c.induce([f.h @ ins.q, ins.p, f.h])
+    gamma = _read_off(c, [f.h @ ins.q, ins.p, f.h])
     e = TwoConstantPremonoid(f.base, c.obj, gamma, eps @ f.unit_map)
     return e, eps, i_v
 
@@ -264,7 +266,8 @@ def wide_pushout_two_constant(
 
     The apex is the wide pushout of the individual apex legs; the base is
     unchanged.  Returns (e_inf, source_leg, legs) with legs indexed like the
-    instructions.
+    instructions.  The arrows are the pushouts' apex legs eps, with h . eps =
+    f.h for each pushout's h, so h_inf is read off unchecked.
     """
     if not instructions:
         return f, ChainMap.identity(f.apex), []
@@ -273,7 +276,7 @@ def wide_pushout_two_constant(
         [f.apex] + [piece.apex for piece, _, _ in pieces],
         [(0, k + 1, eps) for k, (_, eps, _) in enumerate(pieces)],
     )
-    h_inf = apex.induce([f.h] + [piece.h for piece, _, _ in pieces])
+    h_inf = _read_off(apex, [f.h] + [piece.h for piece, _, _ in pieces])
     src_leg = apex.legs[0]
     e_inf = TwoConstantPremonoid(f.base, apex.obj, h_inf, src_leg @ f.unit_map)
     return e_inf, src_leg, apex.legs[1:]

@@ -190,7 +190,7 @@ def classical_joint(f, below, eta, n):
     nodes.append(f.objects[n])
     for k, ob in enumerate(cshape.objects):
         arrows.append((coff + k, fnode, f.structure_map(ob.to_level)))
-        arrows.append((coff + k, lshape.plus_index(ob.p, ob.to_level), eta[ob.p]))
+        arrows.append((coff + k, lshape.index(ob), eta[ob.p]))
     return colimit(nodes, arrows), len(arrows)
 
 

@@ -107,6 +107,23 @@ def test_unreadable_json_is_exit2_and_validate_goes_on(
     assert err.startswith("ERROR: cannot read") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, why",
+    [
+        ({"alpha_degree": "x", "q": 5}, "alpha_degree must be an integer"),
+        ({"alpha_degree": 1, "q": 5}, "q must be an object"),
+        ({"alpha_degree": 1, "p": [[1]]}, "p must be an object"),
+    ],
+    ids=["degree", "q", "p"],
+)
+def test_validate_refuses_a_malformed_instruction(tmp_path, capsys, doc, why):
+    # `validate` used to print OK for any instruction document, unread
+    bad = tmp_path / "instruction.json"
+    bad.write_text(json.dumps({"kind": "instruction", **doc}))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().out == f"ERROR {bad}: {why}\n"
+
+
 def test_cosegalify_command(tmp_path, two_constant_file):
     out_path = tmp_path / "s.json"
     rc, out = run_cli(
@@ -368,6 +385,11 @@ expect(ValueError, lambda: induced_matrix(through, Matrix.from_rows(GF2, [[0, 1]
 gen = GeneratingCofibration(1, GF2)
 disc, alpha = gen.disc, gen.inclusion
 expect(ValueError, lambda: ChainMap.identity(disc) + alpha)
+one = Matrix.identity(GF2, 1)
+expect(ValueError, lambda: chain.ChainComplex(GF2, {0: 1, 1: 1, 2: 1}, {1: one, 2: one}))
+point = chain.single_complex(GF2, 0, 1)
+glued = chain.colimit([point, point], [(0, 1, ChainMap.identity(point))])
+expect(ValueError, lambda: glued.induce([ChainMap.identity(point), ChainMap.zero(point, point)]))
 g = ChainMap.zero(disc, chain.zero_complex(GF2))
 bottom = ChainMap.zero(disc, g.target)
 Matrix.solve = lambda self, rhs: Matrix.zeros(self.field, self.cols, rhs.cols)
@@ -395,7 +417,7 @@ def test_load_bearing_checks_survive_python_O(tmp_path):
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1:] == ["raised ValueError"] * 6 + ["raised InvariantError"] * 2
+    assert lines[1:] == ["raised ValueError"] * 8 + ["raised InvariantError"] * 2
     # the CLI under -O: a rejected prime is exit 2, without a traceback
     doc = tmp_path / "huge.json"
     doc.write_text(json.dumps(_complex_doc(4294967291)))

@@ -133,7 +133,7 @@ def test_rref_rank_kernel_and_quotient_match_the_dense_oracle(data):
     assert ker.shape == (n, len(free)) and ker.transpose().tolist() == proj
     assert (mat @ ker).is_zero()
     rng = random.Random(len(a) * 31 + n)
-    for relations in (mat, a, _sparse(field, a, rng)):
+    for relations in (mat.sparse_rows(), _sparse(field, a, rng)):
         qdim, got, qfree = quotient(field, n, relations)
         assert qdim == len(free) and qfree == free
         assert got.shape == (len(free), n) and got.tolist() == proj

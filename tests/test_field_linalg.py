@@ -73,12 +73,12 @@ def test_quotient_no_relations():
 
 
 def test_quotient_full():
-    d, p, _ = quotient(GF3, 2, [[1, 0], [0, 1]])
+    d, p, _ = quotient(GF3, 2, Matrix.identity(GF3, 2).sparse_rows())
     assert d == 0 and p.shape == (0, 2)
 
 
 def test_quotient_kernel_check():
-    d, p, _ = quotient(GF2, 2, [[1, 1]])
+    d, p, _ = quotient(GF2, 2, Matrix.from_rows(GF2, [[1, 1]]).sparse_rows())
     assert d == 1
     assert p.tolist() == [[1, 1]]
     assert (p @ Matrix.from_rows(GF2, [[1], [1]])).is_zero()
@@ -113,7 +113,8 @@ def test_quotient_projection_properties(field):
         rels = [
             [rng.randrange(5) for _ in range(dim)] for _ in range(rng.randrange(0, 4))
         ]
-        qdim, proj, free = quotient(field, dim, rels)
+        relations = Matrix.from_rows(field, rels, cols=dim).sparse_rows()
+        qdim, proj, free = quotient(field, dim, relations)
         assert proj.rank() == qdim
         # the quotient basis is the images of the free columns
         assert Matrix(field, proj.data[:, free]) == Matrix.identity(field, qdim)

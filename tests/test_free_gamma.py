@@ -241,6 +241,19 @@ def test_extension_refuses_a_target_without_laxity():
         universal_extension(f, f, DiagramMorphism.identity(f))
 
 
+def test_extension_refuses_a_phi_that_is_not_natural():
+    # eta with a zero level-2 component: the middle node f(1) is sent by
+    # g(v) . phi_1, which is not zero, but through f(2) by phi_2 . f(v) = 0,
+    # so the level-2 cocone does not descend
+    s0 = single_complex(GF2, 0, 1)
+    f = tower_diagram([ChainMap.identity(s0)])
+    g, eta = gamma_na(f)
+    phi = DiagramMorphism(f, g, {1: eta.component(1), 2: ChainMap.zero(s0, g.objects[2])})
+    assert validate_morphism(phi) != []
+    with pytest.raises(ValueError, match="does not descend"):
+        universal_extension(f, g, phi)
+
+
 def test_latching_refuses_a_level_beyond_the_diagram():
     f = random_tower_diagram(random.Random(31), GF2, 2, 0, 1, 2)
     for build in (

@@ -158,7 +158,7 @@ def test_classical_embeds_into_lax():
         cla = latching_shape(n, classical=True)
         seen = set()
         for ob in cla.objects:
-            k = lax.plus_index(ob.p, ob.to_level)
+            k = lax.index(ob)
             assert isinstance(lax.objects[k], PlusObject)
             assert k not in seen
             seen.add(k)
@@ -176,7 +176,7 @@ def test_plus_index_finds_every_plus_object(classical):
         plus = [(k, ob) for k, ob in enumerate(shape.objects) if isinstance(ob, PlusObject)]
         assert plus
         for k, ob in plus:
-            assert shape.plus_index(ob.p, ob.to_level) == k
+            assert shape.index(PlusObject(ob.p, ob.to_level)) == k
         for k, ob in enumerate(shape.objects):
             assert shape.index(ob) == k
         with pytest.raises(KeyError):
@@ -185,6 +185,6 @@ def test_plus_index_finds_every_plus_object(classical):
             shape.index(PairObject(n, 1, identity_surjection(n + 1)))
         # level n itself is not a plus object of its own latching shape
         with pytest.raises(KeyError):
-            shape.plus_index(n, identity_surjection(n))
+            shape.index(PlusObject(n, identity_surjection(n)))
         with pytest.raises(KeyError):
-            shape.plus_index(n - 1, identity_surjection(n - 1))
+            shape.index(PlusObject(n - 1, identity_surjection(n - 1)))

@@ -1,11 +1,17 @@
-"""Chain maps are checked once, where they enter.
+"""Complexes, chain maps and cocones are checked once, where they enter.
 
-`ChainMap(...)` checks d.f = f.d; the operations that build chain maps out
-of chain maps (composites, sums, tensor maps, colimit legs, induced maps,
-Hom-space solutions) build theirs with the unchecked `chain._trusted_map`.
-These tests swap the checked constructor back in for it: the answers must
-not move, and a closed operation that breaks the condition must then fail.
-A counter shows that only documents and sampling still run the check."""
+`ChainMap(...)` checks d.f = f.d and `ChainComplex(...)` checks d.d = 0; the
+operations that build maps and complexes out of maps and complexes
+(composites, sums, tensor maps, colimit legs, induced maps, Hom-space
+solutions; tensors, cones, cylinders, colimit objects) build theirs with the
+unchecked `chain._trusted_map` and `chain._trusted_complex`.
+`Colimit.induce` checks that its cocone descends; the callers whose cocones
+descend by construction read the map off with the unchecked
+`chain._read_off`.  These tests swap the checked versions back in: the
+answers must not move, and a closed operation that breaks its invariant
+must then fail.  Counters show that only documents and sampling still run
+the chain-map and d.d checks, and that no descent check runs on the
+command-line paths."""
 
 import contextlib
 import io
@@ -15,9 +21,11 @@ from random import Random
 
 import pytest
 
-from cosegal import chain, documents
+from cosegal import chain, documents, free_gamma, two_constant
 from cosegal.chain import (
+    ChainComplex,
     ChainMap,
+    Colimit,
     cylinder_factorization,
     generating_cofibrations,
     has_rlp,
@@ -40,10 +48,18 @@ import test_chain
 from test_golden import CASES, GOLDEN, HOM_SPACES, OUT_CASES, hom_spaces, workdir  # noqa: F401
 
 
+def _check_everything(monkeypatch):
+    """Every closed operation builds its chain maps and complexes with the
+    checked constructors, and every map out of a colimit is induced."""
+    monkeypatch.setattr(chain, "_trusted_map", ChainMap)
+    monkeypatch.setattr(chain, "_trusted_complex", ChainComplex)
+    for module in (free_gamma, two_constant):
+        monkeypatch.setattr(module, "_read_off", Colimit.induce)
+
+
 @pytest.fixture
 def checked(monkeypatch):
-    """Every closed operation builds its chain map with the checked constructor."""
-    monkeypatch.setattr(chain, "_trusted_map", ChainMap)
+    _check_everything(monkeypatch)
 
 
 def _cli(argv):
@@ -110,7 +126,7 @@ def _lifting_record(field, seed):
 def test_constructions_are_the_same_with_every_map_checked(record, field, monkeypatch):
     seeds = range(3)
     trusted = [record(field, seed) for seed in seeds]
-    monkeypatch.setattr(chain, "_trusted_map", ChainMap)
+    _check_everything(monkeypatch)
     assert [record(field, seed) for seed in seeds] == trusted
 
 
@@ -148,6 +164,38 @@ def test_a_broken_closed_operation_fails_only_when_checked(monkeypatch):
         tensor_map(f, g)
 
 
+def test_a_broken_complex_construction_fails_only_when_checked(monkeypatch):
+    # the first block of disc (x) disc is 1 (x) d_1 of d_1 : (0, 1) -> (0, 0);
+    # zeroing it leaves d_1 = [0 1] against d_2 = [1 1]^T, so d.d != 0
+    def broken():
+        disc = chain.GeneratingCofibration(1, GF2).disc  # a fresh operand, not shared
+        return tensor(disc, disc)
+
+    _flip_next_kron(monkeypatch)
+    c = broken()
+    assert not (c.d(1) @ c.d(2)).is_zero()
+    _flip_next_kron(monkeypatch)
+    monkeypatch.setattr(chain, "_trusted_complex", ChainComplex)
+    with pytest.raises(ValueError, match=r"d\.d != 0 at degree 2"):
+        broken()
+
+
+def _commands(workdir, tmp_path):
+    """The chain the cosegalify benchmark job runs on the level-4 fixture,
+    then `gamma` on the point diagram."""
+    doc = str(workdir / "fixtures" / "premonoid_level4.json")
+    s, e = str(tmp_path / "s.json"), str(tmp_path / "e.json")
+    for argv in (
+        ["validate", doc],
+        ["cosegalify", doc, "--level", "4", "--out", s],
+        ["validate", s],
+        ["pushout-k2", s, "--degree", "1", "--out", e],
+        ["validate", e],
+        ["gamma", str(workdir / "fixtures" / "point_diagram.json")],
+    ):
+        assert _cli(argv)[0] == 0, argv
+
+
 def test_only_documents_and_sampling_check_chain_maps(workdir, tmp_path, monkeypatch):
     # the chain the cosegalify benchmark job runs, on the level-4 fixture
     init, callers = ChainMap.__init__, {}
@@ -158,14 +206,34 @@ def test_only_documents_and_sampling_check_chain_maps(workdir, tmp_path, monkeyp
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ChainMap, "__init__", counted)
-    doc = str(workdir / "fixtures" / "premonoid_level4.json")
-    s, e = str(tmp_path / "s.json"), str(tmp_path / "e.json")
-    for argv in (
-        ["validate", doc],
-        ["cosegalify", doc, "--level", "4", "--out", s],
-        ["validate", s],
-        ["pushout-k2", s, "--degree", "1", "--out", e],
-        ["validate", e],
-    ):
-        assert _cli(argv)[0] == 0, argv
+    _commands(workdir, tmp_path)
     assert set(callers) == {"cosegal.documents", "cosegal.sampling"}
+
+
+def test_only_entering_complexes_form_d_d_and_no_cocone_is_checked(
+    workdir, tmp_path, monkeypatch
+):
+    # a d.d product is formed in ChainComplex.__post_init__, called by the
+    # generated __init__, called by the builder; a descent product in induce
+    matmul, checks, builders = Matrix.__matmul__, ChainComplex.__post_init__.__code__, {}
+    descents = []
+
+    def counted(self, other):
+        frame = sys._getframe(1)
+        if frame.f_code is checks:
+            caller = frame.f_back.f_back.f_globals["__name__"]
+            builders[caller] = builders.get(caller, 0) + 1
+        elif frame.f_code is Colimit.induce.__code__:
+            descents.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    _commands(workdir, tmp_path)
+    assert builders and set(builders) <= {"cosegal.documents", "cosegal.sampling"}
+    assert not descents
+    # the counters see both kinds of product where they are formed
+    d1, d2 = Matrix.from_rows(GF2, [[1, 1]]), Matrix.from_rows(GF2, [[1], [1]])
+    ChainComplex(GF2, {0: 1, 1: 2, 2: 1}, {1: d1, 2: d2})
+    point = single_complex(GF2, 0, 1)
+    chain.colimit([point], []).induce([ChainMap.identity(point)])
+    assert builders[__name__] == 1 and descents == [1]
