@@ -21,6 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .field_linalg import Field, InvariantError, Matrix, quotient
+from .field_linalg import _block_rows, _section, _solve_rows
 
 __all__ = [
     "ChainComplex",
@@ -498,14 +499,17 @@ def cylinder_factorization(f: ChainMap) -> tuple[ChainMap, ChainMap]:
 class _Hom:
     """Coordinates of the degree-0 maps source -> target.
 
-    A map k is the column of its blocks vec(k_n), each flattened column-major,
+    A map k is the row of its blocks vec(k_n), each flattened column-major,
     over the degrees where both sides are nonzero, in ascending order.  With
     that order vec(b.k.a) = (a^T (x) b) vec(k), so chain-map bases, commuting
     squares, lifting problems and natural transformations are all linear
-    systems assembled from the blocks below.
+    systems of such blocks, which the methods read off the factors' nonzeros
+    and place as `field_linalg._block_rows` takes them: no Kronecker product.
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex):
+        if source.field != target.field:
+            raise ValueError(f"field mismatch {source.field} Hom {target.field}")
         self.source, self.target, self.field = source, target, source.field
         self.offsets, self.size = {}, 0
         for n in sorted(source.dims):
@@ -513,74 +517,81 @@ class _Hom:
                 self.offsets[n] = self.size
                 self.size += source.dim(n) * target.dim(n)
 
-    def _span(self, n: int) -> slice:
-        o = self.offsets[n]
-        return slice(o, o + self.source.dim(n) * self.target.dim(n))
+    def d0(self, row: int = 0, col: int = 0) -> tuple[int, list]:
+        """The chain-map condition d.k_n - k_{n-1}.d = 0 as blocks placed from
+        (row, col) on: (the row after its rows, the blocks)."""
+        s, t, o, blocks, r = self.source, self.target, self.offsets, [], row
+        for n in sorted(set(o) | {m + 1 for m in o}):
+            if n in o and n in t.diff:
+                blocks.append(_kron_block(r, col + o[n], s.dim(n), t.diff[n]))
+            if n - 1 in o and n in s.diff:
+                blocks.append(_kron_block(r, col + o[n - 1], s.diff[n], t.dim(n - 1), -1))
+            r += t.dim(n - 1) * s.dim(n)
+        return r, blocks
 
-    def d0(self) -> Matrix:
-        """The rows of d.k_n - k_{n-1}.d = 0, the chain-map condition."""
-        s, t, fld = self.source, self.target, self.field
-        blocks, row = [], 0
-        for n in sorted(set(self.offsets) | {m + 1 for m in self.offsets}):
-            if n in self.offsets:
-                blocks.append((row, self.offsets[n], Matrix.identity(fld, s.dim(n)).kron(t.d(n))))
-            if n - 1 in self.offsets:
-                blk = -s.d(n).transpose().kron(Matrix.identity(fld, t.dim(n - 1)))
-                blocks.append((row, self.offsets[n - 1], blk))
-            row += t.dim(n - 1) * s.dim(n)
-        return Matrix.assemble(fld, row, self.size, blocks)
+    def compose(self, into: "_Hom", pre=None, post=None, row=0, col=0, sign=1) -> list:
+        """The blocks of k -> sign post.k.pre from these coordinates (columns
+        from `col`) to those of `into` (rows from `row`), one a^T (x) b per
+        degree; an absent side is the identity."""
+        blocks = []
+        for n, o in into.offsets.items():
+            a = self.source.dim(n) if pre is None else pre.components.get(n)
+            b = self.target.dim(n) if post is None else post.components.get(n)
+            if n in self.offsets and a is not None and b is not None:
+                blocks.append(_kron_block(row + o, col + self.offsets[n], a, b, sign))
+        return blocks
 
-    def compose(
-        self, into: "_Hom", pre: ChainMap | None = None, post: ChainMap | None = None
-    ) -> Matrix:
-        """The matrix of k -> post.k.pre from these coordinates to those of
-        `into`, one a^T (x) b block per degree; an absent side is the identity."""
-        fld, blocks = self.field, []
-        for n in into.offsets:
-            if n in self.offsets:
-                s, t = self.source.dim(n), self.target.dim(n)
-                a = Matrix.identity(fld, s) if pre is None else pre.component(n)
-                b = Matrix.identity(fld, t) if post is None else post.component(n)
-                blocks.append((into.offsets[n], self.offsets[n], a.transpose().kron(b)))
-        return Matrix.assemble(fld, into.size, self.size, blocks)
-
-    def vec(self, f: ChainMap) -> Matrix:
-        """The coordinate column of f."""
-        blocks = [
-            (o, 0, f.component(n).transpose().reshape(-1, 1)) for n, o in self.offsets.items()
+    def vec(self, f: ChainMap, row: int, col: int) -> list:
+        """The blocks of f's coordinates as column `col`, from `row` on."""
+        return [
+            (m.den, [(row + o + x * m.rows + y, col, v) for y, x, v in _nonzeros(m)[0]])
+            for n, o in self.offsets.items() if (m := f.components.get(n)) is not None
         ]
-        return Matrix.assemble(self.field, self.size, 1, blocks)
 
-    def unvec(self, column: Matrix) -> ChainMap:
-        """The map whose coordinates are `column`, a solution of a system holding `d0`."""
-        s, t = self.source, self.target
-        comps = {
-            n: column[self._span(n), :].reshape(s.dim(n), t.dim(n)).transpose()
-            for n in self.offsets
-        }
+    def unvec(self, coords: Matrix) -> ChainMap:
+        """The map whose coordinates are the row `coords`, a solution of a
+        system holding `d0`."""
+        s, t, comps = self.source, self.target, {}
+        for n, o in self.offsets.items():
+            k = coords.num[0, o : o + s.dim(n) * t.dim(n)].reshape(s.dim(n), t.dim(n))
+            comps[n] = Matrix(self.field, k.T.copy(), coords.den)
         return _trusted_map(s, t, comps)
+
+
+def _nonzeros(m: Matrix | int) -> tuple[list, int, tuple]:
+    """m's nonzero (row, column, numerator) entries, denominator and shape; an
+    int n stands for the n x n identity."""
+    if isinstance(m, int):
+        return [(i, i, 1) for i in range(m)], 1, (m, m)
+    ii, jj = m.num.nonzero()
+    return list(zip(ii.tolist(), jj.tolist(), m.num[ii, jj].tolist())), m.den, m.shape
+
+
+def _kron_block(row: int, col: int, a: Matrix | int, b: Matrix | int, sign: int = 1) -> tuple:
+    """sign a^T (x) b placed at (row, col), from the factors' nonzeros (an int
+    n is the n x n identity): a_{x x'} b_{y' y} sits at (x' t' + y', x t + y)
+    for b of shape t' x t."""
+    (ea, da, _), (eb, db, (t2, t)) = _nonzeros(a), _nonzeros(b)
+    return da * db, [
+        (row + x2 * t2 + y2, col + x * t + y, sign * u * w) for x, x2, u in ea for y2, y, w in eb
+    ]
 
 
 def _lifts(alpha: ChainMap, g: ChainMap, squares: list) -> list[ChainMap] | None:
     """One lift k (k.alpha = top, g.k = bottom, k a chain map) per commuting
     square (top, bottom), from one system whose right-hand sides are all the
     squares; None if some square has no lift."""
-    fld = alpha.field
     hom = _Hom(alpha.target, g.source)
     at_top, at_bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
-    d0 = hom.d0()
-    system = Matrix.vstack(
-        fld, [d0, hom.compose(at_top, pre=alpha), hom.compose(at_bottom, post=g)]
-    )
-    zero = Matrix.zeros(fld, d0.rows, 1)
-    rhs = Matrix.hstack(fld, [
-        Matrix.vstack(fld, [zero, at_top.vec(top), at_bottom.vec(bottom)])
-        for top, bottom in squares
-    ])
-    sol = system.solve(rhs)
+    r0, blocks = hom.d0()
+    r1 = r0 + at_top.size
+    blocks += hom.compose(at_top, pre=alpha, row=r0) + hom.compose(at_bottom, post=g, row=r1)
+    for j, (top, bottom) in enumerate(squares):
+        blocks += at_top.vec(top, r0, hom.size + j) + at_bottom.vec(bottom, r1, hom.size + j)
+    sol = _solve_rows(hom.field, hom.size, len(squares), _block_rows(hom.field, blocks))
     if sol is None:
         return None
-    lifts = [hom.unvec(sol[:, j : j + 1]) for j in range(len(squares))]
+    lifts = [hom.unvec(sol[:, j : j + 1].transpose()) for j in range(len(squares))]
     for k, (top, bottom) in zip(lifts, squares):
         if k @ alpha != top or g @ k != bottom:
             raise InvariantError("lift does not solve the lifting problem")
@@ -605,24 +616,24 @@ def _square_space_basis(alpha: ChainMap, g: ChainMap):
     """Basis of the linear space of commuting squares (top, bottom) over
     (alpha, g): the kernel of [[d0, 0], [0, d0], [post g, -pre alpha]] on
     Hom(U, X) + Hom(V, Y)."""
-    fld = alpha.field
     top, bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
     corner = _Hom(alpha.source, g.target)
-    ker = Matrix.vstack(fld, [
-        Matrix.block_diag(fld, [top.d0(), bottom.d0()]),
-        Matrix.hstack(fld, [top.compose(corner, post=g), -bottom.compose(corner, pre=alpha)]),
-    ]).kernel()
+    r0, blocks = top.d0()
+    r1, more = bottom.d0(r0, top.size)
+    blocks += more + top.compose(corner, post=g, row=r1)
+    blocks += bottom.compose(corner, pre=alpha, row=r1, col=top.size, sign=-1)
+    ker = _section(top.field, top.size + bottom.size, _block_rows(top.field, blocks))[1]
     return [
-        (top.unvec(ker[: top.size, j : j + 1]), bottom.unvec(ker[top.size :, j : j + 1]))
-        for j in range(ker.cols)
+        (top.unvec(ker[j : j + 1, : top.size]), bottom.unvec(ker[j : j + 1, top.size :]))
+        for j in range(ker.rows)
     ]
 
 
 def chain_map_basis(source: ChainComplex, target: ChainComplex) -> list[ChainMap]:
     """Basis of the vector space of chain maps source -> target."""
     hom = _Hom(source, target)
-    ker = hom.d0().kernel()
-    return [hom.unvec(ker[:, j : j + 1]) for j in range(ker.cols)]
+    ker = _section(hom.field, hom.size, _block_rows(hom.field, hom.d0()[1]))[1]
+    return [hom.unvec(ker[j : j + 1, :]) for j in range(ker.rows)]
 
 
 def has_rlp(alpha: ChainMap, g: ChainMap) -> bool:
@@ -703,23 +714,27 @@ class Colimit:
 
     def induce(self, cocone: list[ChainMap]) -> ChainMap:
         """The unique map out of Q whose composite with legs[i] is cocone[i]."""
-        out = _read_off(self, cocone)
+        composites = _composites(self, cocone)
+        out = _read_off(self, cocone, composites)
         for n, proj in self.proj.items():
-            composite = Matrix.hstack(self.obj.field, [c.component(n) for c in cocone])
-            if out.component(n) @ proj != composite:
+            if out.component(n) @ proj != composites[n]:
                 raise ValueError("map does not descend through the projection")
         return out
 
 
-def _read_off(c: Colimit, cocone: list[ChainMap]) -> ChainMap:
+def _composites(c: Colimit, cocone: list[ChainMap]) -> dict:
+    """Per degree, the cocone's components side by side."""
+    if len(cocone) != len(c.legs):
+        raise ValueError("cocone and colimit have different node counts")
+    return {n: Matrix.hstack(c.obj.field, [m.component(n) for m in cocone]) for n in c.free}
+
+
+def _read_off(c: Colimit, cocone: list[ChainMap], composites: dict | None = None) -> ChainMap:
     """`Colimit.induce` without its descent check, for a cocone that descends
     by construction: `quotient` makes each projection the identity on its free
     columns, so the map can only be those columns of the composite."""
-    if len(cocone) != len(c.legs):
-        raise ValueError("cocone and colimit have different node counts")
-    comps = {}
-    for n, free in c.free.items():
-        comps[n] = Matrix.hstack(c.obj.field, [m.component(n) for m in cocone])[:, free]
+    composites = _composites(c, cocone) if composites is None else composites
+    comps = {n: m[:, c.free[n]] for n, m in composites.items()}
     # proj is onto and the cocone's maps are chain maps, so the map is one
     return _trusted_map(c.obj, cocone[0].target, comps)
 

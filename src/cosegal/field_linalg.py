@@ -21,11 +21,12 @@ LaMacchia and Odlyzko, CRYPTO '90); over Q its steps are fraction-free and
 keep each row primitive, so entries divide the minors Bareiss's elimination
 would hold.  The reduced row echelon form is unique, so the results agree
 with elimination over `Fraction`s, which appear only in the `data`
-accessor.  Colimits pass `quotient` sparse relation rows: no dense relation
-matrix is built.
+accessor.  Colimits pass `quotient` sparse relation rows, and Hom-space
+systems reach the elimination as sparse rows (`_block_rows`): no dense
+relation or Kronecker matrix is built for either.
 
 Everything downstream (homology, lifting problems, colimits) reduces to the
-four primitives here: rank, solve, kron, quotient.  All algorithms are
+primitives here: rank, solve, kron, quotient.  All algorithms are
 deterministic, so identical inputs give bit-identical outputs.
 """
 
@@ -293,11 +294,12 @@ class Matrix:
 
     @staticmethod
     def hstack(field: Field, blocks: list["Matrix"]) -> "Matrix":
-        return _stack(field, blocks, 1)
-
-    @staticmethod
-    def vstack(field: Field, blocks: list["Matrix"]) -> "Matrix":
-        return _stack(field, blocks, 0)
+        if not blocks:
+            return Matrix.zeros(field, 0, 0)
+        if len({b.rows for b in blocks}) > 1:
+            raise ValueError("hstack blocks have different row counts")
+        nums, den = _common(field, blocks)
+        return Matrix(field, np.concatenate(nums, axis=1), den)
 
     @staticmethod
     def assemble(field: Field, rows: int, cols: int, blocks: list) -> "Matrix":
@@ -308,15 +310,6 @@ class Matrix:
         for (i, j, b), num in zip(blocks, nums):
             out[i : i + b.rows, j : j + b.cols] += num
         return Matrix(field, out, den)
-
-    @staticmethod
-    def block_diag(field: Field, blocks: list["Matrix"]) -> "Matrix":
-        placed, i, j = [], 0, 0
-        for b in blocks:
-            placed.append((i, j, b))
-            i += b.rows
-            j += b.cols
-        return Matrix.assemble(field, i, j, placed)
 
     # -- elimination -------------------------------------------------------
 
@@ -346,13 +339,8 @@ class Matrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs has wrong row count")
-        n = self.cols
         aug = Matrix.hstack(self.field, [self, rhs])
-        pivots, red, den = _eliminate(self.field.characteristic, aug.sparse_rows())
-        if pivots and pivots[-1] >= n:
-            return None
-        entries = [(c, j - n, v) for c, row in zip(pivots, red) for j, v in row.items() if j >= n]
-        return _from_entries(self.field, (n, rhs.cols), entries, den)
+        return _solve_rows(self.field, self.cols, rhs.cols, aug.sparse_rows())
 
     def kernel(self) -> "Matrix":
         """Matrix whose columns form a basis of the null space: the transpose
@@ -373,17 +361,6 @@ class Matrix:
         out = a[:, None, :, None] * b[None, :, None, :]
         out = out.reshape(self.rows * other.rows, self.cols * other.cols)
         return Matrix(self.field, out, self.den * other.den)
-
-
-def _stack(field: Field, blocks: list[Matrix], axis: int) -> Matrix:
-    """The blocks side by side (axis 1) or on top of each other (axis 0)."""
-    if not blocks:
-        return Matrix.zeros(field, 0, 0)
-    if len({b.shape[1 - axis] for b in blocks}) > 1:
-        what = ("vstack blocks have different column", "hstack blocks have different row")
-        raise ValueError(f"{what[axis]} counts")
-    nums, den = _common(field, blocks)
-    return Matrix(field, np.concatenate(nums, axis=axis), den)
 
 
 def _common(field: Field, blocks: list[Matrix]) -> tuple[list[np.ndarray], int]:
@@ -417,6 +394,32 @@ def quotient(field: Field, dim: int, relations: list[dict]) -> tuple[int, Matrix
         raise ValueError("relation vectors have wrong length")
     free, proj = _section(field, dim, rows)
     return len(free), proj, free
+
+
+def _block_rows(field: Field, blocks: list) -> list[dict]:
+    """The nonzero rows of the sum of blocks (den, [(row, column, numerator),
+    ...]) as `_eliminate` takes them: over one denominator, mod p, without
+    zeros.  Rows without entries say 0 = 0 and are left out."""
+    p = field.characteristic
+    den = 1 if p else math.lcm(*[d for d, _ in blocks])
+    rows: dict = defaultdict(dict)
+    for d, entries in blocks:
+        k = den // d
+        for i, j, v in entries:
+            row = rows[i]
+            row[j] = row.get(j, 0) + k * v
+    return [{j: x for j, v in row.items() if (x := v % p if p else v)} for row in rows.values()]
+
+
+def _solve_rows(field: Field, n: int, rhs_cols: int, rows: list[dict]) -> Matrix | None:
+    """The canonical solution (free variables zero) of the augmented system
+    whose sparse rows hold the unknowns in columns below n and the right-hand
+    sides in the `rhs_cols` columns from n on; None if it is inconsistent."""
+    pivots, red, den = _eliminate(field.characteristic, rows)
+    if pivots and pivots[-1] >= n:
+        return None
+    entries = [(c, j - n, v) for c, row in zip(pivots, red) for j, v in row.items() if j >= n]
+    return _from_entries(field, (n, rhs_cols), entries, den)
 
 
 def _section(field: Field, dim: int, rows: list[dict]) -> tuple[list[int], Matrix]:

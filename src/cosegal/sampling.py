@@ -7,6 +7,7 @@ same objects bit-for-bit.  Used by the test suite and the CLI's --seed flag.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 from .chain import (
@@ -17,14 +18,13 @@ from .chain import (
     GeneratingCofibration,
     associator,
     braiding,
-    chain_map_basis,
     direct_sum,
     single_complex,
     tensor,
     tensor_map,
     unit_complex,
 )
-from .field_linalg import Field, Matrix
+from .field_linalg import Field, Matrix, _block_rows, _eliminate
 from .premonoid import DiagramMorphism, LaxDiagram, StrictMonoid, all_surjections_upto
 from .two_constant import K2Instruction, TwoConstantPremonoid
 
@@ -87,16 +87,23 @@ def random_complex(
 
 
 def random_chain_map(rng: Random, source: ChainComplex, target: ChainComplex) -> ChainMap:
-    basis = chain_map_basis(source, target)
-    if not basis:
-        return ChainMap.zero(source, target)
-    out = ChainMap.zero(source, target)
-    for b in basis:
-        c = random_element(rng, source.field)
-        if c:
-            comps = {n: m.scale(c) for n, m in b.components.items()}
-            out = out + ChainMap(source, target, comps)
-    return out
+    """Sum c_j b_j over the basis b_j of `chain_map_basis`, one `random_element`
+    c_j per basis map in order, built as one checked chain map."""
+    hom = _Hom(source, target)
+    coords = _random_solution(rng, hom.field, hom.size, _block_rows(hom.field, hom.d0()[1]))
+    return ChainMap(source, target, hom.unvec(coords).components)
+
+
+def _random_solution(rng: Random, field: Field, dim: int, rows: list[dict]) -> Matrix:
+    """The coordinates (1 x dim) of sum c_k b_k over `Matrix.kernel`'s basis b_k
+    of the sparse `rows`, one `random_element` c_k per basis vector in order."""
+    pivots, red, den = _eliminate(field.characteristic, rows)
+    pivot_set, p = set(pivots), field.characteristic
+    x = [0 if c in pivot_set else random_element(rng, field) for c in range(dim)]
+    for c, row in zip(pivots, red):
+        t = -sum(x[j] * v for j, v in row.items() if j != c)
+        x[c] = t % p if p else t / Fraction(den)
+    return Matrix.from_rows(field, [x], cols=dim)
 
 
 def random_trivial_fibration(rng: Random, field: Field, lo: int, hi: int, max_dim: int):
@@ -316,21 +323,19 @@ def random_diagram_morphism(rng: Random, f, g):
     The unknowns are the Hom coordinates of every component, level by level:
     each component is a chain map, and each structure map F(v) : F(m) -> F(n)
     gives the equation eta_n . F(v) - G(v) . eta_m = 0."""
-    field = f.field
     levels = range(1, f.level + 1)
     homs = [_Hom(f.objects[n], g.objects[n]) for n in levels]
-    rows = [Matrix.block_diag(field, [h.d0() for h in homs])]
+    starts = list(accumulate((h.size for h in homs), initial=0))
+    count, blocks = 0, []
+    for h, col in zip(homs, starts):
+        count, more = h.d0(count, col)
+        blocks += more
     for v in all_surjections_upto(f.level):
         m, n = v.target_size, v.source_size
-        into = _Hom(f.objects[m], g.objects[n])
-        blocks = [Matrix.zeros(field, into.size, h.size) for h in homs]
-        blocks[n - 1] = blocks[n - 1] + homs[n - 1].compose(into, pre=f.structure_map(v))
-        blocks[m - 1] = blocks[m - 1] - homs[m - 1].compose(into, post=g.structure_map(v))
-        rows.append(Matrix.hstack(field, blocks))
-    ker = Matrix.vstack(field, rows).kernel()
-    coeffs = ker @ random_matrix(rng, field, ker.cols, 1)
-    comps, off = {}, 0
-    for n, h in zip(levels, homs):
-        comps[n] = h.unvec(coeffs[off : off + h.size, :])
-        off += h.size
+        into, fv, gv = _Hom(f.objects[m], g.objects[n]), f.structure_map(v), g.structure_map(v)
+        blocks += homs[n - 1].compose(into, pre=fv, row=count, col=starts[n - 1])
+        blocks += homs[m - 1].compose(into, post=gv, row=count, col=starts[m - 1], sign=-1)
+        count += into.size
+    coords = _random_solution(rng, f.field, starts[-1], _block_rows(f.field, blocks))
+    comps = {n: h.unvec(coords[:, a:b]) for n, h, a, b in zip(levels, homs, starts, starts[1:])}
     return DiagramMorphism(f, g, comps)

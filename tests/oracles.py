@@ -2,10 +2,11 @@
 
 Everything here is written from first principles, nearly all of it on plain
 Python lists: its own Gaussian elimination, its own surjection enumeration,
-its own comma-category crawl, its own signed permutation action.  The one
-numpy oracle is `oracle_fp_rref`, the dense elimination the library used to
-run.  The point is to check the library against code that shares nothing
-with it beyond the definitions.
+its own comma-category crawl, its own signed permutation action.  The numpy
+oracles are `oracle_fp_rref`, the dense elimination the library used to
+run, and the dense Kronecker Hom systems at the end, which the library
+built before its systems became sparse rows.  The point is to check the
+library against code that shares nothing with it beyond the definitions.
 """
 
 from fractions import Fraction
@@ -684,3 +685,169 @@ def random_complex_by_kron(rng, field, lo, hi, max_dim):
         if not m.is_zero():
             diff[n] = m
     return ChainComplex(field, dims, diff)
+
+
+# ---------------------------------------------------------------------------
+# dense Hom systems
+# ---------------------------------------------------------------------------
+#
+# The Hom-space systems as the library first built them: every block a^T (x) b
+# a dense Kronecker product, placed with `Matrix.assemble` and stacked, then
+# eliminated as a dense matrix.  They read the coordinates (offsets, size) and
+# the map (`unvec`) of the library's `chain._Hom` and solve with its `Matrix`;
+# the reduced row echelon form is unique, so the sparse rows must give the
+# same bases, lifts and random draws.
+
+
+def dense_hom_d0(hom):
+    """The rows of d.k_n - k_{n-1}.d = 0 on `hom`'s coordinates."""
+    from cosegal.field_linalg import Matrix
+
+    s, t, fld = hom.source, hom.target, hom.field
+    blocks, row = [], 0
+    for n in sorted(set(hom.offsets) | {m + 1 for m in hom.offsets}):
+        if n in hom.offsets:
+            blocks.append((row, hom.offsets[n], Matrix.identity(fld, s.dim(n)).kron(t.d(n))))
+        if n - 1 in hom.offsets:
+            blk = -s.d(n).transpose().kron(Matrix.identity(fld, t.dim(n - 1)))
+            blocks.append((row, hom.offsets[n - 1], blk))
+        row += t.dim(n - 1) * s.dim(n)
+    return Matrix.assemble(fld, row, hom.size, blocks)
+
+
+def dense_hom_compose(hom, into, pre=None, post=None):
+    """The matrix of k -> post.k.pre from `hom`'s coordinates to `into`'s."""
+    from cosegal.field_linalg import Matrix
+
+    fld, blocks = hom.field, []
+    for n in into.offsets:
+        if n in hom.offsets:
+            s, t = hom.source.dim(n), hom.target.dim(n)
+            a = Matrix.identity(fld, s) if pre is None else pre.component(n)
+            b = Matrix.identity(fld, t) if post is None else post.component(n)
+            blocks.append((into.offsets[n], hom.offsets[n], a.transpose().kron(b)))
+    return Matrix.assemble(fld, into.size, hom.size, blocks)
+
+
+def dense_hom_vec(hom, f):
+    """The coordinate column of f."""
+    from cosegal.field_linalg import Matrix
+
+    blocks = [(o, 0, f.component(n).transpose().reshape(-1, 1)) for n, o in hom.offsets.items()]
+    return Matrix.assemble(hom.field, hom.size, 1, blocks)
+
+
+def _dense_block_diag(field, blocks):
+    from cosegal.field_linalg import Matrix
+
+    placed, i, j = [], 0, 0
+    for b in blocks:
+        placed.append((i, j, b))
+        i, j = i + b.rows, j + b.cols
+    return Matrix.assemble(field, i, j, placed)
+
+
+def _dense_vstack(field, blocks):
+    from cosegal.field_linalg import Matrix
+
+    placed, i = [], 0
+    for b in blocks:
+        placed.append((i, 0, b))
+        i += b.rows
+    return Matrix.assemble(field, i, blocks[0].cols, placed)
+
+
+def _unvec_column(hom, column):
+    return hom.unvec(column.transpose())
+
+
+def dense_chain_map_basis(source, target):
+    from cosegal.chain import _Hom
+
+    hom = _Hom(source, target)
+    ker = dense_hom_d0(hom).kernel()
+    return [_unvec_column(hom, ker[:, j : j + 1]) for j in range(ker.cols)]
+
+
+def dense_random_chain_map(rng, source, target):
+    """The first `sampling.random_chain_map`: one random coefficient per basis
+    map, and each nonzero multiple added as a checked chain map."""
+    from cosegal.chain import ChainMap
+    from cosegal.sampling import random_element
+
+    out = ChainMap.zero(source, target)
+    for b in dense_chain_map_basis(source, target):
+        c = random_element(rng, source.field)
+        if c:
+            out = out + ChainMap(source, target, {n: m.scale(c) for n, m in b.components.items()})
+    return out
+
+
+def dense_square_space_basis(alpha, g):
+    from cosegal.chain import _Hom
+    from cosegal.field_linalg import Matrix
+
+    fld = alpha.field
+    top, bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
+    corner = _Hom(alpha.source, g.target)
+    ker = _dense_vstack(fld, [
+        _dense_block_diag(fld, [dense_hom_d0(top), dense_hom_d0(bottom)]),
+        Matrix.hstack(fld, [
+            dense_hom_compose(top, corner, post=g), -dense_hom_compose(bottom, corner, pre=alpha)
+        ]),
+    ]).kernel()
+    return [
+        (_unvec_column(top, ker[: top.size, j : j + 1]),
+         _unvec_column(bottom, ker[top.size :, j : j + 1]))
+        for j in range(ker.cols)
+    ]
+
+
+def dense_lifts(alpha, g, squares):
+    """One lift per square from one dense system, or None if some square has none."""
+    from cosegal.chain import _Hom
+    from cosegal.field_linalg import Matrix
+
+    fld = alpha.field
+    hom = _Hom(alpha.target, g.source)
+    at_top, at_bottom = _Hom(alpha.source, g.source), _Hom(alpha.target, g.target)
+    d0 = dense_hom_d0(hom)
+    system = _dense_vstack(fld, [
+        d0, dense_hom_compose(hom, at_top, pre=alpha), dense_hom_compose(hom, at_bottom, post=g)
+    ])
+    zero = Matrix.zeros(fld, d0.rows, 1)
+    rhs = Matrix.hstack(fld, [
+        _dense_vstack(fld, [zero, dense_hom_vec(at_top, top), dense_hom_vec(at_bottom, bottom)])
+        for top, bottom in squares
+    ])
+    sol = system.solve(rhs)
+    if sol is None:
+        return None
+    return [_unvec_column(hom, sol[:, j : j + 1]) for j in range(len(squares))]
+
+
+def dense_random_diagram_morphism(rng, f, g):
+    """`sampling.random_diagram_morphism` on the dense naturality system."""
+    from cosegal.chain import _Hom
+    from cosegal.field_linalg import Matrix
+    from cosegal.premonoid import DiagramMorphism, all_surjections_upto
+    from cosegal.sampling import random_matrix
+
+    field = f.field
+    levels = range(1, f.level + 1)
+    homs = [_Hom(f.objects[n], g.objects[n]) for n in levels]
+    rows = [_dense_block_diag(field, [dense_hom_d0(h) for h in homs])]
+    for v in all_surjections_upto(f.level):
+        m, n = v.target_size, v.source_size
+        into = _Hom(f.objects[m], g.objects[n])
+        blocks = [Matrix.zeros(field, into.size, h.size) for h in homs]
+        blocks[n - 1] = blocks[n - 1] + dense_hom_compose(homs[n - 1], into, pre=f.structure_map(v))
+        blocks[m - 1] = blocks[m - 1] - dense_hom_compose(homs[m - 1], into, post=g.structure_map(v))
+        rows.append(Matrix.hstack(field, blocks))
+    ker = _dense_vstack(field, rows).kernel()
+    coeffs = ker @ random_matrix(rng, field, ker.cols, 1)
+    comps, off = {}, 0
+    for n, h in zip(levels, homs):
+        comps[n] = _unvec_column(h, coeffs[off : off + h.size, :])
+        off += h.size
+    return DiagramMorphism(f, g, comps)

@@ -255,6 +255,23 @@ def test_solve_lifting_requires_commuting_square():
         )
 
 
+@pytest.mark.parametrize("ours, theirs", [(GF2, GF3), (GF3, GF2)], ids=["F_2-F_3", "F_3-F_2"])
+def test_hom_spaces_refuse_a_field_mismatch(ours, theirs):
+    # a map or complex over one field against one over another is refused,
+    # not solved over either field
+    gen, disc = GeneratingCofibration(1, ours), GeneratingCofibration(1, theirs).disc
+    g = ChainMap.identity(disc)
+    top, bottom = ChainMap.zero(gen.sphere, disc), ChainMap.zero(gen.disc, disc)
+    for call in (
+        lambda: chain_map_basis(gen.disc, disc),
+        lambda: random_chain_map(random.Random(0), gen.disc, disc),
+        lambda: has_rlp(gen.inclusion, g),
+        lambda: solve_lifting(gen.inclusion, g, top, bottom),
+    ):
+        with pytest.raises(ValueError, match="field mismatch"):
+            call()
+
+
 def test_trivial_fibration_lifts_against_generators():
     rng = random.Random(31)
     for _ in range(10):
@@ -347,6 +364,15 @@ def test_wide_pushout_degenerate():
     assert legs[0] @ f == src_leg
 
 
+def _block_diag(field, blocks):
+    """The blocks along the diagonal, zeros elsewhere."""
+    width, left, rows = sum(b.cols for b in blocks), 0, []
+    for b in blocks:
+        rows += [[0] * left + row + [0] * (width - left - b.cols) for row in b.tolist()]
+        left += b.cols
+    return Matrix.from_rows(field, rows, cols=width)
+
+
 def test_direct_sum_structure():
     # three summands, one of them zero, with negative degrees: the
     # projections and inclusions satisfy p_j i_k = delta_jk id and
@@ -372,7 +398,7 @@ def test_direct_sum_structure():
         assert resolved == ChainMap.identity(total)
         for n in {m + k for c in [total, *summands] for m in c.dims for k in (-1, 0, 1)}:
             assert total.dim(n) == sum(s.dim(n) for s in summands)
-            assert total.d(n) == Matrix.block_diag(field, [s.d(n) for s in summands])
+            assert total.d(n) == _block_diag(field, [s.d(n) for s in summands])
 
 
 def test_cone_detects_quasi_iso_both_ways():
