@@ -714,27 +714,27 @@ class Colimit:
 
     def induce(self, cocone: list[ChainMap]) -> ChainMap:
         """The unique map out of Q whose composite with legs[i] is cocone[i]."""
-        composites = _composites(self, cocone)
-        out = _read_off(self, cocone, composites)
-        for n, proj in self.proj.items():
-            if out.component(n) @ proj != composites[n]:
+        comps = {}
+        for n, composite in _stacked(self, cocone):
+            comps[n] = composite[:, self.free[n]]
+            if comps[n] @ self.proj[n] != composite:
                 raise ValueError("map does not descend through the projection")
-        return out
+        return _trusted_map(self.obj, cocone[0].target, comps)
 
 
-def _composites(c: Colimit, cocone: list[ChainMap]) -> dict:
-    """Per degree, the cocone's components side by side."""
+def _stacked(c: Colimit, cocone: list[ChainMap]):
+    """Per degree, the cocone's components side by side, built one degree at
+    a time as they are read."""
     if len(cocone) != len(c.legs):
         raise ValueError("cocone and colimit have different node counts")
-    return {n: Matrix.hstack(c.obj.field, [m.component(n) for m in cocone]) for n in c.free}
+    return ((n, Matrix.hstack(c.obj.field, [m.component(n) for m in cocone])) for n in c.free)
 
 
-def _read_off(c: Colimit, cocone: list[ChainMap], composites: dict | None = None) -> ChainMap:
+def _read_off(c: Colimit, cocone: list[ChainMap]) -> ChainMap:
     """`Colimit.induce` without its descent check, for a cocone that descends
     by construction: `quotient` makes each projection the identity on its free
     columns, so the map can only be those columns of the composite."""
-    composites = _composites(c, cocone) if composites is None else composites
-    comps = {n: m[:, c.free[n]] for n, m in composites.items()}
+    comps = {n: m[:, c.free[n]] for n, m in _stacked(c, cocone)}
     # proj is onto and the cocone's maps are chain maps, so the map is one
     return _trusted_map(c.obj, cocone[0].target, comps)
 

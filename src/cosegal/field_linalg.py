@@ -26,7 +26,7 @@ systems reach the elimination as sparse rows (`_block_rows`): no dense
 relation or Kronecker matrix is built for either.
 
 Everything downstream (homology, lifting problems, colimits) reduces to the
-primitives here: rank, solve, kron, quotient.  All algorithms are
+four primitives here: rank, solve, kron, quotient.  All algorithms are
 deterministic, so identical inputs give bit-identical outputs.
 """
 
