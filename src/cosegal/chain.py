@@ -703,39 +703,43 @@ def rlp_window(*maps: ChainMap) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Colimit:
-    """A colimit with its section: the object Q, the legs nodes[i] -> Q,
-    and per degree the projection from the generators (the direct sum of the
-    nodes) onto Q and the free generator columns that index Q's basis."""
+    """A colimit with its section: the object Q, the legs nodes[i] -> Q, which
+    side by side are the projection from the generators (the direct sum of the
+    nodes) onto Q, and per degree the free generator columns that index Q's basis."""
 
     obj: ChainComplex
     legs: list
-    proj: dict
     free: dict
 
     def induce(self, cocone: list[ChainMap]) -> ChainMap:
         """The unique map out of Q whose composite with legs[i] is cocone[i]."""
+        stacks = zip(_stacked(self, cocone), _stacked(self, self.legs))
+        target = cocone[0].target
+        if any(m.source != leg.source or m.target != target for m, leg in zip(cocone, self.legs)):
+            raise ValueError("cocone maps must start at the nodes and share one target")
         comps = {}
-        for n, composite in _stacked(self, cocone):
+        for (n, composite), (_, proj) in stacks:
             comps[n] = composite[:, self.free[n]]
-            if comps[n] @ self.proj[n] != composite:
+            if comps[n] @ proj != composite:
                 raise ValueError("map does not descend through the projection")
-        return _trusted_map(self.obj, cocone[0].target, comps)
+            del composite, proj  # before the next degree's are stacked
+        return _trusted_map(self.obj, target, comps)
 
 
-def _stacked(c: Colimit, cocone: list[ChainMap]):
-    """Per degree, the cocone's components side by side, built one degree at
-    a time as they are read."""
-    if len(cocone) != len(c.legs):
+def _stacked(c: Colimit, maps: list[ChainMap]):
+    """Per degree, the components of maps out of the nodes (a cocone, or the
+    legs) side by side, built one degree at a time as they are read."""
+    if len(maps) != len(c.legs):
         raise ValueError("cocone and colimit have different node counts")
-    return ((n, Matrix.hstack(c.obj.field, [m.component(n) for m in cocone])) for n in c.free)
+    return ((n, Matrix.hstack(c.obj.field, [m.component(n) for m in maps])) for n in c.free)
 
 
 def _read_off(c: Colimit, cocone: list[ChainMap]) -> ChainMap:
-    """`Colimit.induce` without its descent check, for a cocone that descends
-    by construction: `quotient` makes each projection the identity on its free
-    columns, so the map can only be those columns of the composite."""
+    """`Colimit.induce` without its checks, for a cocone out of the nodes that
+    descends by construction: the legs side by side are the identity on the
+    free columns, so the map can only be those columns of the composite."""
     comps = {n: m[:, c.free[n]] for n, m in _stacked(c, cocone)}
-    # proj is onto and the cocone's maps are chain maps, so the map is one
+    # the legs are onto and the cocone's maps are chain maps, so the map is one
     return _trusted_map(c.obj, cocone[0].target, comps)
 
 
@@ -750,38 +754,33 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
     if not nodes:
         raise ValueError("colimit of an empty diagram")
     fld = nodes[0].field
-    degs = sorted({n for c in nodes for n in c.dims})
-    offsets = {n: list(accumulate((c.dim(n) for c in nodes), initial=0)) for n in degs}
-    projs, frees = {}, {}
-    for n in degs:
+    cols: list[dict] = [{} for _ in nodes]
+    frees, diff = {}, {}
+    for n in sorted({n for c in nodes for n in c.dims}):
+        offs = list(accumulate((c.dim(n) for c in nodes), initial=0))
         # one sparse row per arrow and source coordinate x: x in node s equals
         # f(x) in node t, times f's denominator
         rows = []
         for s, t, f in arrows:
-            ds = nodes[s].dim(n)
-            if ds:
-                m, src, tgt = f.component(n), offsets[n][s], offsets[n][t]
+            if nodes[s].dim(n):
+                m, src, tgt = f.component(n), offs[s], offs[t]
                 for x, col in enumerate(m.transpose().sparse_rows()):
                     row = {tgt + y: -v for y, v in col.items()}
                     row[src + x] = row.get(src + x, 0) + m.den
                     rows.append(row)
-        _, projs[n], frees[n] = quotient(fld, offsets[n][-1], rows)
-
-    # node i's column block of each projection is its leg.  The arrows are
-    # chain maps, so the legs after the nodes' own differentials descend to
-    # Q's differential, which is read off on the free columns.
-    cols = [
-        {n: projs[n][:, offs[i] : offs[i + 1]] for n, offs in offsets.items()}
-        for i in range(len(nodes))
-    ]
-    diff = {}
-    for n in degs:
+        # node i's block of the projection is its leg; only the legs outlive this degree
+        _, proj, frees[n] = quotient(fld, offs[-1], rows)
+        for leg, lo, hi in zip(cols, offs, offs[1:]):
+            leg[n] = proj[:, lo:hi]
+        del proj
+        # the arrows are chain maps, so the legs after the nodes' own
+        # differentials descend to Q's differential, read off on the free columns
         if frees[n] and frees.get(n - 1):
-            composite = Matrix.hstack(fld, [col[n - 1] @ c.d(n) for col, c in zip(cols, nodes)])
+            composite = Matrix.hstack(fld, [leg[n - 1] @ c.d(n) for leg, c in zip(cols, nodes)])
             diff[n] = composite[:, frees[n]]
     q = _trusted_complex(fld, {n: len(free) for n, free in frees.items()}, diff)
-    legs = [_trusted_map(c, q, {n: col[n] for n in c.dims}) for col, c in zip(cols, nodes)]
-    return Colimit(q, legs, projs, frees)
+    legs = [_trusted_map(c, q, {n: leg[n] for n in c.dims}) for leg, c in zip(cols, nodes)]
+    return Colimit(q, legs, frees)
 
 
 def induced_matrix(through: Matrix, composite: Matrix) -> Matrix:

@@ -11,6 +11,7 @@ dimensions of loaded complexes.  A failed internal consistency check
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -315,7 +316,9 @@ def cmd_demo_charp(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use; `main` parses with it."""
     ap = argparse.ArgumentParser(
         prog="cosegal",
         description="Exact computations with truncated co-Segal commutative premonoids.",

@@ -259,17 +259,14 @@ def random_k2_instruction(rng: Random, f, degree: int):
     field = f.field
     gen = GeneratingCofibration(degree, field)
     a = f.base.obj
+    d = degree - 1
+    cyc = f.apex.d(d).kernel()
     for _ in range(K2_TRIES):
-        d = degree - 1
-        cyc = f.apex.d(d).kernel()
         if cyc.cols == 0:
             qmat = Matrix.zeros(field, f.apex.dim(d), 1)
         else:
             qmat = cyc @ random_matrix(rng, field, cyc.cols, 1)
-        if f.apex.dim(d) == 0:
-            q = ChainMap.zero(gen.sphere, f.apex)
-        else:
-            q = ChainMap(gen.sphere, f.apex, {d: qmat})
+        q = ChainMap(gen.sphere, f.apex, {d: qmat})
         # p on the disc: p(top) = y with dy = h(q(s)); p(bottom) = h(q(s))
         target = (f.h @ q).component(d)
         y = a.d(degree).solve(target)

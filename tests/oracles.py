@@ -173,25 +173,44 @@ def pushout_universal(leg_b, leg_c, u, v):
 
 def classical_joint(f, below, eta, n):
     """The level-n joint colimit of the free construction glued along the
-    classical latching diagram: the lax shape on `below`, the classical
-    shape on f with all its arrows, and f(n), each classical node (p, v)
-    mapped into f(n) by f(v) and into its plus node by eta_p.  The library
-    drops the classical arrows, which f's functoriality implies; this is its
-    reference.  It uses the library's shapes and `colimit`, and returns the
-    colimit and its arrow count."""
-    from cosegal.chain import colimit
-    from cosegal.free_gamma import _shape_diagram
+    classical latching diagram, built from this module's crawl of the shapes
+    (`oracle_lax_shape`, `oracle_lax_shape_arrows`), not the library's: the
+    lax shape on `below` with all its arrows, its plus objects again over f
+    with the arrows between them (the classical shape), and f(n), each
+    classical node (p, v) mapped into f(n) by f(v) and into its plus node
+    by eta_p.  The nodes are in the shape's object order, pairs then plus
+    objects.  The library drops the classical arrows, which f's
+    functoriality implies; this is its reference.  It uses the library's
+    `tensor`, `tensor_map` and `colimit`, and returns the colimit and its
+    arrow count."""
+    from cosegal.chain import colimit, tensor, tensor_map
+    from cosegal.phi_epi import Surjection
 
-    lshape, nodes, arrows = _shape_diagram(below, n, classical=False)
-    coff = len(nodes)
-    cshape, cnodes, carrows = _shape_diagram(f, n, classical=True)
-    nodes += cnodes
-    arrows += [(coff + s, coff + t, m) for s, t, m in carrows]
+    def act(d, c, p):  # d's structure map at the surjection c onto p
+        return d.structure_map(Surjection(len(c), p, c))
+
+    pairs, plus = oracle_lax_shape(n)
+    index = {ob: k for k, ob in enumerate(pairs + plus)}
+    nodes = [tensor(below.objects[p], below.objects[q]) for _, p, q, _ in pairs]
+    nodes += [below.objects[p] for _, p, _ in plus]
+    arrows, classical = [], []
+    for src, tgt, (kind, *cs) in oracle_lax_shape_arrows(n):
+        if kind == "pair":
+            m = tensor_map(act(below, cs[0], src[1]), act(below, cs[1], src[2]))
+        elif kind == "gamma":
+            m = act(below, cs[0], src[1] + src[2]) @ below.laxity_map(src[1], src[2])
+        else:
+            m = act(below, cs[0], src[1])
+            classical.append((src, tgt, cs[0]))
+        arrows.append((index[src], index[tgt], m))
+    cindex = {ob: len(nodes) + k for k, ob in enumerate(plus)}
+    nodes += [f.objects[p] for _, p, _ in plus]
+    arrows += [(cindex[s], cindex[t], act(f, c, s[1])) for s, t, c in classical]
     fnode = len(nodes)
     nodes.append(f.objects[n])
-    for k, ob in enumerate(cshape.objects):
-        arrows.append((coff + k, fnode, f.structure_map(ob.to_level)))
-        arrows.append((coff + k, lshape.index(ob), eta[ob.p]))
+    for ob in plus:
+        _, p, v = ob
+        arrows += [(cindex[ob], fnode, act(f, v, p)), (cindex[ob], index[ob], eta[p])]
     return colimit(nodes, arrows), len(arrows)
 
 

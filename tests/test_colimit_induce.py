@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cosegal.chain import ChainMap, colimit, induced_matrix
+from cosegal.chain import ChainComplex, ChainMap, colimit, induced_matrix
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
 from cosegal.sampling import random_chain_map, random_complex
 
@@ -33,7 +33,7 @@ def _oracle(c, cocone):
     """The solve-based map out of c, or ValueError if cocone does not descend."""
     fld = c.obj.field
     comps = {}
-    for n in c.proj:
+    for n in c.free:
         through = Matrix.hstack(fld, [leg.component(n) for leg in c.legs])
         composite = Matrix.hstack(fld, [m.component(n) for m in cocone])
         comps[n] = induced_matrix(through, composite)
@@ -71,3 +71,18 @@ def test_induce_refuses_a_cocone_of_the_wrong_length():
     c = colimit([node, node], [])
     with pytest.raises(ValueError, match="node counts"):
         c.induce([ChainMap.identity(node)])
+
+
+def test_induce_refuses_a_cocone_that_does_not_start_at_the_nodes():
+    # the matrices fit and descend, but the complexes do not: read off, each
+    # cocone gives a map that is not a chain map
+    disc = ChainComplex(GF2, {0: 1, 1: 1}, {1: Matrix.identity(GF2, 1)})
+    z = ChainComplex(GF2, {0: 1, 1: 1}, {})
+    # a map out of another complex with the node's dims
+    with pytest.raises(ValueError, match="start at the nodes"):
+        colimit([disc], []).induce([ChainMap.identity(z)])
+    # maps out of the nodes, into different targets
+    into_disc = ChainMap(z, disc, {0: Matrix.identity(GF2, 1)})
+    into_z = ChainMap(z, z, {1: Matrix.identity(GF2, 1)})
+    with pytest.raises(ValueError, match="share one target"):
+        colimit([z, z], []).induce([into_disc, into_z])

@@ -202,7 +202,8 @@ def test_colimits_quotient_sparse_rows_like_the_dense_oracle(monkeypatch):
     # the lax latching colimits of the free diagram on random N = 3 towers
     # and the classical ones of the towers themselves: every relation reaches
     # `quotient` as sparse rows, one per arrow and source coordinate, and
-    # the projection and free columns agree with the dense oracle
+    # the legs side by side (the projection) and the free columns agree with
+    # the dense oracle
     calls = []
 
     def spy(field, dim, relations):
@@ -227,11 +228,12 @@ def test_colimits_quotient_sparse_rows_like_the_dense_oracle(monkeypatch):
                 calls.clear()
                 col = chain.colimit(nodes, arrows)
                 assert all(isinstance(r, dict) for rel in calls for r in rel)
-                for deg, rel in zip(sorted(col.proj), calls):
+                for deg, rel in zip(sorted(col.free), calls):
                     rows, dim = _dense_relations(nodes, arrows, deg)
                     assert len(rel) == len(rows)
                     free, proj = _oracle_section(field, rows, dim)
                     assert col.free[deg] == free
-                    assert col.proj[deg].tolist() == proj
+                    legs = Matrix.hstack(field, [leg.component(deg) for leg in col.legs])
+                    assert legs.tolist() == proj
                     checked += len(rows)
     assert checked > 1500 and denominators

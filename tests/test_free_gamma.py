@@ -298,8 +298,9 @@ def _below(g, n):
 def test_joint_colimits_match_the_classical_latching_oracle(monkeypatch):
     # each level is glued along one span f(n) <- f(p) -> free(p) per plus
     # object; the classical latching arrows it leaves out add no relation,
-    # so the object, legs, projections and free columns in every degree
-    # equal those of the gluing along the whole classical shape
+    # so the object, legs (side by side, the projection) and free columns in
+    # every degree equal those of the gluing along the whole classical shape,
+    # which the oracle builds from its own crawl of the shapes
     import cosegal.free_gamma as free_gamma
 
     arrow_counts, classical_shapes = [], []
@@ -335,7 +336,7 @@ def test_joint_colimits_match_the_classical_latching_oracle(monkeypatch):
             assert count == [2, 74, 2610][n - 2]
             assert joint.obj == want.obj
             assert joint.legs == want.legs
-            assert joint.proj == want.proj and joint.free == want.free
+            assert joint.free == want.free
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F_2", "F_3", "Q"])
