@@ -3,8 +3,9 @@
 Complexes are zero outside a finite degree window.  The tensor product uses
 the Koszul sign convention; the basis of ``(C (x) D)_n`` is ordered by left
 degree ascending, then left index, then right index, so unitors against the
-one-dimensional unit complex are literal identities and associators are
-permutation matrices.
+one-dimensional unit complex are literal identities.  Every braiding,
+associator and factor swap is one Koszul-signed permutation matrix, fixed by
+its source bracketing, its target bracketing and its permutation of factors.
 
 Homology is read at the stored degrees.  Lifting is checked against the
 generating cofibrations on a window inflated by one degree on each side so
@@ -272,7 +273,8 @@ def _tensor_layout(c: ChainComplex, d: ChainComplex, n: int) -> dict:
     This is the one place that fixes the tensor basis order: blocks by left
     degree ascending, and inside a block by left index, then right index
     (the `kron` order), so x (x) y of block (i, j) sits at
-    `_grid(s, d.dim(j))[x, y]`.
+    s.start + x * d.dim(j) + y.  `_positions` reads every bracketing's basis
+    off these blocks.
     """
     out, off = {}, 0
     for i in sorted(c.dims):
@@ -281,11 +283,6 @@ def _tensor_layout(c: ChainComplex, d: ChainComplex, n: int) -> dict:
             out[(i, n - i)] = slice(off, off + size)
             off += size
     return out
-
-
-def _grid(s: slice, cols: int) -> np.ndarray:
-    """The positions of a block's basis as a (rows, cols) grid."""
-    return np.arange(s.start, s.stop).reshape(-1, cols)
 
 
 def _shared(memo: weakref.WeakValueDictionary, build, *operands):
@@ -353,55 +350,61 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     return _trusted_map(src, tgt, comps)
 
 
+def _positions(bracketing) -> tuple[ChainComplex, dict]:
+    """A bracketing's complex (a complex, or a pair of bracketings) and
+    {degree: {factor degrees: (offset, strides, shape)}}: x_1 (x) ... (x) x_k
+    sits at offset + sum x_m * strides[m], since x (x) y of the (i, j) block
+    of l (x) r sits at start + x * r.dim(j) + y (the `_tensor_layout` order)."""
+    if isinstance(bracketing, ChainComplex):
+        return bracketing, {i: {(i,): (0, (1,), (m,))} for i, m in bracketing.dims.items()}
+    (left, lpos), (right, rpos) = map(_positions, bracketing)
+    out = tensor(left, right)
+    blocks = {}
+    for n in out.dims:
+        blocks[n] = here = {}
+        for (i, j), s in _tensor_layout(left, right, n).items():
+            r = right.dims[j]
+            for ldeg, (loff, lstr, lshape) in lpos[i].items():
+                lstr = tuple([x * r for x in lstr])
+                for rdeg, (roff, rstr, rshape) in rpos[j].items():
+                    here[ldeg + rdeg] = (s.start + loff * r + roff, lstr + rstr, lshape + rshape)
+    return out, blocks
+
+
+def _permutation(source, target, perm: tuple) -> ChainMap:
+    """The Koszul-signed permutation between two bracketings of the same
+    factors, such as ((a, b), c) -> (a, (b, c)): perm[m] is the source factor
+    at target position m, and the sign is (-1)^{|x||y|} for each pair of
+    factors x, y whose order perm reverses.  The caller vouches that the
+    target's factors are the source's in perm's order."""
+    src, src_pos = _positions(source)
+    tgt, tgt_pos = _positions(target)
+    where = [perm.index(f) for f in range(len(perm))]  # target position of each factor
+    flips = [(perm[m], perm[k]) for k in range(len(perm)) for m in range(k) if perm[m] > perm[k]]
+    comps = {}
+    for n, blocks in src_pos.items():
+        dim = src.dims[n]
+        out = np.zeros((dim, dim), dtype=np.int64)
+        size = out.itemsize
+        for degs, (col, col_str, shape) in blocks.items():
+            row, row_str, _ = tgt_pos[n][tuple([degs[f] for f in perm])]
+            # entry (r, c) is element r * dim + c of out, so the block's entries
+            # are one strided view of it
+            strides = [(row_str[m] * dim + s) * size for m, s in zip(where, col_str)]
+            entries = np.ndarray(shape, out.dtype, out, (row * dim + col) * size, strides)
+            entries[...] = -1 if sum([degs[x] * degs[y] for x, y in flips]) % 2 else 1
+        comps[n] = Matrix(src.field, out, 1)
+    return _trusted_map(src, tgt, comps)
+
+
 def braiding(c: ChainComplex, d: ChainComplex) -> ChainMap:
     """Symmetry c (x) d -> d (x) c with sign (-1)^{ij} on the (i, j) block."""
-    if c.field != d.field:
-        raise ValueError("field mismatch in braiding")
-    fld = c.field
-    src = tensor(c, d)
-    tgt = tensor(d, c)
-    comps = {}
-    for n in src.dims:
-        rows = _tensor_layout(d, c, n)
-        out = np.zeros((tgt.dim(n), src.dim(n)), dtype=np.int64)
-        for (i, j), cols in _tensor_layout(c, d, n).items():
-            # x (x) y -> y (x) x: the (j, i) grid transposed
-            out[_grid(rows[(j, i)], c.dim(i)).T, _grid(cols, d.dim(j))] = (1, -1)[i * j % 2]
-        comps[n] = Matrix(fld, out, 1)
-    return _trusted_map(src, tgt, comps)
+    return _permutation((c, d), (d, c), (1, 0))
 
 
 def associator(a: ChainComplex, b: ChainComplex, c: ChainComplex) -> ChainMap:
     """The permutation (a (x) b) (x) c -> a (x) (b (x) c) regrouping the basis."""
-    fld = a.field
-    ab = tensor(a, b)
-    bc = tensor(b, c)
-    src = tensor(ab, c)
-    tgt = tensor(a, bc)
-    ab_layout = {k: _tensor_layout(a, b, k) for k in ab.dims}
-    bc_layout = {m: _tensor_layout(b, c, m) for m in bc.dims}
-    comps = {}
-    for n in src.dims:
-        left = _tensor_layout(ab, c, n)
-        out = np.zeros((tgt.dim(n), src.dim(n)), dtype=np.int64)
-        for (i, m), s in _tensor_layout(a, bc, n).items():
-            for (j, l), t in bc_layout[m].items():
-                # x (x) (y (x) z) at rows[x, y, z]; (x (x) y) (x) z at cols[x, y, z]
-                rows = _grid(s, bc.dim(m))[:, _grid(t, c.dim(l))]
-                cols = _grid(left[(i + j, l)], c.dim(l))[_grid(ab_layout[i + j][(i, j)], b.dim(j))]
-                out[rows, cols] = 1
-        comps[n] = Matrix(fld, out, 1)
-    return _trusted_map(src, tgt, comps)
-
-
-def _associator_inverse(alpha: ChainMap) -> ChainMap:
-    """The inverse of an associator: it permutes a basis, so its inverse is
-    its transpose."""
-    return _trusted_map(
-        alpha.target,
-        alpha.source,
-        {n: m.transpose() for n, m in alpha.components.items()},
-    )
+    return _permutation(((a, b), c), (a, (b, c)), (0, 1, 2))
 
 
 def direct_sum(summands: list[ChainComplex]):

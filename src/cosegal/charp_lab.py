@@ -15,19 +15,10 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .chain import (
-    ChainComplex,
-    _associator_inverse,
-    ChainMap,
-    GeneratingCofibration,
-    associator,
-    braiding,
-    colimit,
-    homology_dims,
-    tensor,
-    tensor_map,
-)
+from .chain import ChainComplex, ChainMap, GeneratingCofibration, colimit, homology_dims, tensor
+from .chain import _permutation
 from .field_linalg import Field, InvariantError
 
 __all__ = ["SymPower", "sym_power", "tensor_power", "disc", "demo_char_p"]
@@ -45,25 +36,14 @@ class SymPower:
 
 
 def tensor_power(c: ChainComplex, n: int) -> ChainComplex:
-    out = c
-    for _ in range(n - 1):
-        out = tensor(out, c)
-    return out
+    return reduce(tensor, [c] * n)
 
 
 def _adjacent_swap(c: ChainComplex, n: int, k: int) -> ChainMap:
     """Swap tensor factors k and k+1 (0-based) of the left-nested power,
-    Koszul sign included: on ((c^k (x) c) (x) c) it is id (x) tau conjugated
-    by the associator onto c^k (x) (c (x) c), tensored with the later factors."""
-    tau = braiding(c, c)
-    if k == 0:
-        swap = tau
-    else:
-        left = tensor_power(c, k)
-        alpha = associator(left, c, c)
-        swap = _associator_inverse(alpha) @ tensor_map(ChainMap.identity(left), tau) @ alpha
-    for _ in range(n - k - 2):
-        swap = tensor_map(swap, ChainMap.identity(c))
+    Koszul sign included."""
+    nested = reduce(lambda left, _: (left, c), range(n - 1), c)
+    swap = _permutation(nested, nested, (*range(k), k + 1, k, *range(k + 2, n)))
     power = tensor_power(c, n)
     if swap.source != power or swap.target != power:
         raise InvariantError("swap nesting disagrees with the tensor power")

@@ -305,6 +305,42 @@ def oracle_associator(a, b, c, n, p):
     return _matrix_of(tensor_basis(ab, c, n), tensor_basis(a, bc, n), image, p)
 
 
+def bracketing_dims(bracketing):
+    """degree -> dimension of a bracketing: a dims dict, or a pair of
+    bracketings standing for their tensor product."""
+    if isinstance(bracketing, dict):
+        return bracketing
+    return tensor_dims(*map(bracketing_dims, bracketing))
+
+
+def bracketing_basis(bracketing, n):
+    """The degree-n basis of a bracketing as lists of factor labels
+    [(degree, index), ...], left to right, in the documented tensor order:
+    the label of ((i, u), (j, v)) in `tensor_basis` is the u-th label of the
+    left part in degree i followed by the v-th of the right part in degree j."""
+    if isinstance(bracketing, dict):
+        return [[(n, x)] for x in range(bracketing.get(n, 0))]
+    left, right = bracketing
+    ldims, rdims = bracketing_dims(left), bracketing_dims(right)
+    lbasis = {i: bracketing_basis(left, i) for i in ldims if n - i in rdims}
+    rbasis = {n - i: bracketing_basis(right, n - i) for i in lbasis}
+    return [lbasis[i][u] + rbasis[j][v] for (i, u), (j, v) in tensor_basis(ldims, rdims, n)]
+
+
+def oracle_permutation(source, target, perm, n, p):
+    """The degree-n matrix of the map between two bracketings of the same
+    factors that puts source factor perm[m] at target position m, signed by
+    `koszul_sign` over the factor degrees."""
+    where = [perm.index(f) for f in range(len(perm))]  # target position of factor f
+
+    def image(labels):
+        moved = tuple(labels[f] for f in perm)
+        return [(koszul_sign(where, [d for d, _ in labels]), moved)]
+
+    rows = [tuple(b) for b in bracketing_basis(target, n)]
+    return _matrix_of(bracketing_basis(source, n), rows, image, p)
+
+
 # ---------------------------------------------------------------------------
 # combinatorics
 # ---------------------------------------------------------------------------

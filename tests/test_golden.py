@@ -88,6 +88,13 @@ CASES = (
         ),
         (["demo-charp", "--field", "2", "--json"], "demo_charp_field2.json", 0),
     ]
+    # the exponent-3 and -4 symmetric powers, built from adjacent factor swaps
+    + [
+        (["demo-charp", "--field", field, "--exponent", exponent, "--json"],
+         f"demo_charp_field{field}_exponent{exponent}.json", 0)
+        for exponent in ("3", "4")
+        for field in ("2", "3")
+    ]
 )
 
 # (argv, stdout golden, document golden): each command also writes --out
