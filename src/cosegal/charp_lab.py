@@ -21,7 +21,10 @@ from .chain import ChainComplex, ChainMap, GeneratingCofibration, colimit, homol
 from .chain import _permutation
 from .field_linalg import Field, InvariantError
 
-__all__ = ["SymPower", "sym_power", "tensor_power", "disc", "demo_char_p"]
+__all__ = ["MAX_EXPONENT", "SymPower", "sym_power", "tensor_power", "disc", "demo_char_p"]
+
+# the largest exponent built: tensor powers grow fast
+MAX_EXPONENT = 4
 
 
 @dataclass
@@ -59,10 +62,8 @@ def sym_power(c: ChainComplex, n: int) -> SymPower:
     coinvariants: the colimit of the tensor power with one self-loop per
     adjacent swap.  Exponents are capped to keep the tensor power small.
     """
-    if n < 1:
-        raise ValueError("exponent must be positive")
-    if n > 4:
-        raise ValueError("exponent capped at 4 (tensor powers grow fast)")
+    if not 1 <= n <= MAX_EXPONENT:
+        raise ValueError(f"exponent must be between 1 and {MAX_EXPONENT}")
     power = tensor_power(c, n)
     coinv = colimit([power], [(0, 0, _adjacent_swap(c, n, k)) for k in range(n - 1)])
     return SymPower(c, n, coinv.obj, coinv.legs[0])

@@ -18,7 +18,7 @@ import sys
 from random import Random
 
 from . import documents as docs
-from .charp_lab import demo_char_p
+from .charp_lab import MAX_EXPONENT, demo_char_p
 from .chain import ChainMap, homology_dims, is_cofibration
 from .documents import DocumentError, ValidationFailure, canonical_dumps
 from .field_linalg import Field, InvariantError
@@ -186,8 +186,9 @@ def _emit_like_input(result: TwoConstantPremonoid, kind: str, level: int, out: s
 
 
 def _check_level(level: int):
-    if level > docs.MAX_LEVEL:
-        raise DocumentError(f"--level must be at most {docs.MAX_LEVEL}, got {level}")
+    if not 2 <= level <= docs.MAX_LEVEL:
+        bound = "at least 2" if level < 2 else f"at most {docs.MAX_LEVEL}"
+        raise DocumentError(f"--level must be {bound}, got {level}")
 
 
 def cmd_cosegalify(args) -> int:
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--field", type=_characteristic, default=2, help="0 for Q, else a prime below 2^31"
     )
-    p.add_argument("--exponent", type=int, default=2)
+    p.add_argument("--exponent", type=int, default=2, choices=range(1, MAX_EXPONENT + 1))
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

@@ -8,7 +8,11 @@ reproducible.
 Schema problems raise DocumentError (CLI exit 2); mathematically broken but
 well-formed content (a differential that does not square to zero, a map
 that is not a chain map, a failed premonoid axiom) raises ValidationFailure
-carrying the named violations (CLI exit 1).
+carrying the named violations (CLI exit 1).  Every loader reads the shape of
+its document through four helpers and nothing else: `_object` (a JSON
+object), `_int` (an integer, optionally bounded below), `_entries` (an
+object's items with parsed keys) and `_degreewise` (matrices keyed by
+degree, for differentials and chain-map components).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .premonoid import (
     LaxDiagram,
     StrictMonoid,
     Violation,
-    all_surjections_upto,
 )
 from .two_constant import K2Instruction, TwoConstantPremonoid
 
@@ -97,6 +100,39 @@ def _components_to_dict(f: ChainMap) -> dict:
     return {str(n): _matrix_to_rows(m) for n, m in f.components.items()}
 
 
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise DocumentError(f"{what} must be an object")
+    return x
+
+
+def _int(x, what: str, low: int | None = None) -> int:
+    if isinstance(x, int) and not isinstance(x, bool) and (low is None or x >= low):
+        return x
+    bound = "" if low is None else f" >= {low}"
+    raise DocumentError(f"{what} must be an integer{bound}")
+
+
+def _entries(raw, key, what: str) -> list:
+    """The items of the object raw, each key parsed by key (a ValueError
+    from the parser is a schema problem)."""
+    out = []
+    for k, v in _object(raw, what).items():
+        try:
+            out.append((key(k), v))
+        except ValueError as exc:
+            raise DocumentError(f"bad key {k!r} in {what}: {exc}") from exc
+    return out
+
+
+def _degreewise(field: Field, raw, shape, what: str) -> dict:
+    """{degree: Matrix} from an object of row lists keyed by degree, where
+    shape(degree) is the (rows, columns) the matrix must have."""
+    return {
+        n: _matrix_from_rows(field, rows, *shape(n)) for n, rows in _entries(raw, int, what)
+    }
+
+
 def _matrix_from_rows(field: Field, rows, nrows: int, ncols: int) -> Matrix:
     if not isinstance(rows, list) or len(rows) != nrows:
         raise DocumentError("matrix has wrong row count")
@@ -129,47 +165,22 @@ def complex_to_dict(c: ChainComplex, kind: bool = True) -> dict:
     return out
 
 
-def _field_from(d: dict) -> Field:
-    p = d.get("field")
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise DocumentError("missing or non-integer field characteristic")
+def complex_from_dict(d: dict, max_dim: int | None = None) -> ChainComplex:
+    d = _object(d, "complex")
     try:
-        return Field(p)
+        field = Field(_int(d.get("field"), "field"))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-
-
-def complex_from_dict(d: dict, max_dim: int | None = None) -> ChainComplex:
-    if not isinstance(d, dict):
-        raise DocumentError("complex document must be an object")
-    field = _field_from(d)
-    dims_raw = d.get("dims", {})
-    if not isinstance(dims_raw, dict):
-        raise DocumentError("dims must be an object")
     dims = {}
-    for k, v in dims_raw.items():
-        try:
-            deg = int(k)
-        except ValueError as exc:
-            raise DocumentError(f"bad degree key {k!r}") from exc
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DocumentError(f"bad dimension at degree {k}")
+    for n, v in _entries(d.get("dims", {}), int, "dims"):
+        dims[n] = _int(v, f"dimension at degree {n}", 0)
         if max_dim is not None and v > max_dim:
             raise DocumentError(
-                f"dimension {v} at degree {k} exceeds the safety cap {max_dim}"
+                f"dimension {v} at degree {n} exceeds the safety cap {max_dim}"
             )
-        if v:
-            dims[deg] = v
-    diff = {}
-    diff_raw = d.get("diff", {})
-    if not isinstance(diff_raw, dict):
-        raise DocumentError("diff must be an object")
-    for k, rows in diff_raw.items():
-        try:
-            deg = int(k)
-        except ValueError as exc:
-            raise DocumentError(f"bad degree key {k!r}") from exc
-        diff[deg] = _matrix_from_rows(field, rows, dims.get(deg - 1, 0), dims.get(deg, 0))
+    diff = _degreewise(
+        field, d.get("diff", {}), lambda n: (dims.get(n - 1, 0), dims.get(n, 0)), "diff"
+    )
     try:
         return ChainComplex(field, dims, diff)
     except ValueError as exc:
@@ -190,15 +201,9 @@ def map_to_dict(f: ChainMap, kind: bool = True) -> dict:
 def _components_from(
     field: Field, raw, source: ChainComplex, target: ChainComplex, where: tuple
 ) -> ChainMap:
-    if not isinstance(raw, dict):
-        raise DocumentError(f"components at {where} must be an object")
-    comps = {}
-    for k, rows in raw.items():
-        try:
-            deg = int(k)
-        except ValueError as exc:
-            raise DocumentError(f"bad degree key {k!r} at {where}") from exc
-        comps[deg] = _matrix_from_rows(field, rows, target.dim(deg), source.dim(deg))
+    comps = _degreewise(
+        field, raw, lambda n: (target.dim(n), source.dim(n)), f"components at {where}"
+    )
     try:
         return ChainMap(source, target, comps)
     except ValueError as exc:
@@ -223,50 +228,35 @@ def _surjection_key(v: Surjection) -> str:
 
 
 def _surjection_from_key(key: str) -> Surjection:
-    try:
-        arr = [int(x) for x in key.split(",")]
-    except ValueError as exc:
-        raise DocumentError(f"bad surjection key {key!r}") from exc
-    if not arr:
-        raise DocumentError("empty surjection key")
-    try:
-        return Surjection(len(arr), max(arr) + 1, tuple(arr))
-    except ValueError as exc:
-        raise DocumentError(f"bad surjection key {key!r}: {exc}") from exc
+    arr = [int(x) for x in key.split(",")]
+    return Surjection(len(arr), max(arr) + 1, tuple(arr))
+
+
+def _pair_from_key(key: str) -> tuple[int, int]:
+    p, q = (int(x) for x in key.split(","))
+    return p, q
 
 
 def _level_objects(d: dict, max_dim: int | None) -> tuple[int, dict]:
-    level = d.get("level")
-    if not isinstance(level, int) or isinstance(level, bool) or level < 2:
-        raise DocumentError("level must be an integer >= 2")
+    level = _int(d.get("level"), "level", 2)
     if level > MAX_LEVEL:
         raise DocumentError(f"level must be at most {MAX_LEVEL}, got {level}")
-    objs_raw = d.get("objects")
-    if not isinstance(objs_raw, dict):
-        raise DocumentError("objects must be an object")
-    if set(objs_raw) != {str(n) for n in range(1, level + 1)}:
+    raw = dict(_entries(d.get("objects"), int, "objects"))
+    if set(raw) != set(range(1, level + 1)):
         raise DocumentError("objects must cover levels 1..N")
-    objects = {int(k): complex_from_dict(v, max_dim) for k, v in objs_raw.items()}
-    return level, objects
+    return level, {n: complex_from_dict(c, max_dim) for n, c in raw.items()}
 
 
 def _structure_from(d: dict, level: int, objects: dict) -> dict:
-    raw = d.get("structure")
-    if not isinstance(raw, dict):
-        raise DocumentError("structure must be an object")
-    field = objects[1].field
     structure = {}
-    for key, comps in raw.items():
-        v = _surjection_from_key(key)
+    for v, comps in _entries(d.get("structure"), _surjection_from_key, "structure"):
+        key = _surjection_key(v)
         if v.source_size > level:
             raise DocumentError(f"structure key {key!r} beyond the truncation level")
         structure[v] = _components_from(
-            field, comps, objects[v.target_size], objects[v.source_size], ("structure", key)
+            objects[1].field, comps, objects[v.target_size], objects[v.source_size],
+            ("structure", key),
         )
-    needed = {s for s in all_surjections_upto(level)}
-    missing = needed - set(structure)
-    if missing:
-        raise DocumentError(f"missing structure maps, e.g. {sorted(missing)[0]}")
     return structure
 
 
@@ -300,23 +290,14 @@ def diagram_to_dict(f: LaxDiagram, kind: str = "diagram") -> dict:
 
 
 def _laxity_from(d: dict, level: int, objects: dict) -> dict:
-    raw = d.get("laxity")
-    if not isinstance(raw, dict):
-        raise DocumentError("laxity must be an object")
-    field = objects[1].field
     laxity = {}
-    for key, comps in raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise DocumentError(f"bad laxity key {key!r}")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DocumentError(f"bad laxity key {key!r}") from exc
+    for (p, q), comps in _entries(d.get("laxity"), _pair_from_key, "laxity"):
+        key = f"{p},{q}"
         if p < 1 or q < 1 or p + q > level:
             raise DocumentError(f"laxity key {key!r} out of range")
         laxity[(p, q)] = _components_from(
-            field, comps, tensor(objects[p], objects[q]), objects[p + q], ("laxity", key)
+            objects[1].field, comps, tensor(objects[p], objects[q]), objects[p + q],
+            ("laxity", key),
         )
     return laxity
 
@@ -327,7 +308,7 @@ def diagram_from_dict(
     """Load a `diagram`, `na_diagram` or `premonoid` document; the kind names
     which of the laxity and unit sections are read, and they are required."""
     sections = _SECTIONS[kind]
-    level, objects = _level_objects(d, max_dim)
+    level, objects = _level_objects(_object(d, kind), max_dim)
     structure = _structure_from(d, level, objects)
     laxity = _laxity_from(d, level, objects) if "laxity" in sections else None
     unit = None
@@ -354,19 +335,12 @@ def morphism_to_dict(s: DiagramMorphism) -> dict:
 def morphism_from_dict(d: dict, max_dim: int | None = None) -> DiagramMorphism:
     src = diagram_from_dict(d.get("source", {}), max_dim, "premonoid")
     tgt = diagram_from_dict(d.get("target", {}), max_dim, "premonoid")
-    raw = d.get("components")
-    if not isinstance(raw, dict):
-        raise DocumentError("components must be an object")
     comps = {}
-    for k, comp in raw.items():
-        try:
-            n = int(k)
-        except ValueError as exc:
-            raise DocumentError(f"bad level key {k!r}") from exc
-        if n not in src.objects:
+    for n, comp in _entries(d.get("components"), int, "components"):
+        if n not in src.objects or n not in tgt.objects:
             raise DocumentError(f"component level {n} out of range")
         comps[n] = _components_from(
-            src.field, comp, src.objects[n], tgt.objects[n], ("component", k)
+            src.field, comp, src.objects[n], tgt.objects[n], ("component", str(n))
         )
     try:
         return DiagramMorphism(src, tgt, comps)
@@ -394,9 +368,7 @@ def two_constant_to_dict(f: TwoConstantPremonoid) -> dict:
 
 
 def two_constant_from_dict(d: dict, max_dim: int | None = None) -> TwoConstantPremonoid:
-    base_raw = d.get("base")
-    if not isinstance(base_raw, dict):
-        raise DocumentError("base must be an object")
+    base_raw = _object(d.get("base"), "base")
     a = complex_from_dict(base_raw.get("object", {}), max_dim)
     fld = a.field
     mu = _components_from(fld, base_raw.get("mu", {}), tensor(a, a), a, ("base", "mu"))
@@ -425,12 +397,9 @@ def instruction_to_dict(ins: K2Instruction) -> dict:
 
 def _raw_instruction(d: dict, max_dim: int | None = None) -> dict:
     """d, with what needs no premonoid checked: alpha_degree, q and p."""
-    deg = d.get("alpha_degree")
-    if not isinstance(deg, int) or isinstance(deg, bool):
-        raise DocumentError("alpha_degree must be an integer")
+    _int(_object(d, "instruction").get("alpha_degree"), "alpha_degree")
     for key in ("q", "p"):
-        if not isinstance(d.get(key, {}), dict):
-            raise DocumentError(f"{key} must be an object")
+        _object(d.get(key, {}), key)
     return d
 
 

@@ -45,7 +45,8 @@ class Surjection:
         m, n = self.source_size, self.target_size
         if m < 1 or n < 1:
             raise ValueError("sizes must be positive (the empty set is isolated)")
-        if len(self.map) != m or set(self.map) != set(range(n)):
+        # n > m first: a huge n would otherwise build range(n) before failing
+        if len(self.map) != m or n > m or set(self.map) != set(range(n)):
             raise ValueError(f"not a surjection {m} ->> {n}: {self.map}")
         object.__setattr__(self, "map", tuple(int(x) for x in self.map))
 

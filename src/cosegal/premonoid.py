@@ -149,7 +149,7 @@ class LaxDiagram:
         structure = {}
         for v, f in self.structure.items():
             if not isinstance(v, Surjection) or v.is_identity():
-                continue
+                raise ValueError(f"structure key {v} is an identity or not a surjection")
             if v.source_size > n_max:
                 raise ValueError(f"structure map beyond level {n_max}: {v}")
             if f.source != self.objects[v.target_size] or f.target != self.objects[v.source_size]:

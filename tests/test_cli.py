@@ -6,11 +6,16 @@ import random
 import pytest
 
 from cosegal import documents as docs
-from cosegal.chain import ChainMap
+from cosegal.chain import ChainMap, single_complex
 from cosegal.cli import main
 from cosegal.field_linalg import GF2, QQ
-from cosegal.premonoid import from_strict
-from cosegal.sampling import random_tower_diagram, random_two_constant
+from cosegal.premonoid import DiagramMorphism, from_strict
+from cosegal.sampling import (
+    random_strict_monoid,
+    random_tower_diagram,
+    random_two_constant,
+    tower_diagram,
+)
 from cosegal.two_constant import expand_to_premonoid
 
 
@@ -122,6 +127,63 @@ def test_validate_refuses_a_malformed_instruction(tmp_path, capsys, doc, why):
     bad.write_text(json.dumps({"kind": "instruction", **doc}))
     assert main(["validate", str(bad)]) == 2
     assert capsys.readouterr().out == f"ERROR {bad}: {why}\n"
+
+
+def _identity_morphism(level: int) -> dict:
+    m = random_strict_monoid(random.Random(7), GF2, allow_graded=False)
+    morphism = DiagramMorphism.identity(from_strict(m, level))
+    return json.loads(docs.dump_document(morphism, "morphism"))
+
+
+def _point_diagram() -> dict:
+    s0 = single_complex(GF2, 0, 1)
+    return json.loads(docs.dump_document(tower_diagram([ChainMap.identity(s0)]), "diagram"))
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_morphism_with_a_non_object_side_is_exit2(tmp_path, capsys, side):
+    # diagram_from_dict used to call .get on the list: an AttributeError traceback
+    doc = _identity_morphism(2)
+    doc[side] = []
+    bad = tmp_path / "morphism.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == f"ERROR {bad}: premonoid must be an object\n" and out.err == ""
+
+
+def test_morphism_into_a_lower_level_is_exit2(tmp_path, capsys):
+    # the level-3 component used to look up a target level that does not
+    # exist: a KeyError traceback
+    doc = _identity_morphism(3)
+    doc["target"] = _identity_morphism(2)["target"]
+    bad = tmp_path / "morphism.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == f"ERROR {bad}: component level 3 out of range\n" and out.err == ""
+
+
+def test_pushout_k2_refuses_a_non_object_instruction(tmp_path, capsys, two_constant_file):
+    # _raw_instruction used to call .get on the list: an AttributeError traceback
+    ins = tmp_path / "instruction.json"
+    ins.write_text("[]")
+    assert main(["pushout-k2", str(two_constant_file), "--instruction", str(ins)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "ERROR: instruction must be an object\n" and out.out == ""
+
+
+def test_identity_keyed_structure_map_is_exit2(tmp_path, capsys):
+    # F(id_2) = 0 makes no functor; the entry used to be dropped, and the
+    # document validated OK
+    doc = _point_diagram()
+    doc["structure"]["0,1"] = {}
+    bad = tmp_path / "identity.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith(f"ERROR {bad}: structure key ") and out.out.count("\n") == 1
+    assert "is an identity" in out.out and out.err == ""
 
 
 def test_cosegalify_command(tmp_path, two_constant_file):
@@ -430,6 +492,23 @@ def test_load_bearing_checks_survive_python_O(tmp_path):
     assert "Traceback" not in cli.stderr and cli.stdout.startswith("ERROR")
 
 
+@pytest.mark.parametrize("level", ["1", "0"])
+def test_pushout_k2_level_below_two_is_exit2(level, capsys, two_constant_file):
+    # used to exit 1 from the level-1 upsilon morphism, after the pushout
+    rc = main(["pushout-k2", str(two_constant_file), "--degree", "1", "--level", level])
+    assert rc == 2
+    assert capsys.readouterr().err == f"ERROR: --level must be at least 2, got {level}\n"
+
+
+@pytest.mark.parametrize("exponent", ["0", "-1", "5"])
+def test_demo_charp_exponent_out_of_range_is_exit2(exponent, capsys):
+    # used to exit 1 from sym_power's ValueError
+    with pytest.raises(SystemExit) as exc:
+        main(["demo-charp", "--exponent", exponent])
+    assert exc.value.code == 2
+    assert "--exponent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["4", "4294967291", "abc"])
 def test_demo_charp_bad_field_is_exit2(field, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -544,6 +623,19 @@ def test_a_distant_degree_is_walked_only_where_stored(command, tmp_path):
         assert run.stdout == f"OK {path}\n"
     else:
         assert "  100000000: 1\n" in run.stdout
+
+
+def test_a_huge_surjection_key_is_refused_before_building_its_target(tmp_path):
+    # "0,10^11" names a map 2 ->> 10^11 + 1, which cannot be onto; the check
+    # used to build range(10^11 + 1) first and die with a MemoryError traceback
+    doc = _point_diagram()
+    doc["structure"]["0,100000000000"] = {}
+    path = tmp_path / "huge_key.json"
+    path.write_text(json.dumps(doc))
+    run = _run_limited(["validate", str(path)], timeout=20)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout.startswith(f"ERROR {path}: bad key '0,100000000000' in structure")
+    assert run.stderr == ""
 
 
 def test_pushout_k2_draws_from_a_huge_window_without_building_it(two_constant_file):

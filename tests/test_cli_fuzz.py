@@ -1,12 +1,13 @@
 """The CLI's exit-code contract on mutated documents.
 
 Every input gets exit 0, 1 or 2 and never a traceback (see `cosegal.cli`).
-Each example takes a fixture document from scripts/make_fixtures.py,
-applies one to three seeded mutations and runs `validate`, `cosegalify`,
-`pushout-k2` or `gamma` on it in process.  The mutations: a value swapped
-for one of another JSON type, a deleted key or list entry, a huge or
-negative integer, an "a/b" string, nesting deeper than the JSON parser's
-recursion limit, and bytes that are not UTF-8.
+Each example takes a fixture document from scripts/make_fixtures.py, or a
+`complex`, `map` or `morphism` document built from the two_constant
+fixture, applies one to three seeded mutations and runs `validate`,
+`cosegalify`, `pushout-k2` or `gamma` on it in process.  The mutations: a
+value swapped for one of another JSON type, a deleted key or list entry, a
+huge or negative integer, an "a/b" string, nesting deeper than the JSON
+parser's recursion limit, and bytes that are not UTF-8.
 """
 
 import contextlib
@@ -20,6 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from cosegal.cli import main
+from cosegal.documents import dump_document, load_document
+from cosegal.premonoid import DiagramMorphism
+from cosegal.two_constant import expand_to_premonoid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,7 +31,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # {doc}); the instruction fixture is behind {ins}
 COMMANDS = [
     (["validate", "{doc}"], name)
-    for name in ("constant_premonoid", "instruction", "point_diagram", "two_constant")
+    for name in (
+        "complex", "constant_premonoid", "instruction", "map", "morphism", "point_diagram",
+        "two_constant",
+    )
 ] + [
     (["validate", "{doc}"], "premonoid_level4"),
     (["cosegalify", "{doc}", "--level", "3"], "two_constant"),
@@ -58,6 +65,11 @@ def fixtures(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         make_fixtures.main(root / "fixtures")
     docs = {p.stem: json.loads(p.read_text()) for p in (root / "fixtures").glob("*.json")}
+    # the kinds no fixture file holds
+    _, f = load_document(docs["two_constant"])
+    identity = DiagramMorphism.identity(expand_to_premonoid(f, 2))
+    for name, obj in (("complex", f.apex), ("map", f.h), ("morphism", identity)):
+        docs[name] = json.loads(dump_document(obj, name))
     return root, docs
 
 

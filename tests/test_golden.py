@@ -152,9 +152,10 @@ def test_out_document_is_byte_identical(argv, report, document, workdir, monkeyp
 @pytest.mark.parametrize("level", ["1", "0", "-3"])
 def test_cosegalify_refuses_a_level_below_two(level, workdir, monkeypatch, capsys):
     monkeypatch.chdir(workdir)
+    # an argument out of range is an input error, refused before loading
     rc = main(["cosegalify", "fixtures/two_constant.json", "--level", level])
-    assert rc == 1
-    assert capsys.readouterr().err == "ERROR: truncation level must be at least 2\n"
+    assert rc == 2
+    assert capsys.readouterr().err == f"ERROR: --level must be at least 2, got {level}\n"
 
 
 def test_cosegalify_refuses_a_non_associative_base(workdir, tmp_path, monkeypatch, capsys):
