@@ -14,7 +14,9 @@ boundary degrees are never silently truncated.
 
 from __future__ import annotations
 
+import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
@@ -22,7 +24,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .field_linalg import Field, InvariantError, Matrix, quotient
-from .field_linalg import _block_rows, _section, _solve_rows
+from .field_linalg import _block_rows, _height, _section, _solve_rows, _trusted_matrix, _widen
 
 __all__ = [
     "ChainComplex",
@@ -167,15 +169,9 @@ class ChainMap:
         # absent factor is zero and is never formed.
         d_src, d_tgt = self.source.diff, self.target.diff
         for n in sorted(comps.keys() | {m + 1 for m in comps}):
-            lhs = _product(d_tgt.get(n), comps.get(n))
-            rhs = _product(comps.get(n - 1), d_src.get(n))
-            if lhs is None:
-                ok = rhs is None or rhs.is_zero()
-            elif rhs is None:
-                ok = lhs.is_zero()
-            else:
-                ok = lhs == rhs
-            if not ok:
+            lhs = [d_tgt[n] @ comps[n]] if n in d_tgt and n in comps else []
+            rhs = [comps[n - 1] @ d_src[n]] if n - 1 in comps and n in d_src else []
+            if lhs != rhs and any(not m.is_zero() for m in lhs + rhs):
                 raise ValueError(f"not a chain map at degree {n}")
 
     @property
@@ -235,20 +231,13 @@ class ChainMap:
 
 
 def _trusted_map(source: ChainComplex, target: ChainComplex, components: dict) -> ChainMap:
-    """`ChainMap(...)` without its checks, like the trusted `Matrix(field, num,
-    den)`: the caller vouches for shapes and d.f = f.d.  Zero blocks are still
+    """`ChainMap(...)` without its checks, like `field_linalg._trusted_matrix`:
+    the caller vouches for shapes and d.f = f.d.  Zero blocks are still
     dropped, so equal maps compare equal."""
     out = object.__new__(ChainMap)
     comps = {n: m for n, m in components.items() if not m.is_zero()}
     vars(out).update(source=source, target=target, components=MappingProxyType(comps))
     return out
-
-
-def _product(a: Matrix | None, b: Matrix | None) -> Matrix | None:
-    """a @ b, or None (zero) when either stored block is absent."""
-    if a is None or b is None:
-        return None
-    return a @ b
 
 
 def homology_dims(c: ChainComplex) -> dict:
@@ -272,7 +261,7 @@ def _tensor_layout(c: ChainComplex, d: ChainComplex, n: int) -> dict:
 
     This is the one place that fixes the tensor basis order: blocks by left
     degree ascending, and inside a block by left index, then right index
-    (the `kron` order), so x (x) y of block (i, j) sits at
+    (the Kronecker order), so x (x) y of block (i, j) sits at
     s.start + x * d.dim(j) + y.  `_positions` reads every bracketing's basis
     off these blocks.
     """
@@ -325,12 +314,11 @@ def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
         tgt, blocks = layouts[n - 1], []
         for (i, j), cols in layouts[n].items():
             if (i - 1, j) in tgt:
-                blk = c.d(i).kron(Matrix.identity(fld, d.dim(j)))
-                blocks.append((tgt[(i - 1, j)].start, cols.start, blk))
+                blocks.append((tgt[(i - 1, j)].start, cols.start, c.diff.get(i), d.dims[j], 1))
             if (i, j - 1) in tgt:
-                blk = Matrix.identity(fld, c.dim(i)).kron(d.d(j))
-                blocks.append((tgt[(i, j - 1)].start, cols.start, -blk if i % 2 else blk))
-        diff[n] = Matrix.assemble(fld, dims[n - 1], dims[n], blocks)
+                sign = -1 if i % 2 else 1
+                blocks.append((tgt[(i, j - 1)].start, cols.start, c.dims[i], d.diff.get(j), sign))
+        diff[n] = _written(fld, dims[n - 1], dims[n], blocks)
     return _trusted_complex(fld, dims, diff)
 
 
@@ -342,12 +330,44 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     for n in src.dims:
         rows = _tensor_layout(f.target, g.target, n)
         blocks = [
-            (rows[(i, j)].start, cols.start, f.component(i).kron(g.component(j)))
+            (rows[(i, j)].start, cols.start, f.components.get(i), g.components.get(j), 1)
             for (i, j), cols in _tensor_layout(f.source, g.source, n).items()
             if (i, j) in rows
         ]
-        comps[n] = Matrix.assemble(f.field, tgt.dim(n), src.dim(n), blocks)
+        comps[n] = _written(f.field, tgt.dim(n), src.dim(n), blocks)
     return _trusted_map(src, tgt, comps)
+
+
+def _written(field: Field, rows: int, cols: int, blocks: list) -> Matrix:
+    """The rows x cols matrix holding each block (row, col, a, b, sign), sign
+    a (x) b, from (row, col) on, and zero elsewhere; blocks do not overlap.  A
+    factor is a Matrix, an int n for the n x n identity, or None for zero (its
+    block is skipped).  Each block is one outer product written into a 4-d
+    view of the output (Van Loan, "The ubiquitous Kronecker product", 2000),
+    over Q on one denominator, in Python ints where int64 could overflow."""
+    p, parts = field.characteristic, []
+    for i, j, a, b, sign in blocks:
+        if a is not None and b is not None:
+            (a, da), (b, db) = _factor(a), _factor(b)
+            parts.append((i, j, a, b, sign, da * db))
+    den, bound = math.lcm(*[d for *_, d in parts]), 0
+    if not p:
+        bound = max([_height(a) * _height(b) * den // d for _, _, a, b, _, d in parts], default=0)
+    out = _widen(np.zeros((rows, cols), dtype=np.int64), bound)
+    for i, j, a, b, sign, d in parts:
+        (ra, ca), (rb, cb) = a.shape, b.shape
+        view = out[i : i + ra * rb, j : j + ca * cb].reshape(ra, rb, ca, cb)
+        np.multiply(_widen(a, bound)[:, None, :, None], _widen(b, bound)[:, None], out=view)
+        if (k := sign * den // d) != 1:
+            view *= k
+    if p:
+        return _trusted_matrix(field, out % p)
+    return Matrix(field, out, den)
+
+
+def _factor(m: Matrix | int) -> tuple[np.ndarray, int]:
+    """The numerators and denominator of a Matrix, or of the n x n identity."""
+    return (m.num, m.den) if isinstance(m, Matrix) else (np.eye(m, dtype=np.int64), 1)
 
 
 def _positions(bracketing) -> tuple[ChainComplex, dict]:
@@ -381,7 +401,7 @@ def _permutation(source, target, perm: tuple) -> ChainMap:
     tgt, tgt_pos = _positions(target)
     where = [perm.index(f) for f in range(len(perm))]  # target position of each factor
     flips = [(perm[m], perm[k]) for k in range(len(perm)) for m in range(k) if perm[m] > perm[k]]
-    comps = {}
+    minus, comps = src.field.characteristic - 1 if src.field.characteristic else -1, {}
     for n, blocks in src_pos.items():
         dim = src.dims[n]
         out = np.zeros((dim, dim), dtype=np.int64)
@@ -392,8 +412,8 @@ def _permutation(source, target, perm: tuple) -> ChainMap:
             # are one strided view of it
             strides = [(row_str[m] * dim + s) * size for m, s in zip(where, col_str)]
             entries = np.ndarray(shape, out.dtype, out, (row * dim + col) * size, strides)
-            entries[...] = -1 if sum([degs[x] * degs[y] for x, y in flips]) % 2 else 1
-        comps[n] = Matrix(src.field, out, 1)
+            entries[...] = minus if sum([degs[x] * degs[y] for x, y in flips]) % 2 else 1
+        comps[n] = _trusted_matrix(src.field, out)
     return _trusted_map(src, tgt, comps)
 
 
@@ -432,12 +452,11 @@ def cone(f: ChainMap) -> ChainComplex:
     dims = {n: a.dim(n - 1) + b.dim(n) for n in degs}
     diff = {}
     for n in degs:
-        rows_a, rows_b = a.dim(n - 2), b.dim(n - 1)
-        if rows_a + rows_b == 0:
-            continue
-        cols_a, cols_b = a.dim(n - 1), b.dim(n)
-        diff[n] = Matrix.assemble(fld, rows_a + rows_b, cols_a + cols_b, [
-            (0, 0, -a.d(n - 1)), (rows_a, 0, -f.component(n - 1)), (rows_a, cols_a, b.d(n)),
+        rows_a, cols_a = a.dim(n - 2), a.dim(n - 1)
+        diff[n] = _written(fld, dims.get(n - 1, 0), dims[n], [
+            (0, 0, a.diff.get(n - 1), 1, -1),
+            (rows_a, 0, f.components.get(n - 1), 1, -1),
+            (rows_a, cols_a, b.diff.get(n), 1, 1),
         ])
     return _trusted_complex(fld, dims, diff)
 
@@ -469,27 +488,24 @@ def cylinder_factorization(f: ChainMap) -> tuple[ChainMap, ChainMap]:
     a, b, fld = f.source, f.target, f.field
     degs = sorted(set(a.dims) | set(n + 1 for n in a.dims) | set(b.dims))
     dims = {n: a.dim(n) + a.dim(n - 1) + b.dim(n) for n in degs}
-    dims = {n: k for n, k in dims.items() if k}
     diff = {}
     for n in dims:
-        r = [a.dim(n - 1), a.dim(n - 2), b.dim(n - 1)]
-        c = [a.dim(n), a.dim(n - 1), b.dim(n)]
-        if sum(r) == 0:
-            continue
-        diff[n] = Matrix.assemble(fld, sum(r), sum(c), [
-            (0, 0, a.d(n)),
-            (0, c[0], -Matrix.identity(fld, a.dim(n - 1))),
-            (r[0], c[0], -a.d(n - 1)),
-            (r[0] + r[1], c[0], f.component(n - 1)),
-            (r[0] + r[1], c[0] + c[1], b.d(n)),
+        # rows A_{n-1} + A_{n-2} + B_{n-1}, columns A_n + A_{n-1} + B_n
+        c0, c1, r1 = a.dim(n), a.dim(n - 1), a.dim(n - 2)
+        diff[n] = _written(fld, dims.get(n - 1, 0), dims[n], [
+            (0, 0, a.diff.get(n), 1, 1),
+            (0, c0, c1, 1, -1),
+            (c1, c0, a.diff.get(n - 1), 1, -1),
+            (c1 + r1, c0, f.components.get(n - 1), 1, 1),
+            (c1 + r1, c0 + c1, b.diff.get(n), 1, 1),
         ])
     cyl = _trusted_complex(fld, dims, diff)
     comps_i, comps_p = {}, {}
     for n in cyl.dims:
         ca, ca1, cb = a.dim(n), a.dim(n - 1), b.dim(n)
-        comps_i[n] = Matrix.assemble(fld, cyl.dim(n), ca, [(0, 0, Matrix.identity(fld, ca))])
-        comps_p[n] = Matrix.assemble(fld, cb, cyl.dim(n), [
-            (0, 0, f.component(n)), (0, ca + ca1, Matrix.identity(fld, cb)),
+        comps_i[n] = _written(fld, cyl.dim(n), ca, [(0, 0, ca, 1, 1)])
+        comps_p[n] = _written(fld, cb, cyl.dim(n), [
+            (0, 0, f.components.get(n), 1, 1), (0, ca + ca1, cb, 1, 1),
         ])
     return _trusted_map(a, cyl, comps_i), _trusted_map(cyl, b, comps_p)
 
@@ -564,10 +580,9 @@ class _Hom:
 def _nonzeros(m: Matrix | int) -> tuple[list, int, tuple]:
     """m's nonzero (row, column, numerator) entries, denominator and shape; an
     int n stands for the n x n identity."""
-    if isinstance(m, int):
-        return [(i, i, 1) for i in range(m)], 1, (m, m)
-    ii, jj = m.num.nonzero()
-    return list(zip(ii.tolist(), jj.tolist(), m.num[ii, jj].tolist())), m.den, m.shape
+    num, den = _factor(m)
+    ii, jj = num.nonzero()
+    return list(zip(ii.tolist(), jj.tolist(), num[ii, jj].tolist())), den, num.shape
 
 
 def _kron_block(row: int, col: int, a: Matrix | int, b: Matrix | int, sign: int = 1) -> tuple:
@@ -708,40 +723,41 @@ def rlp_window(*maps: ChainMap) -> tuple[int, int]:
 class Colimit:
     """A colimit with its section: the object Q, the legs nodes[i] -> Q, which
     side by side are the projection from the generators (the direct sum of the
-    nodes) onto Q, and per degree the free generator columns that index Q's basis."""
+    nodes) onto Q, and per degree the free generator columns that index Q's
+    basis, ascending (`free`) and split by node, numbered inside each node
+    (`by_node`)."""
 
     obj: ChainComplex
     legs: list
     free: dict
+    by_node: dict
 
     def induce(self, cocone: list[ChainMap]) -> ChainMap:
         """The unique map out of Q whose composite with legs[i] is cocone[i]."""
-        stacks = zip(_stacked(self, cocone), _stacked(self, self.legs))
-        target = cocone[0].target
+        if len(cocone) != len(self.legs):
+            raise ValueError("cocone and colimit have different node counts")
+        target, fld = cocone[0].target, self.obj.field
         if any(m.source != leg.source or m.target != target for m, leg in zip(cocone, self.legs)):
             raise ValueError("cocone maps must start at the nodes and share one target")
         comps = {}
-        for (n, composite), (_, proj) in stacks:
-            comps[n] = composite[:, self.free[n]]
-            if comps[n] @ proj != composite:
+        for n, free in self.free.items():  # stacked side by side one degree at a time
+            composite = Matrix.hstack(fld, [m.component(n) for m in cocone])
+            comps[n] = composite[:, free]
+            if comps[n] @ Matrix.hstack(fld, [leg.component(n) for leg in self.legs]) != composite:
                 raise ValueError("map does not descend through the projection")
-            del composite, proj  # before the next degree's are stacked
+            del composite  # before the next degree's is stacked
         return _trusted_map(self.obj, target, comps)
-
-
-def _stacked(c: Colimit, maps: list[ChainMap]):
-    """Per degree, the components of maps out of the nodes (a cocone, or the
-    legs) side by side, built one degree at a time as they are read."""
-    if len(maps) != len(c.legs):
-        raise ValueError("cocone and colimit have different node counts")
-    return ((n, Matrix.hstack(c.obj.field, [m.component(n) for m in maps])) for n in c.free)
 
 
 def _read_off(c: Colimit, cocone: list[ChainMap]) -> ChainMap:
     """`Colimit.induce` without its checks, for a cocone out of the nodes that
     descends by construction: the legs side by side are the identity on the
-    free columns, so the map can only be those columns of the composite."""
-    comps = {n: m[:, c.free[n]] for n, m in _stacked(c, cocone)}
+    free columns, so the map is those columns of the cocone's maps, each
+    node's taken before they are put side by side."""
+    comps = {}
+    for n, at in c.by_node.items():
+        if parts := [m.component(n)[:, x] for m, x in zip(cocone, at) if x]:
+            comps[n] = Matrix.hstack(c.obj.field, parts)
     # the legs are onto and the cocone's maps are chain maps, so the map is one
     return _trusted_map(c.obj, cocone[0].target, comps)
 
@@ -758,32 +774,36 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
         raise ValueError("colimit of an empty diagram")
     fld = nodes[0].field
     cols: list[dict] = [{} for _ in nodes]
-    frees, diff = {}, {}
+    frees, by_node, diff = {}, {}, {}
     for n in sorted({n for c in nodes for n in c.dims}):
         offs = list(accumulate((c.dim(n) for c in nodes), initial=0))
         # one sparse row per arrow and source coordinate x: x in node s equals
         # f(x) in node t, times f's denominator
         rows = []
         for s, t, f in arrows:
-            if nodes[s].dim(n):
+            if k := nodes[s].dim(n):
                 m, src, tgt = f.component(n), offs[s], offs[t]
-                for x, col in enumerate(m.transpose().sparse_rows()):
-                    row = {tgt + y: -v for y, v in col.items()}
-                    row[src + x] = row.get(src + x, 0) + m.den
-                    rows.append(row)
+                here = [{src + x: m.den} for x in range(k)]
+                for y, x, v in _nonzeros(m)[0]:
+                    here[x][tgt + y] = here[x].get(tgt + y, 0) - v
+                rows += here
         # node i's block of the projection is its leg; only the legs outlive this degree
-        _, proj, frees[n] = quotient(fld, offs[-1], rows)
+        _, proj, free = quotient(fld, offs[-1], rows)
+        frees[n], by_node[n] = free, [
+            [x - lo for x in free[bisect_left(free, lo) : bisect_left(free, hi)]]
+            for lo, hi in zip(offs, offs[1:])
+        ]
         for leg, lo, hi in zip(cols, offs, offs[1:]):
             leg[n] = proj[:, lo:hi]
         del proj
         # the arrows are chain maps, so the legs after the nodes' own
         # differentials descend to Q's differential, read off on the free columns
         if frees[n] and frees.get(n - 1):
-            composite = Matrix.hstack(fld, [leg[n - 1] @ c.d(n) for leg, c in zip(cols, nodes)])
-            diff[n] = composite[:, frees[n]]
+            blocks = [leg[n - 1] @ c.d(n)[:, x] for leg, c, x in zip(cols, nodes, by_node[n]) if x]
+            diff[n] = Matrix.hstack(fld, blocks)
     q = _trusted_complex(fld, {n: len(free) for n, free in frees.items()}, diff)
     legs = [_trusted_map(c, q, {n: leg[n] for n in c.dims}) for leg, c in zip(cols, nodes)]
-    return Colimit(q, legs, frees)
+    return Colimit(q, legs, frees, by_node)
 
 
 def induced_matrix(through: Matrix, composite: Matrix) -> Matrix:

@@ -25,9 +25,10 @@ accessor.  Colimits pass `quotient` sparse relation rows, and Hom-space
 systems reach the elimination as sparse rows (`_block_rows`): no dense
 relation or Kronecker matrix is built for either.
 
-Everything downstream (homology, lifting problems, colimits) reduces to the
-four primitives here: rank, solve, kron, quotient.  All algorithms are
-deterministic, so identical inputs give bit-identical outputs.
+Everything downstream (homology, lifting problems, colimits) reduces to rank,
+solve and quotient; tensors are written in place (`chain._written`), with
+`kron` the reference product.  All algorithms are deterministic, so
+identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def _int_product(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
-def _max_abs(num: np.ndarray) -> int:
-    """The largest absolute value in an integer array, 0 if it is empty."""
-    return max(int(num.max()), -int(num.min())) if num.size else 0
+def _height(num: np.ndarray) -> int:
+    """The largest absolute value in an integer array, and at least 1: a zero
+    factor must not send the other's entries through float64."""
+    return max(int(num.max()), -int(num.min()), 1) if num.size else 1
 
 
 def _widen(num: np.ndarray, bound: int) -> np.ndarray:
@@ -160,7 +162,7 @@ class Matrix:
                     )
                 data = np.zeros(data.shape, dtype=np.int64)
             den = 1
-            if data.dtype.kind in "iub" and _max_abs(data) < _INT64:
+            if data.dtype.kind in "iub" and _height(data) < _INT64:
                 data = np.array(data, dtype=np.int64)
             else:
                 data, den = _cleared(field, data)
@@ -168,7 +170,7 @@ class Matrix:
             data = data % field.characteristic
         elif den != 1 and (g := math.gcd(int(np.gcd.reduce(data, axis=None)), den)) != 1:
             data, den = _widen(data, g) // g, den // g
-        if data.dtype == object and _max_abs(data) < _INT64:
+        if data.dtype == object and _height(data) < _INT64:
             data = data.astype(np.int64)
         data.flags.writeable = False
         self.field, self.num, self.den = field, data, den
@@ -191,11 +193,11 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, np.zeros((rows, cols), dtype=np.int64), 1)
+        return _trusted_matrix(field, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, np.eye(n, dtype=np.int64), 1)
+        return _trusted_matrix(field, np.eye(n, dtype=np.int64))
 
     # -- basics ------------------------------------------------------------
 
@@ -214,7 +216,7 @@ class Matrix:
         return out
 
     def is_zero(self) -> bool:
-        return not self.num.any()
+        return not np.count_nonzero(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -237,11 +239,13 @@ class Matrix:
 
     def __getitem__(self, key) -> "Matrix":
         """The submatrix m[rows, cols]; both indices must keep their axis."""
+        if self.field.characteristic:
+            return _trusted_matrix(self.field, self.num[key])
         return Matrix(self.field, self.num[key], self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read and written in row-major order."""
-        return Matrix(self.field, self.num.reshape(rows, cols), self.den)
+        return _trusted_matrix(self.field, self.num.reshape(rows, cols), self.den)
 
     def _check_field(self, other: "Matrix", op: str):
         if self.field != other.field:
@@ -267,7 +271,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = Fraction(self.field.coerce(c))
-        bound = max(_max_abs(self.num), 1) * abs(c.numerator)
+        bound = _height(self.num) * abs(c.numerator)
         return Matrix(
             self.field, _widen(self.num, bound) * c.numerator, self.den * c.denominator
         )
@@ -284,13 +288,14 @@ class Matrix:
             # before the final mod
             bound = (p - 1) * (p - 1) * self.cols
         else:
-            # a zero factor must not send the other's entries through float64
-            bound = max(_max_abs(self.num), 1) * max(_max_abs(other.num), 1) * self.cols
+            bound = _height(self.num) * _height(other.num) * self.cols
         prod = _int_product(self.num, other.num, bound)
+        if p:
+            return _trusted_matrix(self.field, prod % p)
         return Matrix(self.field, prod, self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.num.T.copy(), self.den)
+        return _trusted_matrix(self.field, self.num.T.copy(), self.den)
 
     @staticmethod
     def hstack(field: Field, blocks: list["Matrix"]) -> "Matrix":
@@ -298,18 +303,12 @@ class Matrix:
             return Matrix.zeros(field, 0, 0)
         if len({b.rows for b in blocks}) > 1:
             raise ValueError("hstack blocks have different row counts")
+        if any(b.field != field for b in blocks):
+            raise ValueError(f"field mismatch in hstack over {field}")
         nums, den = _common(field, blocks)
+        if field.characteristic:
+            return _trusted_matrix(field, np.concatenate(nums, axis=1))
         return Matrix(field, np.concatenate(nums, axis=1), den)
-
-    @staticmethod
-    def assemble(field: Field, rows: int, cols: int, blocks: list) -> "Matrix":
-        """The rows x cols matrix that is the sum of the given blocks, each
-        (i, j, block) placed with its top left entry at (i, j)."""
-        nums, den = _common(field, [b for _, _, b in blocks])
-        out = np.zeros((rows, cols), dtype=nums[0].dtype if nums else np.int64)
-        for (i, j, b), num in zip(blocks, nums):
-            out[i : i + b.rows, j : j + b.cols] += num
-        return Matrix(field, out, den)
 
     # -- elimination -------------------------------------------------------
 
@@ -354,13 +353,25 @@ class Matrix:
         return self.rank() == self.rows
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, left factor index major."""
+        """Kronecker product, left factor index major: the reference for the
+        blocks `chain._written` writes in place."""
         self._check_field(other, "(x)")
-        bound = 0 if self.field.characteristic else _max_abs(self.num) * _max_abs(other.num)
+        bound = 0 if self.field.characteristic else _height(self.num) * _height(other.num)
         a, b = _widen(self.num, bound), _widen(other.num, bound)
         out = a[:, None, :, None] * b[None, :, None, :]
         out = out.reshape(self.rows * other.rows, self.cols * other.cols)
         return Matrix(self.field, out, self.den * other.den)
+
+
+def _trusted_matrix(field: Field, num: np.ndarray, den: int = 1) -> Matrix:
+    """`Matrix(field, num, den)` without its pass over the entries, for results
+    in stored form by construction (reduced mod p; over Q in lowest terms and
+    int64 where they fit), as `chain._trusted_map` is for chain maps."""
+    out = object.__new__(Matrix)
+    num.setflags(write=False)
+    out.field, out.num, out.den = field, num, den
+    out.rows, out.cols = num.shape
+    return out
 
 
 def _common(field: Field, blocks: list[Matrix]) -> tuple[list[np.ndarray], int]:
@@ -370,7 +381,7 @@ def _common(field: Field, blocks: list[Matrix]) -> tuple[list[np.ndarray], int]:
         return [b.num for b in blocks], 1
     den = math.lcm(*[b.den for b in blocks])
     scales = [den // b.den for b in blocks]
-    bound = sum(max(_max_abs(b.num), 1) * k for b, k in zip(blocks, scales))
+    bound = sum(_height(b.num) * k for b, k in zip(blocks, scales))
     return [_widen(b.num, bound) * k for b, k in zip(blocks, scales)], den
 
 

@@ -4,9 +4,11 @@ Everything here is written from first principles, nearly all of it on plain
 Python lists: its own Gaussian elimination, its own surjection enumeration,
 its own comma-category crawl, its own signed permutation action.  The numpy
 oracles are `oracle_fp_rref`, the dense elimination the library used to
-run, and the dense Kronecker Hom systems at the end, which the library
-built before its systems became sparse rows.  The point is to check the
-library against code that shares nothing with it beyond the definitions.
+run, the dense Kronecker Hom systems, which the library built before its
+systems became sparse rows, and the Kronecker tensors, cones and cylinders
+at the end, which it built before it wrote their blocks in place.  The
+point is to check the library against code that shares nothing with it
+beyond the definitions.
 """
 
 from fractions import Fraction
@@ -747,11 +749,25 @@ def random_complex_by_kron(rng, field, lo, hi, max_dim):
 # ---------------------------------------------------------------------------
 #
 # The Hom-space systems as the library first built them: every block a^T (x) b
-# a dense Kronecker product, placed with `Matrix.assemble` and stacked, then
+# a dense Kronecker product, placed with `_assemble` and stacked, then
 # eliminated as a dense matrix.  They read the coordinates (offsets, size) and
 # the map (`unvec`) of the library's `chain._Hom` and solve with its `Matrix`;
 # the reduced row echelon form is unique, so the sparse rows must give the
 # same bases, lifts and random draws.
+
+
+def _assemble(field, rows, cols, blocks):
+    """The rows x cols sum of the blocks (i, j, Matrix), each placed with its
+    top left entry at (i, j): field elements added in an object array, then
+    read by the checked `Matrix(...)`."""
+    import numpy as np
+
+    from cosegal.field_linalg import Matrix
+
+    out = np.zeros((rows, cols), dtype=object)
+    for i, j, b in blocks:
+        out[i : i + b.rows, j : j + b.cols] += b.data
+    return Matrix(field, out)
 
 
 def dense_hom_d0(hom):
@@ -767,7 +783,7 @@ def dense_hom_d0(hom):
             blk = -s.d(n).transpose().kron(Matrix.identity(fld, t.dim(n - 1)))
             blocks.append((row, hom.offsets[n - 1], blk))
         row += t.dim(n - 1) * s.dim(n)
-    return Matrix.assemble(fld, row, hom.size, blocks)
+    return _assemble(fld, row, hom.size, blocks)
 
 
 def dense_hom_compose(hom, into, pre=None, post=None):
@@ -781,35 +797,29 @@ def dense_hom_compose(hom, into, pre=None, post=None):
             a = Matrix.identity(fld, s) if pre is None else pre.component(n)
             b = Matrix.identity(fld, t) if post is None else post.component(n)
             blocks.append((into.offsets[n], hom.offsets[n], a.transpose().kron(b)))
-    return Matrix.assemble(fld, into.size, hom.size, blocks)
+    return _assemble(fld, into.size, hom.size, blocks)
 
 
 def dense_hom_vec(hom, f):
     """The coordinate column of f."""
-    from cosegal.field_linalg import Matrix
-
     blocks = [(o, 0, f.component(n).transpose().reshape(-1, 1)) for n, o in hom.offsets.items()]
-    return Matrix.assemble(hom.field, hom.size, 1, blocks)
+    return _assemble(hom.field, hom.size, 1, blocks)
 
 
 def _dense_block_diag(field, blocks):
-    from cosegal.field_linalg import Matrix
-
     placed, i, j = [], 0, 0
     for b in blocks:
         placed.append((i, j, b))
         i, j = i + b.rows, j + b.cols
-    return Matrix.assemble(field, i, j, placed)
+    return _assemble(field, i, j, placed)
 
 
 def _dense_vstack(field, blocks):
-    from cosegal.field_linalg import Matrix
-
     placed, i = [], 0
     for b in blocks:
         placed.append((i, 0, b))
         i += b.rows
-    return Matrix.assemble(field, i, blocks[0].cols, placed)
+    return _assemble(field, i, blocks[0].cols, placed)
 
 
 def _unvec_column(hom, column):
@@ -906,3 +916,99 @@ def dense_random_diagram_morphism(rng, f, g):
         comps[n] = _unvec_column(h, coeffs[off : off + h.size, :])
         off += h.size
     return DiagramMorphism(f, g, comps)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker tensors, cones and cylinders
+# ---------------------------------------------------------------------------
+#
+# The differentials and maps of tensor products, cones and cylinders as the
+# library first built them: each block its own `Matrix.kron` or signed
+# factor, summed into place by `_assemble`.  The library writes its blocks in
+# place, so the matrices must be equal.
+
+
+def _kron_offsets(c, d, n):
+    """{(i, j): offset} of the blocks c_i (x) d_j of (c (x) d)_n, by left
+    degree ascending, and the dimension of (c (x) d)_n."""
+    out, off = {}, 0
+    for i in sorted(c.dims):
+        if d.dim(n - i):
+            out[(i, n - i)] = off
+            off += c.dim(i) * d.dim(n - i)
+    return out, off
+
+
+def kron_tensor(c, d):
+    """{degree: differential} of c (x) d: x (x) y -> dx (x) y + (-1)^i x (x) dy
+    for x of degree i."""
+    from cosegal.field_linalg import Matrix
+
+    out = {}
+    for n in {i + j for i in c.dims for j in d.dims}:
+        (src, cols), (tgt, rows) = _kron_offsets(c, d, n), _kron_offsets(c, d, n - 1)
+        blocks = []
+        for (i, j), col in src.items():
+            if (i - 1, j) in tgt:
+                blk = c.d(i).kron(Matrix.identity(c.field, d.dim(j)))
+                blocks.append((tgt[(i - 1, j)], col, blk))
+            if (i, j - 1) in tgt:
+                blk = Matrix.identity(c.field, c.dim(i)).kron(d.d(j)).scale((-1) ** (i % 2))
+                blocks.append((tgt[(i, j - 1)], col, blk))
+        out[n] = _assemble(c.field, rows, cols, blocks)
+    return out
+
+
+def kron_tensor_map(f, g):
+    """{degree: component} of f (x) g: x (x) y -> f(x) (x) g(y)."""
+    out = {}
+    for n in {i + j for i in f.source.dims for j in g.source.dims}:
+        src, cols = _kron_offsets(f.source, g.source, n)
+        tgt, rows = _kron_offsets(f.target, g.target, n)
+        blocks = [
+            (tgt[(i, j)], col, f.component(i).kron(g.component(j)))
+            for (i, j), col in src.items() if (i, j) in tgt
+        ]
+        out[n] = _assemble(f.field, rows, cols, blocks)
+    return out
+
+
+def kron_cone(f):
+    """{degree: differential} of Cone(f)_n = A_{n-1} + B_n, with
+    d(a, b) = (-da, -f(a) + db)."""
+    a, b = f.source, f.target
+    out = {}
+    for n in {n + 1 for n in a.dims} | set(b.dims):
+        ra, ca = a.dim(n - 2), a.dim(n - 1)
+        out[n] = _assemble(f.field, ra + b.dim(n - 1), ca + b.dim(n), [
+            (0, 0, a.d(n - 1).scale(-1)),
+            (ra, 0, f.component(n - 1).scale(-1)),
+            (ra, ca, b.d(n)),
+        ])
+    return out
+
+
+def kron_cylinder(f):
+    """({degree: differential} of Cyl(f)_n = A_n + A_{n-1} + B_n, with
+    d(a, a', b) = (da - a', -da', f(a') + db); {degree: i_n}; {degree: p_n})
+    for the inclusion i(a) = (a, 0, 0) and the projection
+    p(a, a', b) = f(a) + b."""
+    from cosegal.field_linalg import Matrix
+
+    a, b, fld = f.source, f.target, f.field
+    diff, inc, proj = {}, {}, {}
+    for n in set(a.dims) | {n + 1 for n in a.dims} | set(b.dims):
+        r0, r1, r2 = a.dim(n - 1), a.dim(n - 2), b.dim(n - 1)
+        c0, c1, c2 = a.dim(n), a.dim(n - 1), b.dim(n)
+        diff[n] = _assemble(fld, r0 + r1 + r2, c0 + c1 + c2, [
+            (0, 0, a.d(n)),
+            (0, c0, Matrix.identity(fld, c1).scale(-1)),
+            (r0, c0, a.d(n - 1).scale(-1)),
+            (r0 + r1, c0, f.component(n - 1)),
+            (r0 + r1, c0 + c1, b.d(n)),
+        ])
+        inc[n] = _assemble(fld, c0 + c1 + c2, c0, [(0, 0, Matrix.identity(fld, c0))])
+        proj[n] = _assemble(fld, c2, c0 + c1 + c2, [
+            (0, 0, f.component(n)), (0, c0 + c1, Matrix.identity(fld, c2)),
+        ])
+    return diff, inc, proj

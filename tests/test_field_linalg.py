@@ -218,6 +218,7 @@ def test_kron_rank_solve_exact_at_largest_prime():
         lambda a, b: a - b,
         lambda a, b: a @ b,
         lambda a, b: a.kron(b),
+        lambda a, b: Matrix.hstack(a.field, [b]),
     ],
 )
 def test_field_mismatch_is_a_value_error(op):

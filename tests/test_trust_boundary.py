@@ -7,9 +7,11 @@ solutions; tensors, cones, cylinders, colimit objects) build theirs with the
 unchecked `chain._trusted_map` and `chain._trusted_complex`.
 `Colimit.induce` checks that its cocone descends; the callers whose cocones
 descend by construction read the map off with the unchecked
-`chain._read_off`.  These tests swap the checked versions back in: the
-answers must not move, and a closed operation that breaks its invariant
-must then fail.  Counters show that only documents and sampling still run
+`chain._read_off`.  Matrices reduced by construction (identities, zeros,
+F_p slices and products, tensor blocks written in place) are taken over by
+the unchecked `field_linalg._trusted_matrix`.  These tests swap the checked
+versions back in: the answers must not move, and a closed operation that
+breaks its invariant must then fail.  Counters show that only documents and sampling still run
 the chain-map and d.d checks, and that no descent check runs on the
 command-line paths."""
 
@@ -21,7 +23,7 @@ from random import Random
 
 import pytest
 
-from cosegal import chain, documents, free_gamma, two_constant
+from cosegal import chain, documents, field_linalg, free_gamma, two_constant
 from cosegal.chain import (
     ChainComplex,
     ChainMap,
@@ -57,9 +59,23 @@ def _check_everything(monkeypatch):
         monkeypatch.setattr(module, "_read_off", Colimit.induce)
 
 
+def _check_matrices(monkeypatch):
+    """Every binding of `field_linalg._trusted_matrix` is the checked
+    `Matrix(...)`, which reduces and normalises its entries again."""
+    trusted = field_linalg._trusted_matrix
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cosegal") and getattr(module, "_trusted_matrix", None) is trusted:
+            monkeypatch.setattr(module, "_trusted_matrix", Matrix)
+
+
 @pytest.fixture
 def checked(monkeypatch):
     _check_everything(monkeypatch)
+
+
+@pytest.fixture
+def checked_matrices(monkeypatch):
+    _check_matrices(monkeypatch)
 
 
 def _cli(argv):
@@ -69,9 +85,7 @@ def _cli(argv):
     return rc, buf.getvalue().encode()
 
 
-def test_golden_reports_are_the_same_with_every_map_checked(
-    workdir, tmp_path, monkeypatch, checked
-):
+def _golden_reports_match(workdir, tmp_path, monkeypatch):
     monkeypatch.chdir(workdir)
     for argv, golden, code in CASES:
         assert _cli(argv) == (code, (GOLDEN / golden).read_bytes()), argv
@@ -81,7 +95,23 @@ def test_golden_reports_are_the_same_with_every_map_checked(
         assert out.read_bytes() == (GOLDEN / document).read_bytes()
 
 
+def test_golden_reports_are_the_same_with_every_map_checked(
+    workdir, tmp_path, monkeypatch, checked
+):
+    _golden_reports_match(workdir, tmp_path, monkeypatch)
+
+
+def test_golden_reports_are_the_same_with_every_matrix_checked(
+    workdir, tmp_path, monkeypatch, checked_matrices
+):
+    _golden_reports_match(workdir, tmp_path, monkeypatch)
+
+
 def test_hom_spaces_are_the_same_with_every_map_checked(checked):
+    assert hom_spaces() == json.loads(HOM_SPACES.read_text())
+
+
+def test_hom_spaces_are_the_same_with_every_matrix_checked(checked_matrices):
     assert hom_spaces() == json.loads(HOM_SPACES.read_text())
 
 
@@ -117,12 +147,15 @@ def _lifting_record(field, seed):
     return [has_rlp(gen.inclusion, g) for gen in gens], cylinder_factorization(g)
 
 
-@pytest.mark.parametrize(
+RECORDS = pytest.mark.parametrize(
     "record, field",
     [(_free_record, GF2), (_free_record, GF3), (_free_record, QQ),
      (_lifting_record, QQ), (_lifting_record, GF5)],
     ids=["free-F_2", "free-F_3", "free-Q", "lifting-Q", "lifting-F_5"],
 )
+
+
+@RECORDS
 def test_constructions_are_the_same_with_every_map_checked(record, field, monkeypatch):
     seeds = range(3)
     trusted = [record(field, seed) for seed in seeds]
@@ -130,15 +163,23 @@ def test_constructions_are_the_same_with_every_map_checked(record, field, monkey
     assert [record(field, seed) for seed in seeds] == trusted
 
 
-_KRON = Matrix.kron
+@RECORDS
+def test_constructions_are_the_same_with_every_matrix_checked(record, field, monkeypatch):
+    seeds = range(3)
+    trusted = [record(field, seed) for seed in seeds]
+    _check_matrices(monkeypatch)
+    assert [record(field, seed) for seed in seeds] == trusted
 
 
-def _flip_next_kron(monkeypatch):
-    """Matrix.kron, with entry (0, 0) of its next result raised by one."""
+_WRITTEN = chain._written
+
+
+def _flip_next_written(monkeypatch):
+    """chain._written, with entry (0, 0) of its next result raised by one."""
     calls = []
 
-    def flipped(self, other):
-        m = _KRON(self, other)
+    def flipped(*args):
+        m = _WRITTEN(*args)
         if calls:
             return m
         calls.append(1)
@@ -146,35 +187,35 @@ def _flip_next_kron(monkeypatch):
         num[0, 0] += m.den
         return Matrix(m.field, num, m.den)
 
-    monkeypatch.setattr(Matrix, "kron", flipped)
+    monkeypatch.setattr(chain, "_written", flipped)
 
 
 def test_a_broken_closed_operation_fails_only_when_checked(monkeypatch):
-    # the disc's identity (x) the point: flipping the degree-0 block to zero
+    # the disc's identity (x) the point: flipping the degree-0 component to zero
     # leaves the degree-1 identity, which no longer commutes with d
     disc = chain.GeneratingCofibration(1, GF2).disc
     point = single_complex(GF2, 0, 1)
     f, g = ChainMap.identity(disc), ChainMap.identity(point)
     built = tensor(disc, point)  # the operands' tensor is shared, so not rebuilt below
-    _flip_next_kron(monkeypatch)
+    _flip_next_written(monkeypatch)
     assert tensor_map(f, g) != ChainMap.identity(built)
-    _flip_next_kron(monkeypatch)
+    _flip_next_written(monkeypatch)
     monkeypatch.setattr(chain, "_trusted_map", ChainMap)
     with pytest.raises(ValueError, match="not a chain map at degree 1"):
         tensor_map(f, g)
 
 
 def test_a_broken_complex_construction_fails_only_when_checked(monkeypatch):
-    # the first block of disc (x) disc is 1 (x) d_1 of d_1 : (0, 1) -> (0, 0);
-    # zeroing it leaves d_1 = [0 1] against d_2 = [1 1]^T, so d.d != 0
+    # entry (0, 0) of d_1 of disc (x) disc is its 1 (x) d_1 block, from (0, 1)
+    # to (0, 0); zeroing it leaves d_1 = [0 1] against d_2 = [1 1]^T, so d.d != 0
     def broken():
         disc = chain.GeneratingCofibration(1, GF2).disc  # a fresh operand, not shared
         return tensor(disc, disc)
 
-    _flip_next_kron(monkeypatch)
+    _flip_next_written(monkeypatch)
     c = broken()
     assert not (c.d(1) @ c.d(2)).is_zero()
-    _flip_next_kron(monkeypatch)
+    _flip_next_written(monkeypatch)
     monkeypatch.setattr(chain, "_trusted_complex", ChainComplex)
     with pytest.raises(ValueError, match=r"d\.d != 0 at degree 2"):
         broken()
