@@ -723,13 +723,11 @@ def rlp_window(*maps: ChainMap) -> tuple[int, int]:
 class Colimit:
     """A colimit with its section: the object Q, the legs nodes[i] -> Q, which
     side by side are the projection from the generators (the direct sum of the
-    nodes) onto Q, and per degree the free generator columns that index Q's
-    basis, ascending (`free`) and split by node, numbered inside each node
-    (`by_node`)."""
+    nodes) onto Q, and per degree each node's free generator columns, which
+    index Q's basis, numbered inside the node (`by_node`)."""
 
     obj: ChainComplex
     legs: list
-    free: dict
     by_node: dict
 
     def induce(self, cocone: list[ChainMap]) -> ChainMap:
@@ -739,14 +737,12 @@ class Colimit:
         target, fld = cocone[0].target, self.obj.field
         if any(m.source != leg.source or m.target != target for m, leg in zip(cocone, self.legs)):
             raise ValueError("cocone maps must start at the nodes and share one target")
-        comps = {}
-        for n, free in self.free.items():  # stacked side by side one degree at a time
-            composite = Matrix.hstack(fld, [m.component(n) for m in cocone])
-            comps[n] = composite[:, free]
-            if comps[n] @ Matrix.hstack(fld, [leg.component(n) for leg in self.legs]) != composite:
+        out = _read_off(self, cocone)
+        for n in self.by_node:  # stacked side by side one degree at a time
+            through = Matrix.hstack(fld, [leg.component(n) for leg in self.legs])
+            if out.component(n) @ through != Matrix.hstack(fld, [m.component(n) for m in cocone]):
                 raise ValueError("map does not descend through the projection")
-            del composite  # before the next degree's is stacked
-        return _trusted_map(self.obj, target, comps)
+        return out
 
 
 def _read_off(c: Colimit, cocone: list[ChainMap]) -> ChainMap:
@@ -768,13 +764,22 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
     nodes[i] are the objects; each arrow (s, t, f) glues node s into node t
     along f (s = t is allowed).  Returns a `Colimit` whose legs[i] :
     nodes[i] -> Q; maps out of Q are built with `Colimit.induce`.  The
-    quotient basis is deterministic in the node order.
+    quotient basis is deterministic in the node order.  Refuses nodes over
+    more than one field, and an arrow that names a node outside the diagram
+    or whose map does not run from nodes[s] to nodes[t].
     """
     if not nodes:
         raise ValueError("colimit of an empty diagram")
     fld = nodes[0].field
+    if any(c.field != fld for c in nodes):
+        raise ValueError("colimit nodes over more than one field")
+    for s, t, f in arrows:
+        if not (0 <= s < len(nodes) and 0 <= t < len(nodes)):
+            raise ValueError(f"colimit arrow ({s}, {t}) names a node outside the diagram")
+        if f.source != nodes[s] or f.target != nodes[t]:
+            raise ValueError(f"colimit arrow ({s}, {t}) does not run between its nodes")
     cols: list[dict] = [{} for _ in nodes]
-    frees, by_node, diff = {}, {}, {}
+    dims, by_node, diff = {}, {}, {}
     for n in sorted({n for c in nodes for n in c.dims}):
         offs = list(accumulate((c.dim(n) for c in nodes), initial=0))
         # one sparse row per arrow and source coordinate x: x in node s equals
@@ -789,7 +794,7 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
                 rows += here
         # node i's block of the projection is its leg; only the legs outlive this degree
         _, proj, free = quotient(fld, offs[-1], rows)
-        frees[n], by_node[n] = free, [
+        dims[n], by_node[n] = len(free), [
             [x - lo for x in free[bisect_left(free, lo) : bisect_left(free, hi)]]
             for lo, hi in zip(offs, offs[1:])
         ]
@@ -798,12 +803,12 @@ def colimit(nodes: list[ChainComplex], arrows: list[tuple[int, int, ChainMap]]) 
         del proj
         # the arrows are chain maps, so the legs after the nodes' own
         # differentials descend to Q's differential, read off on the free columns
-        if frees[n] and frees.get(n - 1):
+        if free and dims.get(n - 1):
             blocks = [leg[n - 1] @ c.d(n)[:, x] for leg, c, x in zip(cols, nodes, by_node[n]) if x]
             diff[n] = Matrix.hstack(fld, blocks)
-    q = _trusted_complex(fld, {n: len(free) for n, free in frees.items()}, diff)
+    q = _trusted_complex(fld, dims, diff)
     legs = [_trusted_map(c, q, {n: leg[n] for n in c.dims}) for leg, c in zip(cols, nodes)]
-    return Colimit(q, legs, frees, by_node)
+    return Colimit(q, legs, by_node)
 
 
 def induced_matrix(through: Matrix, composite: Matrix) -> Matrix:

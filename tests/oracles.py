@@ -173,6 +173,18 @@ def pushout_universal(leg_b, leg_c, u, v):
     return ChainMap(p, u.target, comps)
 
 
+def lifts_against_generators(g):
+    """The lifting characterisation of a trivial fibration: whether g has the
+    right lifting property against every sphere-disc generator in its
+    inflated window, each solved as lifting problems by the library's
+    `has_rlp`.  It is the reference for `is_trivial_fibration`, which reads
+    surjectivity and homology instead."""
+    from cosegal.chain import generating_cofibrations, has_rlp, rlp_window
+
+    gens = generating_cofibrations(g.field, *rlp_window(g))
+    return all(has_rlp(gen.inclusion, g) for gen in gens)
+
+
 def classical_joint(f, below, eta, n):
     """The level-n joint colimit of the free construction glued along the
     classical latching diagram, built from this module's crawl of the shapes

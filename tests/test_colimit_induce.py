@@ -1,7 +1,7 @@
 """Maps out of a colimit read off its free columns, against the RREF solve.
 
-`Colimit.induce` takes each component as the composite restricted to the
-free generator columns and checks one product.  The oracle is the solve
+`Colimit.induce` reads each component off each node's free generator
+columns, as `chain._read_off` does, and checks one product per degree.  The oracle is the solve
 `induced_matrix(hstack(legs), hstack(cocone))` in every degree of the
 generators, including degrees where the colimit is zero.
 """
@@ -10,7 +10,14 @@ import random
 
 import pytest
 
-from cosegal.chain import ChainComplex, ChainMap, colimit, induced_matrix
+from cosegal.chain import (
+    ChainComplex,
+    ChainMap,
+    colimit,
+    direct_sum,
+    induced_matrix,
+    single_complex,
+)
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
 from cosegal.sampling import random_chain_map, random_complex
 
@@ -33,7 +40,7 @@ def _oracle(c, cocone):
     """The solve-based map out of c, or ValueError if cocone does not descend."""
     fld = c.obj.field
     comps = {}
-    for n in c.free:
+    for n in c.by_node:
         through = Matrix.hstack(fld, [leg.component(n) for leg in c.legs])
         composite = Matrix.hstack(fld, [m.component(n) for m in cocone])
         comps[n] = induced_matrix(through, composite)
@@ -86,3 +93,21 @@ def test_induce_refuses_a_cocone_that_does_not_start_at_the_nodes():
     into_z = ChainMap(z, z, {1: Matrix.identity(GF2, 1)})
     with pytest.raises(ValueError, match="share one target"):
         colimit([z, z], []).induce([into_disc, into_z])
+
+
+def test_colimit_refuses_a_diagram_it_cannot_glue():
+    # each of these used to build a colimit: a leg that is not a chain map,
+    # a leg from an F_3 complex into an F_2 one, and index -1 read as the last node
+    disc = ChainComplex(GF2, {0: 1, 1: 1}, {1: Matrix.identity(GF2, 1)})
+    flat = ChainComplex(GF2, {0: 1, 1: 1}, {})
+    with pytest.raises(ValueError, match=r"arrow \(0, 1\) does not run between its nodes"):
+        colimit([disc, flat], [(0, 1, ChainMap.identity(flat))])
+    with pytest.raises(ValueError, match="does not run between its nodes"):
+        colimit([disc, flat], [(1, 0, ChainMap.identity(flat))])
+    with pytest.raises(ValueError, match="more than one field"):
+        direct_sum([single_complex(GF2, 0, 1), single_complex(GF3, 0, 1)])
+    for s, t in ((0, -1), (-1, 0), (0, 2), (2, 2)):
+        with pytest.raises(ValueError, match="names a node outside the diagram"):
+            colimit([flat, flat], [(s, t, ChainMap.identity(flat))])
+    # the same arrows between the right nodes glue
+    assert colimit([flat, flat], [(0, 1, ChainMap.identity(flat))]).obj == flat

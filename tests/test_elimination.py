@@ -14,6 +14,7 @@ against the oracle on the dense relation matrix built from the diagram.
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import example, given, seed, settings, strategies as st
 
@@ -228,11 +229,13 @@ def test_colimits_quotient_sparse_rows_like_the_dense_oracle(monkeypatch):
                 calls.clear()
                 col = chain.colimit(nodes, arrows)
                 assert all(isinstance(r, dict) for rel in calls for r in rel)
-                for deg, rel in zip(sorted(col.free), calls):
+                for deg, rel in zip(sorted(col.by_node), calls):
                     rows, dim = _dense_relations(nodes, arrows, deg)
                     assert len(rel) == len(rows)
                     free, proj = _oracle_section(field, rows, dim)
-                    assert col.free[deg] == free
+                    # each node's free columns, renumbered across the nodes
+                    offs = accumulate((c.dim(deg) for c in nodes), initial=0)
+                    assert [lo + x for lo, at in zip(offs, col.by_node[deg]) for x in at] == free
                     legs = Matrix.hstack(field, [leg.component(deg) for leg in col.legs])
                     assert legs.tolist() == proj
                     checked += len(rows)

@@ -336,7 +336,7 @@ def test_joint_colimits_match_the_classical_latching_oracle(monkeypatch):
             assert count == [2, 74, 2610][n - 2]
             assert joint.obj == want.obj
             assert joint.legs == want.legs
-            assert joint.free == want.free
+            assert joint.by_node == want.by_node
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F_2", "F_3", "Q"])

@@ -10,6 +10,7 @@ from cosegal.chain import (
     unit_complex,
 )
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
+from cosegal.phi_epi import unique_to_one
 from cosegal.premonoid import (
     from_strict,
     is_cosegal,
@@ -40,7 +41,7 @@ from cosegal.two_constant import (
     wide_pushout_two_constant,
 )
 
-from oracles import pushout_universal
+from oracles import lifts_against_generators, pushout_universal
 
 
 def test_localizing_set_counts():
@@ -328,13 +329,17 @@ def test_is_k_injective_cases():
     field = GF2
     m = monoid_algebra(field, [[0, 1], [1, 0]])
     # strict monoids are injective against the whole localizing family
-    assert is_k_injective(from_strict(m, 3), cross_check=True)
+    strict = from_strict(m, 3)
+    assert is_k_injective(strict)
+    assert all(lifts_against_generators(strict.structure_map(unique_to_one(n))) for n in (2, 3))
     # non-surjective level map: not injective
     bad = TwoConstantPremonoid(m, unit_complex(field), m.e, ChainMap.identity(unit_complex(field)))
-    assert not is_k_injective(bad, 2, cross_check=True)
+    assert not is_k_injective(bad, 2)
+    assert not lifts_against_generators(bad.h)
     # cosegalify output: injective (also via the lifting route)
     s, _ = cosegalify_two_constant(bad)
-    assert is_k_injective(s, 2, cross_check=True)
+    assert is_k_injective(s, 2)
+    assert lifts_against_generators(s.h)
 
 
 def test_is_k_injective_refuses_a_level_below_two():
@@ -363,9 +368,9 @@ def test_package_answers_match_the_expansion():
                     g = expand_to_premonoid(pkg, level)
                     assert validate(g) == []
                     cosegal = pkg.is_cosegal(level)
-                    injective = is_k_injective(pkg, level, cross_check=True)
+                    injective = is_k_injective(pkg, level)
                     assert cosegal == is_cosegal(g)
-                    assert injective == is_k_injective(g)
+                    assert injective == is_k_injective(g) == lifts_against_generators(pkg.h)
                     answers["is_cosegal"].add(cosegal)
                     answers["is_k_injective"].add(injective)
                 if level <= output_max:
