@@ -253,8 +253,7 @@ def cmd_pushout_k2(args) -> int:
     }
     if args.out:
         # premonoid output needs level >= 4 to stay re-loadable
-        emit_level = args.level if in_kind == "two_constant" else max(args.level, 4)
-        _emit_like_input(e, in_kind, emit_level, args.out)
+        _emit_like_input(e, in_kind, max(args.level, 4), args.out)
     _report(report, args.json, None)
     ok = morphism_ok and upper_identity and report["reflection_preserved"]
     return 0 if ok else SEMANTIC_ERROR

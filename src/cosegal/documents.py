@@ -1,9 +1,11 @@
 """Canonical JSON documents for every object the CLI consumes or emits.
 
 Serialization is canonical: sorted keys, minimal separators, a trailing
-newline, entries as integers (rationals fall back to "a/b" strings).  Equal
-objects therefore serialize byte-identically, and the CLI's reports are
-reproducible.
+newline, and each matrix written from its stored form (its numerators when
+its denominator is 1, else each entry in lowest terms, an integer or an
+"a/b" string), so equal objects serialize byte-identically.  The reader
+hands JSON integers to `Matrix.from_rows` as they are and parses only Q's
+"a/b" strings; the matrix constructor is the one numeric check.
 
 Schema problems raise DocumentError (CLI exit 2); mathematically broken but
 well-formed content (a differential that does not square to zero, a map
@@ -18,6 +20,7 @@ degree, for differentials and chain-map components).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -70,30 +73,24 @@ class ValidationFailure(Exception):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-def _encode_entry(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return int(x)
-
-
 def _decode_entry(field: Field, x):
-    # "a/b" strings are rationals; over F_p the writer emits integers only,
-    # and `coerce` would truncate a fraction there
-    if isinstance(x, str) and field.is_rational:
-        num, _, den = x.partition("/")
+    """A matrix entry that is not a JSON integer: over Q a string "-a/b" in
+    decimal digits with b > 0 ("-" and "/b" optional); anything else is refused."""
+    if field.is_rational and isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x):
         try:
-            return Fraction(int(num), int(den or "1"))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad matrix entry {x!r}") from exc
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise DocumentError(f"bad matrix entry {x!r}")
-    return field.coerce(x)
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):  # b = 0, or past int()'s digit limit
+            pass
+    raise DocumentError(f"bad matrix entry {x!r}")
 
 
 def _matrix_to_rows(m: Matrix) -> list:
-    return [[_encode_entry(x) for x in row] for row in m.tolist()]
+    """m's numerators if den is 1, else each num / den as an integer or "a/b"."""
+    rows, den = m.num.tolist(), m.den
+    if den == 1:
+        return rows
+    return [[str(q) if (q := Fraction(x, den)).denominator > 1 else q.numerator for x in r]
+            for r in rows]
 
 
 def _components_to_dict(f: ChainMap) -> dict:
@@ -139,7 +136,8 @@ def _matrix_from_rows(field: Field, rows, nrows: int, ncols: int) -> Matrix:
     if any(not isinstance(r, list) or len(r) != ncols for r in rows):
         raise DocumentError("matrix has ragged or wrong-length rows")
     return Matrix.from_rows(
-        field, [[_decode_entry(field, x) for x in r] for r in rows], cols=ncols
+        field, [[x if type(x) is int else _decode_entry(field, x) for x in r] for r in rows],
+        cols=ncols,
     )
 
 

@@ -128,13 +128,13 @@ def _widen(num: np.ndarray, bound: int) -> np.ndarray:
 
 def _cleared(field: Field, data: np.ndarray) -> tuple[np.ndarray, int]:
     """The numerators (mod p over F_p) and the common denominator of an array
-    of integers, and over Q also `Fraction`s; any other entry is refused."""
+    of integers, and over Q also `Fraction`s; any other type is refused."""
     entries, p = data.ravel().tolist(), field.characteristic
     exact = (int, np.integer) if p else (int, np.integer, Fraction)
-    if not all(isinstance(x, exact) for x in entries):
+    if not all(issubclass(t, exact) for t in set(map(type, entries))):
         raise ValueError(f"matrix entries over {field} must be {_EXACT[field.is_rational]}")
     if p:
-        return np.array([int(x) % p for x in entries], dtype=np.int64).reshape(data.shape), 1
+        return (data % p).astype(np.int64), 1
     den = math.lcm(*[x.denominator for x in entries])
     nums = [int(x.numerator) * (den // x.denominator) for x in entries]
     return np.array(nums, dtype=object).reshape(data.shape), den
@@ -208,7 +208,7 @@ class Matrix:
     @property
     def data(self) -> np.ndarray:
         """The entries as a read-only array: the stored residues over F_p,
-        and fresh `Fraction`s over Q (for documents and tests)."""
+        and fresh `Fraction`s over Q (for tests)."""
         if self.field.characteristic:
             return self.num
         out = np.frompyfunc(lambda x: Fraction(int(x), self.den), 1, 1)(self.num)

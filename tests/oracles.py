@@ -7,8 +7,9 @@ oracles are `oracle_fp_rref`, the dense elimination the library used to
 run, the dense Kronecker Hom systems, which the library built before its
 systems became sparse rows, and the Kronecker tensors, cones and cylinders
 at the end, which it built before it wrote their blocks in place.  The
-point is to check the library against code that shares nothing with it
-beyond the definitions.
+per-entry document codec after them is the one documents ran before they
+read and wrote a matrix's stored form.  The point is to check the library
+against code that shares nothing with it beyond the definitions.
 """
 
 from fractions import Fraction
@@ -1024,3 +1025,46 @@ def kron_cylinder(f):
             (0, 0, f.component(n)), (0, c0 + c1, Matrix.identity(fld, c2)),
         ])
     return diff, inc, proj
+
+
+# ---------------------------------------------------------------------------
+# the per-entry document codec
+# ---------------------------------------------------------------------------
+#
+# Matrix rows as documents wrote and read them before the codec used the
+# stored form: every entry of `Matrix.data` encoded on its own, and every
+# entry decoded, coerced by `Field.coerce` and then read by
+# `Matrix.from_rows`.  Its "a/b" parser is the old lenient one (" 1/2" and
+# "1/" load), so it is a reference for the entries the writer emits and for
+# the refusals of non-strings, not for the string grammar.
+
+
+def oracle_matrix_rows(m):
+    """The rows a document holds for the Matrix m."""
+
+    def encode(x):
+        if isinstance(x, Fraction):
+            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return int(x)
+
+    return [[encode(x) for x in row] for row in m.data.tolist()]
+
+
+def oracle_matrix_from_rows(field, rows, ncols):
+    """The Matrix of a document's rows; the first bad entry in row-major order
+    raises the DocumentError that names it."""
+    from cosegal.documents import DocumentError
+    from cosegal.field_linalg import Matrix
+
+    def decode(x):
+        if isinstance(x, str) and field.is_rational:
+            num, _, den = x.partition("/")
+            try:
+                return Fraction(int(num), int(den or "1"))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DocumentError(f"bad matrix entry {x!r}") from exc
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise DocumentError(f"bad matrix entry {x!r}")
+        return field.coerce(x)
+
+    return Matrix.from_rows(field, [[decode(x) for x in r] for r in rows], cols=ncols)

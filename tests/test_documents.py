@@ -1,12 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from cosegal import documents as docs
 from cosegal.chain import ChainMap
 from cosegal.cli import main
-from cosegal.field_linalg import GF2, GF3, GF5, QQ
+from cosegal.field_linalg import GF2, GF3, GF5, QQ, Field, Matrix
 from cosegal.free_gamma import gamma_na
 from cosegal.premonoid import DiagramMorphism, from_strict
 from cosegal.sampling import (
@@ -18,6 +19,7 @@ from cosegal.sampling import (
     random_two_constant,
 )
 from cosegal.two_constant import expand_to_premonoid
+from oracles import oracle_matrix_from_rows, oracle_matrix_rows
 
 
 def canonical_roundtrip(obj, kind):
@@ -38,8 +40,6 @@ def test_complex_roundtrip():
 
 
 def test_rational_entries_roundtrip():
-    from fractions import Fraction
-
     c = random_complex(random.Random(2), QQ, 0, 1, 2)
     m = random_chain_map(random.Random(3), c, c)
     m2 = canonical_roundtrip(m, "map")
@@ -130,11 +130,15 @@ def test_broken_math_is_validation_failure():
 
 @pytest.mark.parametrize(
     "field, entry",
-    [(3, "1/2"), (2, "1"), (5, "3"), (0, "1/0"), (0, "-2/0"), (3, "1/0")],
+    [(3, "1/2"), (2, "1"), (5, "3"), (0, "1/0"), (0, "-2/0"), (3, "1/0"),
+     (0, "1/"), (0, " 1/2"), (0, "+1/2"), (0, "1_0/3"), (0, "1/-2"), (0, "\u0663/4")],
 )
 def test_bad_string_entry_is_exit2_with_one_line(field, entry, tmp_path, capsys):
     # over F_p entries are JSON integers ("1/2" used to load as 0 over F_3);
-    # over Q a zero denominator is refused, not a ZeroDivisionError
+    # over Q a zero denominator is refused, not a ZeroDivisionError, and so
+    # is every string outside the writer's grammar -?[0-9]+(/[0-9]+)? ("1/"
+    # loaded as 1, "+1/2" as 1/2, "1_0/3" as 10/3, "1/-2" as -1/2 and the
+    # Arabic-Indic "\u0663/4" as 3/4)
     payload = {"kind": "complex", "field": field, "dims": {"0": 1, "1": 1},
                "diff": {"1": [[entry]]}}
     with pytest.raises(docs.DocumentError, match="bad matrix entry"):
@@ -145,6 +149,47 @@ def test_bad_string_entry_is_exit2_with_one_line(field, entry, tmp_path, capsys)
     out = capsys.readouterr()
     assert out.out == f"ERROR {path}: bad matrix entry {entry!r}\n"
     assert out.err == ""
+
+
+def test_rational_strings_in_the_grammar_load():
+    got = docs._matrix_from_rows(QQ, [["5", "2/4", "-3/4", "-0"]], 1, 4)
+    assert got == Matrix.from_rows(QQ, [[5, Fraction(1, 2), Fraction(-3, 4), 0]])
+
+
+def _document_entry(rng, field):
+    """A matrix entry a document may hold: a JSON integer of any size, and
+    over Q also an "a/b" string, in lowest terms or not."""
+    x = rng.choice([0, 1, -1, rng.randrange(-10**6, 10**6), 2**70, -2**70])
+    if field.is_rational and rng.random() < 0.5:
+        den = rng.choice([1, 2, 6, 2**70])
+        return str(x) if den == 1 and rng.random() < 0.5 else f"{x}/{den}"
+    return x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1, 0])
+def test_matrix_codec_matches_the_per_entry_oracle(p):
+    # the stored-form writer and reader against the per-entry codec they
+    # replaced: the same rows written, the same Matrix read, and for a bad
+    # entry the same message, naming the first one in row-major order
+    field, rng = Field(p), random.Random(2600 + p)
+    bad = [True, False, None, 1.0, [1], {}] + (["1"] if p else [])
+    for _ in range(60):
+        nrows, ncols = rng.randrange(5), rng.randrange(5)
+        rows = [[_document_entry(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+        got = docs._matrix_from_rows(field, rows, nrows, ncols)
+        assert got == oracle_matrix_from_rows(field, rows, ncols)
+        written = docs._matrix_to_rows(got)
+        assert docs.canonical_dumps(written) == docs.canonical_dumps(oracle_matrix_rows(got))
+        assert docs._matrix_from_rows(field, written, nrows, ncols) == got
+        if nrows * ncols:
+            cells = rng.sample(range(nrows * ncols), min(2, nrows * ncols))
+            for cell in cells:
+                rows[cell // ncols][cell % ncols] = rng.choice(bad)
+            with pytest.raises(docs.DocumentError) as want:
+                oracle_matrix_from_rows(field, rows, ncols)
+            with pytest.raises(docs.DocumentError, match="bad matrix entry") as exc:
+                docs._matrix_from_rows(field, rows, nrows, ncols)
+            assert str(exc.value) == str(want.value)
 
 
 @pytest.mark.parametrize("kind", [{"a": 1}, ["premonoid"], 7, None, "tensor"])
