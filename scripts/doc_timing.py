@@ -21,11 +21,10 @@ import time
 from random import Random
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from cosegal.documents import dump_document, load_document
 from cosegal.free_gamma import gamma_na
-from free_timing import random_tower
+from free_timing import random_tower  # the sibling script
 
 
 def _peak_mb() -> float:
