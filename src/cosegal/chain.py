@@ -18,6 +18,7 @@ import math
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -256,24 +257,6 @@ def homology_dims(c: ChainComplex) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_layout(c: ChainComplex, d: ChainComplex, n: int) -> dict:
-    """{(i, j): slice} of the nonzero blocks c_i (x) d_j of (c (x) d)_n.
-
-    This is the one place that fixes the tensor basis order: blocks by left
-    degree ascending, and inside a block by left index, then right index
-    (the Kronecker order), so x (x) y of block (i, j) sits at
-    s.start + x * d.dim(j) + y.  `_positions` reads every bracketing's basis
-    off these blocks.
-    """
-    out, off = {}, 0
-    for i in sorted(c.dims):
-        size = c.dims[i] * d.dim(n - i)
-        if size:
-            out[(i, n - i)] = slice(off, off + size)
-            off += size
-    return out
-
-
 def _shared(memo: weakref.WeakValueDictionary, build, *operands):
     """build(*operands), shared while alive and keyed by operand identity.  The
     memo holds results weakly and they hold their operands weakly, so no
@@ -301,12 +284,20 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
 
 
 def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
+    """The product, whose `_layouts` {n: {(i, j): slice}} fix the tensor basis
+    order, for `tensor_map` and `_positions` too: the blocks c_i (x) d_j of
+    (c (x) d)_n by left degree ascending, inside a block by left index, then
+    right index (Kronecker order), so x (x) y sits at s.start + x * d.dim(j) + y."""
     if c.field != d.field:
         raise ValueError("field mismatch in tensor")
     fld = c.field
     degs = sorted({i + j for i in c.dims for j in d.dims})
-    layouts = {n: _tensor_layout(c, d, n) for n in degs}
-    dims = {n: max((s.stop for s in layout.values()), default=0) for n, layout in layouts.items()}
+    layouts, dims = {n: {} for n in degs}, dict.fromkeys(degs, 0)
+    for i in sorted(c.dims):
+        for j, k in d.dims.items():
+            start = dims[i + j]
+            dims[i + j] += c.dims[i] * k
+            layouts[i + j][(i, j)] = slice(start, dims[i + j])
     diff = {}
     for n in degs:
         if n - 1 not in layouts:
@@ -319,7 +310,9 @@ def _build_tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
                 sign = -1 if i % 2 else 1
                 blocks.append((tgt[(i, j - 1)].start, cols.start, c.dims[i], d.diff.get(j), sign))
         diff[n] = _written(fld, dims[n - 1], dims[n], blocks)
-    return _trusted_complex(fld, dims, diff)
+    out = _trusted_complex(fld, dims, diff)
+    object.__setattr__(out, "_layouts", layouts)
+    return out
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -328,10 +321,10 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = tensor(f.target, g.target)
     comps = {}
     for n in src.dims:
-        rows = _tensor_layout(f.target, g.target, n)
+        rows = tgt._layouts.get(n, {})
         blocks = [
             (rows[(i, j)].start, cols.start, f.components.get(i), g.components.get(j), 1)
-            for (i, j), cols in _tensor_layout(f.source, g.source, n).items()
+            for (i, j), cols in src._layouts[n].items()
             if (i, j) in rows
         ]
         comps[n] = _written(f.field, tgt.dim(n), src.dim(n), blocks)
@@ -367,14 +360,20 @@ def _written(field: Field, rows: int, cols: int, blocks: list) -> Matrix:
 
 def _factor(m: Matrix | int) -> tuple[np.ndarray, int]:
     """The numerators and denominator of a Matrix, or of the n x n identity."""
-    return (m.num, m.den) if isinstance(m, Matrix) else (np.eye(m, dtype=np.int64), 1)
+    return (m.num, m.den) if isinstance(m, Matrix) else (_eye(m), 1)
+
+
+@lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, shared, as a read-only view."""
+    return np.broadcast_to(np.eye(n, dtype=np.int64), (n, n))
 
 
 def _positions(bracketing) -> tuple[ChainComplex, dict]:
     """A bracketing's complex (a complex, or a pair of bracketings) and
     {degree: {factor degrees: (offset, strides, shape)}}: x_1 (x) ... (x) x_k
     sits at offset + sum x_m * strides[m], since x (x) y of the (i, j) block
-    of l (x) r sits at start + x * r.dim(j) + y (the `_tensor_layout` order)."""
+    of l (x) r sits at start + x * r.dim(j) + y (the `tensor` layout)."""
     if isinstance(bracketing, ChainComplex):
         return bracketing, {i: {(i,): (0, (1,), (m,))} for i, m in bracketing.dims.items()}
     (left, lpos), (right, rpos) = map(_positions, bracketing)
@@ -382,7 +381,7 @@ def _positions(bracketing) -> tuple[ChainComplex, dict]:
     blocks = {}
     for n in out.dims:
         blocks[n] = here = {}
-        for (i, j), s in _tensor_layout(left, right, n).items():
+        for (i, j), s in out._layouts[n].items():
             r = right.dims[j]
             for ldeg, (loff, lstr, lshape) in lpos[i].items():
                 lstr = tuple([x * r for x in lstr])

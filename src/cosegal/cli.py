@@ -24,7 +24,7 @@ from .documents import DocumentError, ValidationFailure, canonical_dumps
 from .field_linalg import Field, InvariantError
 from .free_gamma import gamma_na
 from .phi_epi import enumerate_surjections
-from .premonoid import validate, validate_morphism
+from .premonoid import LaxDiagram, validate, validate_morphism
 from .sampling import random_k2_instruction
 from .two_constant import (
     TwoConstantPremonoid,
@@ -160,14 +160,15 @@ def cmd_surjections(args) -> int:
     return 0
 
 
-def _load_two_constant(path: str, max_dim: int) -> tuple[TwoConstantPremonoid, str]:
+def _load_two_constant(path: str, max_dim: int) -> tuple[TwoConstantPremonoid, LaxDiagram | None]:
+    """The package and, from a premonoid document, its (proved) expansion."""
     payload = _read_json(path)
     kind, obj = docs.load_document(payload, max_dim)
     if kind == "two_constant":
-        return obj, kind
+        return obj, None
     if kind == "premonoid":
         try:
-            return package_two_constant(obj), kind
+            return package_two_constant(obj), obj
         except ValueError as exc:
             raise ValidationFailure(
                 [docs.Violation("two-constant", (), str(exc))]
@@ -175,14 +176,10 @@ def _load_two_constant(path: str, max_dim: int) -> tuple[TwoConstantPremonoid, s
     raise DocumentError(f"expected a two_constant or premonoid document, got {kind!r}")
 
 
-def _emit_like_input(result: TwoConstantPremonoid, kind: str, level: int, out: str):
-    """Write the result mirroring the input's document kind."""
-    if kind == "premonoid":
-        _emit(
-            docs.dump_document(expand_to_premonoid(result, level), "premonoid"), out
-        )
-    else:
-        _emit(docs.dump_document(result, "two_constant"), out)
+def _emit_like_input(result: TwoConstantPremonoid, expansion: LaxDiagram | None, out: str):
+    """Write the result's expansion after a premonoid input, else the package."""
+    kind = "two_constant" if expansion is None else "premonoid"
+    _emit(docs.dump_document(result if expansion is None else expansion, kind), out)
 
 
 def _check_level(level: int):
@@ -193,7 +190,7 @@ def _check_level(level: int):
 
 def cmd_cosegalify(args) -> int:
     _check_level(args.level)
-    f, in_kind = _load_two_constant(args.input, args.max_dim)
+    f, loaded = _load_two_constant(args.input, args.max_dim)
     level = args.level
     s, i = cosegalify_two_constant(f)
     report = {
@@ -207,7 +204,7 @@ def cmd_cosegalify(args) -> int:
         "reflection_preserved": reflect(s) == reflect(f),
     }
     if args.out:
-        _emit_like_input(s, in_kind, level, args.out)
+        _emit_like_input(s, loaded and expand_to_premonoid(s, level), args.out)
     _report(report, args.json, None)
     ok = (
         report["is_cosegal"]
@@ -220,7 +217,7 @@ def cmd_cosegalify(args) -> int:
 
 def cmd_pushout_k2(args) -> int:
     _check_level(args.level)
-    f, in_kind = _load_two_constant(args.input, args.max_dim)
+    f, loaded = _load_two_constant(args.input, args.max_dim)
     if args.instruction:
         ins = docs.instruction_from_dict(_read_json(args.instruction), f)
     else:
@@ -235,7 +232,10 @@ def cmd_pushout_k2(args) -> int:
             degree = rng.choice(range(lo, hi + 2))
         ins = random_k2_instruction(rng, f, degree)
     e, eps, i_v = pushout_k2(f, ins)
-    ups = upsilon_morphism(f, e, eps, args.level)
+    # upsilon cuts f's loaded expansion and e's for --out (re-loadable: level >= 4) down
+    grown = loaded and expand_to_premonoid(e, max(args.level, 4))
+    top = loaded if loaded and loaded.level >= args.level else f
+    ups = upsilon_morphism(top, grown or e, eps, args.level)
     morphism_ok = validate_morphism(ups) == []
     upper_identity = all(
         ups.component(n) == ChainMap.identity(ups.component(n).source)
@@ -252,8 +252,7 @@ def cmd_pushout_k2(args) -> int:
         "leg_cofibration": bool(is_cofibration(eps)),
     }
     if args.out:
-        # premonoid output needs level >= 4 to stay re-loadable
-        _emit_like_input(e, in_kind, max(args.level, 4), args.out)
+        _emit_like_input(e, grown, args.out)
     _report(report, args.json, None)
     ok = morphism_ok and upper_identity and report["reflection_preserved"]
     return 0 if ok else SEMANTIC_ERROR

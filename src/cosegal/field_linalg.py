@@ -100,8 +100,9 @@ _INT64 = 2**63  # exclusive bound on the absolute value of an int64 numerator
 
 
 def _int_product(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Exact product of two integer arrays whose dot products are at most
-    `bound` in absolute value.
+    """Exact product of two integer arrays, or stacks of them (lists of equal
+    shapes too, stacked in the product's dtype), whose dot products are at
+    most `bound` in absolute value.
 
     Integer matmul in numpy is not BLAS-backed: while the bound fits float64
     exactly the float product is orders of magnitude faster; beyond int64
@@ -290,8 +291,8 @@ class Matrix:
         else:
             bound = _height(self.num) * _height(other.num) * self.cols
         prod = _int_product(self.num, other.num, bound)
-        if p:
-            return _trusted_matrix(self.field, prod % p)
+        if p:  # reduced to int64 also after a product over Python ints
+            return _trusted_matrix(self.field, np.asarray(prod % p, dtype=np.int64))
         return Matrix(self.field, prod, self.den * other.den)
 
     def transpose(self) -> "Matrix":

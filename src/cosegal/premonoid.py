@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .chain import (
     ChainComplex,
     ChainMap,
@@ -27,7 +29,7 @@ from .chain import (
     tensor_map,
     unit_complex,
 )
-from .field_linalg import Field
+from .field_linalg import Field, _common, _height, _int_product, _widen
 from .phi_epi import (
     Surjection,
     block_swap,
@@ -189,6 +191,13 @@ class LaxDiagram:
     def laxity_map(self, p: int, q: int) -> ChainMap:
         return self.laxity[(p, q)]
 
+    def truncated(self, level: int) -> "LaxDiagram":
+        """The diagram on the levels up to `level`, at most self.level."""
+        objects = {n: self.objects[n] for n in range(1, level + 1)}
+        structure = {v: f for v, f in self.structure.items() if v.source_size <= level}
+        lax = self.laxity and {pq: f for pq, f in self.laxity.items() if sum(pq) <= level}
+        return LaxDiagram(level, objects, structure, lax, self.unit)
+
 
 @dataclass
 class DiagramMorphism:
@@ -228,11 +237,6 @@ class DiagramMorphism:
         return DiagramMorphism(other.source, self.target, comps)
 
 
-def _functorial(d, v: Surjection, u: Surjection) -> bool:
-    """The square F(v).F(u) = F(u.v) for v : n ->> m and u : m ->> k."""
-    return d.structure_map(v) @ d.structure_map(u) == d.structure_map(compose(u, v))
-
-
 def _natural(d, a: Surjection, b: Surjection) -> bool:
     """The square phi_{p',q'}.(F(a) (x) F(b)) = F(a + b).phi_{p,q} for
     a : p' ->> p and b : q' ->> q."""
@@ -242,16 +246,55 @@ def _natural(d, a: Surjection, b: Surjection) -> bool:
     return lhs == d.structure_map(disjoint_sum(a, b)) @ d.laxity_map(a.target_size, b.target_size)
 
 
-def _functoriality_squares(d, firsts) -> list[Violation]:
-    """The failing squares (v, u) for v in `firsts` and every non-identity u
-    out of v's target, u by target size and then in enumeration order."""
-    return [
-        Violation("functoriality", (v.map, u.map))
-        for v in firsts
-        for k in range(1, v.target_size + 1)
-        for u in enumerate_surjections(v.target_size, k)
-        if not u.is_identity() and not _functorial(d, v, u)
-    ]
+@lru_cache(maxsize=16)
+def _square_plan(firsts: tuple) -> tuple[list, dict]:
+    """The squares (v, u) of `_functoriality_squares` in report order, and per
+    (|source v|, |target v|, |target u|) their positions and the indices of
+    v, u and u.v into `enumerate_surjections`, as the rows of one array."""
+    index = {w: i for n in range(1, max([v.source_size for v in firsts], default=0) + 1)
+             for m in range(1, n + 1) for i, w in enumerate(enumerate_surjections(n, m))}
+    squares = [(v, u) for v in firsts for k in range(1, v.target_size + 1)
+               for u in enumerate_surjections(v.target_size, k) if not u.is_identity()]
+    groups: dict = {}
+    for s, (v, u) in enumerate(squares):
+        groups.setdefault((v.source_size, v.target_size, u.target_size), []).append(
+            (s, index[v], index[u], index[compose(u, v)]))
+    return squares, {nmk: np.array(g).T for nmk, g in groups.items()}
+
+
+def _functoriality_squares(d, firsts: tuple) -> list[Violation]:
+    """The failing squares F(v).F(u) = F(u.v) for v in `firsts` and every
+    non-identity u out of v's target, u by target size and then in
+    enumeration order.  Per degree and (|source v|, |target v|, |target u|)
+    the squares are decided in stacked products (batched BLAS), chunked by a
+    fixed byte budget; over Q each side's maps are over one denominator, and
+    num_v.num_u.den_uv = num_uv.den_v.den_u."""
+    squares, groups = _square_plan(firsts)
+    fld, p, dims = d.field, d.field.characteristic, {n: c.dims for n, c in d.objects.items()}
+    bad = np.zeros(len(squares), dtype=bool)
+
+    @lru_cache(maxsize=None)
+    def stack(n, m):  # F(w) in the loop's degree for every w : n ->> m, and height
+        maps = [d.structure_map(w).component(deg) for w in enumerate_surjections(n, m)]
+        nums, den = _common(fld, maps)
+        return nums, den, 1 if p else max(map(_height, nums))
+
+    for deg in sorted({x for c in dims.values() for x in c}):
+        stack.cache_clear()  # hold one degree's maps at a time
+        for (n, m, k), (at, iv, iu, iuv) in groups.items():
+            if deg not in dims[n] or deg not in dims[k]:
+                continue
+            (a, da, ha), (b, db, hb), (c, dc, hc) = stack(n, m), stack(m, k), stack(n, k)
+            inner, rows, cols = dims[m].get(deg, 0), dims[n][deg], dims[k][deg]
+            bound = (p - 1) ** 2 * inner if p else ha * hb * inner
+            step = max(1, 2**21 // (rows * inner + inner * cols + rows * cols))  # 16 MB chunks
+            for s in (slice(x, x + step) for x in range(0, len(at), step)):
+                lhs = _int_product([a[i] for i in iv[s]], [b[i] for i in iu[s]], bound)
+                rhs = np.array([c[i] for i in iuv[s]])
+                if not p:
+                    lhs, rhs = _widen(lhs, bound * dc) * dc, _widen(rhs, hc * da * db) * (da * db)
+                bad[at[s]] |= (lhs % p != rhs if p else lhs != rhs).any(axis=(1, 2))
+    return [Violation("functoriality", (v.map, u.map)) for (v, u), b in zip(squares, bad) if b]
 
 
 def _naturality_squares(d, pairs) -> list[Violation]:
@@ -304,7 +347,7 @@ def validate(f: LaxDiagram) -> list[Violation]:
         if a.is_identity() and b in gens or b.is_identity() and a in gens
     ]
     out = []
-    if _functoriality_squares(f, gens):
+    if _functoriality_squares(f, generating_surjections(n_max)):
         out = _functoriality_squares(f, all_surjections_upto(n_max))
     if out or _naturality_squares(f, one_sided):
         out += _naturality_squares(f, every_pair)

@@ -236,16 +236,13 @@ def pushout_k2(
     return e, eps, i_v
 
 
-def upsilon_morphism(
-    f: TwoConstantPremonoid, e: TwoConstantPremonoid, eps: ChainMap, level: int
-) -> DiagramMorphism:
+def upsilon_morphism(f, e, eps: ChainMap, level: int) -> DiagramMorphism:
     """The canonical premonoid morphism expand(f) -> expand(e): eps at level
-    1 and identities above."""
-    src = expand_to_premonoid(f, level)
-    tgt = expand_to_premonoid(e, level)
-    comps = {1: eps}
-    for n in range(2, level + 1):
-        comps[n] = ChainMap.identity(src.objects[n])
+    1 and identities above.  f and e are 2-constant premonoids, or their
+    expansions at a level of at least `level`, cut down, not expanded again."""
+    src, tgt = (x.truncated(level) if isinstance(x, LaxDiagram) else expand_to_premonoid(x, level)
+                for x in (f, e))
+    comps = {n: eps if n == 1 else ChainMap.identity(src.objects[n]) for n in src.objects}
     return DiagramMorphism(src, tgt, comps)
 
 

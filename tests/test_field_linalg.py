@@ -192,6 +192,21 @@ def test_matmul_exact_at_largest_prime():
         assert got.tolist() == _plain_matmul(a, b, P31)
 
 
+def test_products_at_largest_prime_are_stored_as_int64():
+    # (p - 1)^2 * cols passes 2^63, so the product runs over Python ints; it
+    # is stored reduced in int64 like every F_p matrix, so a tensor of it,
+    # written into an int64 array, works
+    from cosegal.chain import ChainMap, single_complex, tensor_map
+
+    f = Field(P31)
+    a = Matrix.from_rows(f, [[P31 - 1] * 3] * 2)
+    prod = a @ a.transpose()
+    assert prod.num.dtype == np.int64 and prod.tolist() == [[3, 3], [3, 3]]
+    c = single_complex(f, 0, 2)
+    g = ChainMap(c, c, {0: prod})
+    assert tensor_map(g, g).component(0) == prod.kron(prod)
+
+
 def test_kron_rank_solve_exact_at_largest_prime():
     f = Field(P31)
     rng = random.Random(32)

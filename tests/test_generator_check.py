@@ -5,14 +5,16 @@ tries every square on plain lists."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cosegal.chain import ChainMap, cylinder_factorization
-from cosegal.field_linalg import GF2, GF3, QQ
+from cosegal.chain import ChainMap, cylinder_factorization, tensor_map
+from cosegal.field_linalg import GF2, GF3, GF5, QQ, Field, Matrix
 from cosegal.free_gamma import gamma_na
 from cosegal.phi_epi import compose, enumerate_surjections, generating_surjections
 from cosegal.premonoid import LaxDiagram, from_strict, h_star, validate
 from cosegal.sampling import (
+    exterior_monoid,
     random_chain_map,
     random_strict_monoid,
     random_tower_diagram,
@@ -156,7 +158,7 @@ def test_generator_square_count_at_level_four():
     assert compose(gens[0], gens[0]).is_identity()
 
 
-@pytest.mark.parametrize("field", [GF2, GF3], ids=str)
+@pytest.mark.parametrize("field", [GF2, GF3, GF5, Field(2**31 - 1)], ids=str)
 @pytest.mark.parametrize("level", [3, 4])
 def test_perturbed_premonoids_match_exhaustive_oracle(field, level):
     rng = random.Random(1000 * level + field.characteristic)
@@ -200,3 +202,82 @@ def test_rational_premonoid_matches_oracle():
     for where in ("generator", "other", "several", "laxity"):
         d = _perturb(rng, base, where)
         assert _squares(validate(d)) == _oracle(d, True), where
+
+
+def _transported(d, g):
+    """d carried along chain automorphisms (g[n], its inverse) of its levels:
+    F(v) becomes g_n.F(v).g_m^-1 for v : n ->> m, phi_{p,q} becomes
+    g_{p+q}.phi_{p,q}.(g_p^-1 (x) g_q^-1) and the unit g_1.e; an isomorphic
+    premonoid, so valid exactly when d is."""
+    structure = {
+        v: g[v.source_size][0] @ f @ g[v.target_size][1] for v, f in d.structure.items()
+    }
+    laxity = {
+        (p, q): g[p + q][0] @ f @ tensor_map(g[p][1], g[q][1]) for (p, q), f in d.laxity.items()
+    }
+    return LaxDiagram(d.level, d.objects, structure, laxity, g[1][0] @ d.unit)
+
+
+def test_rational_premonoid_with_huge_entries_matches_oracle():
+    # g_n = c_n (1 + a_n x_n) on a base concentrated in degree 0, with x_n
+    # the matrix unit e_01 at odd n and e_10 at even n (so x_n^2 = 0): then
+    # F(v) = (c_n / c_m)(1 + a_n x_n)(1 - a_m x_m) for v : n ->> m.  With a_n
+    # near 2^40 and denominators up to 3^25 the numerators reach 2^113, and
+    # the stacked products' bounds cross 2^52 and 2^63 (a float or int64
+    # product, or an unwidened side, would be wrong)
+    rng = random.Random(41)
+    m = random_strict_monoid(rng, QQ, allow_graded=False)
+    while m.obj.dims[0] < 2:
+        m = random_strict_monoid(rng, QQ, allow_graded=False)
+    a, k = m.obj, m.obj.dims[0]
+    upper, lower = np.zeros((k, k), dtype=np.int64), np.zeros((k, k), dtype=np.int64)
+    upper[0, 1] = lower[1, 0] = 1
+    x = {n: Matrix(QQ, upper if n % 2 else lower) for n in range(1, 5)}
+    one = Matrix.identity(QQ, k)
+    shifts = {1: 0, 2: 2**20 + 3, 3: 2**40 + 5, 4: 2**30 + 7}
+    scales = {1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(5, 7**12), 4: Fraction(2**9, 3**25)}
+    g = {
+        n: (
+            ChainMap(a, a, {0: (one + x[n].scale(shifts[n])).scale(scales[n])}),
+            ChainMap(a, a, {0: (one - x[n].scale(shifts[n])).scale(1 / scales[n])}),
+        )
+        for n in range(1, 5)
+    }
+    base = _transported(from_strict(m, 4), g)
+    heights = {
+        (v.source_size, v.target_size): max(abs(int(e)) for e in f.component(0).num.flat)
+        for v, f in base.structure.items()
+    }
+    bounds = {
+        heights[n, mm] * heights[mm, kk] * k
+        for (n, mm) in heights for (m2, kk) in heights if m2 == mm
+    }
+    assert any(2**52 <= b < 2**63 for b in bounds) and max(bounds) >= 2**63
+    assert validate(base) == [] == _oracle(base, True)
+    for where in ("generator", "other", "several", "laxity"):
+        d = _perturb(rng, base, where)
+        assert _squares(validate(d)) == _oracle(d, True), where
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_absent_components_match_oracle(field):
+    # the exterior monoid k[x]/(x^2), x in degree 1, rebased along the
+    # projection h killing x: every F(v) into level 1 has no degree-1 block
+    rng = random.Random(43 + field.characteristic)
+    m = exterior_monoid(field)
+    h = ChainMap(m.obj, m.obj, {0: Matrix.identity(field, 1)})
+    base = h_star(from_strict(m, 4), h, m.e)[0]
+    assert any(1 not in f.components for f in base.structure.values())
+    assert validate(base) == [] == _oracle(base, True)
+    # a generator's map with its degree-1 block dropped, then three maps at
+    # random (a map into level 1 has none to drop)
+    gens = generating_surjections(4)  # [2] a bijection of 3, [4] the codegeneracy 3 ->> 2
+    picks = [[gens[2]], [gens[4]], rng.sample(sorted(base.structure), 3)]
+    for vs in picks:
+        structure = dict(base.structure)
+        for v in vs:
+            f = structure[v]
+            structure[v] = ChainMap(f.source, f.target, {0: f.component(0)})
+        d = LaxDiagram(base.level, base.objects, structure, base.laxity, base.unit)
+        expected = _oracle(d, True)
+        assert expected and _squares(validate(d)) == expected, vs

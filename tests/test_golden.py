@@ -169,18 +169,9 @@ def test_cosegalify_refuses_a_non_associative_base(workdir, tmp_path, monkeypatc
     assert capsys.readouterr().err == "ERROR: invalid base monoid\n"
 
 
-@pytest.mark.parametrize(
-    "argv, out, expansions",
-    [
-        (["cosegalify", "fixtures/premonoid_level4.json", "--level", "4"], True, 2),
-        (["cosegalify", "fixtures/two_constant.json", "--level", "3"], False, 0),
-    ],
-)
-def test_cosegalify_expands_only_to_read_or_write(
-    argv, out, expansions, workdir, tmp_path, monkeypatch
-):
-    # the answers come from the package: a premonoid input is expanded once
-    # to be recognised and once more to write the --out document
+def _counted_calls(monkeypatch) -> dict:
+    """Count the calls of `validate` and `expand_to_premonoid` under every
+    name the commands reach them by."""
     calls = {"validate": 0, "expand_to_premonoid": 0}
     for module, name in (
         (premonoid, "validate"),
@@ -193,9 +184,50 @@ def test_cosegalify_expands_only_to_read_or_write(
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, out, expansions",
+    [
+        (["cosegalify", "fixtures/premonoid_level4.json", "--level", "4"], True, 2),
+        (["cosegalify", "fixtures/two_constant.json", "--level", "3"], False, 0),
+    ],
+)
+def test_cosegalify_expands_only_to_read_or_write(
+    argv, out, expansions, workdir, tmp_path, monkeypatch
+):
+    # the answers come from the package: a premonoid input is expanded once
+    # to be recognised and once more to write the --out document
+    calls = _counted_calls(monkeypatch)
     monkeypatch.chdir(workdir)
     if out:
         argv = argv + ["--out", str(tmp_path / "s.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert calls == {"validate": 0, "expand_to_premonoid": expansions}
+
+
+@pytest.mark.parametrize(
+    "argv, expansions",
+    [
+        (["pushout-k2", "fixtures/premonoid_level4.json", "--degree", "1"], 2),
+        (["pushout-k2", "fixtures/premonoid_level4.json", "--degree", "1", "--level", "4"], 2),
+        (["pushout-k2", "fixtures/two_constant.json",
+          "--instruction", "fixtures/instruction.json"], 2),
+    ],
+)
+@pytest.mark.parametrize("out", [True, False])
+def test_pushout_k2_expands_each_premonoid_once(
+    argv, expansions, out, workdir, tmp_path, monkeypatch
+):
+    # a premonoid input is expanded once, to be recognised, and the result
+    # once, for --out at level 4 or more; upsilon cuts both down to --level.
+    # A two_constant input is expanded only for upsilon, at --level.
+    calls = _counted_calls(monkeypatch)
+    monkeypatch.chdir(workdir)
+    if out:
+        argv = argv + ["--out", str(tmp_path / "e.json")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert calls == {"validate": 0, "expand_to_premonoid": expansions}

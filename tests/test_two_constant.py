@@ -160,6 +160,21 @@ def test_pushout_k2_identity_shaped_attachment():
     assert ups.component(2) == ChainMap.identity(f.base.obj)
 
 
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_upsilon_cuts_expansions_down_like_expanding_at_its_level(field):
+    # a premonoid's truncation is the expansion at the lower level, so
+    # upsilon built from level-4 expansions equals the one it expands itself
+    rng = random.Random(10 + field.characteristic)
+    f = random_two_constant(rng, field, surjective_h=True)
+    e, eps, _ = pushout_k2(f, random_k2_instruction(rng, f, 1))
+    for level in (2, 3, 4):
+        assert expand_to_premonoid(f, 4).truncated(level) == expand_to_premonoid(f, level)
+        ups = upsilon_morphism(expand_to_premonoid(f, 4), expand_to_premonoid(e, 4), eps, level)
+        want = upsilon_morphism(f, e, eps, level)
+        assert (ups.source, ups.target, ups) == (want.source, want.target, want)
+        assert validate_morphism(ups) == []
+
+
 def test_pushout_k2_dimension_oracle():
     rng = random.Random(9)
     f = random_two_constant(rng, GF2, surjective_h=True)
