@@ -204,7 +204,7 @@ def cmd_cosegalify(args) -> int:
         "reflection_preserved": reflect(s) == reflect(f),
     }
     if args.out:
-        _emit_like_input(s, loaded and expand_to_premonoid(s, level), args.out)
+        _emit_like_input(s, None if loaded is None else expand_to_premonoid(s, level), args.out)
     _report(report, args.json, None)
     ok = (
         report["is_cosegal"]
@@ -232,10 +232,10 @@ def cmd_pushout_k2(args) -> int:
             degree = rng.choice(range(lo, hi + 2))
         ins = random_k2_instruction(rng, f, degree)
     e, eps, i_v = pushout_k2(f, ins)
-    # upsilon cuts f's loaded expansion and e's for --out (re-loadable: level >= 4) down
-    grown = loaded and expand_to_premonoid(e, max(args.level, 4))
-    top = loaded if loaded and loaded.level >= args.level else f
-    ups = upsilon_morphism(top, grown or e, eps, args.level)
+    # f's expansion is the loaded document; e's is built once (level >= 4 for --out)
+    grown = None if loaded is None else expand_to_premonoid(e, max(args.level, 4))
+    top = loaded if loaded is not None and loaded.level >= args.level else f
+    ups = upsilon_morphism(top, e if grown is None else grown, eps, args.level)
     morphism_ok = validate_morphism(ups) == []
     upper_identity = all(
         ups.component(n) == ChainMap.identity(ups.component(n).source)

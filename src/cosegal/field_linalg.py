@@ -99,21 +99,21 @@ QQ = Field(0)
 _INT64 = 2**63  # exclusive bound on the absolute value of an int64 numerator
 
 
-def _int_product(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Exact product of two integer arrays, or stacks of them (lists of equal
-    shapes too, stacked in the product's dtype), whose dot products are at
-    most `bound` in absolute value.
+def _int_product(a: np.ndarray | list, b: np.ndarray | list, bound: int) -> np.ndarray:
+    """Exact product of two integer arrays, or stacks of them (also two lists
+    of equal-shaped arrays, stacked in the product's dtype in one copy), whose
+    dot products are at most `bound` in absolute value.
 
     Integer matmul in numpy is not BLAS-backed: while the bound fits float64
     exactly the float product is orders of magnitude faster; beyond int64
     the product is taken over Python integers.
     """
-    if bound < 2**52:
-        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-        return prod.astype(np.int64)
-    if bound < _INT64:
-        return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)
-    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
+    dtype = np.float64 if bound < 2**52 else np.int64 if bound < _INT64 else object
+    if isinstance(a, list):  # the bound says the entries fit the dtype
+        a, b = (np.concatenate(m, dtype=dtype, casting="unsafe").reshape(len(m), *m[0].shape)
+                for m in (a, b))
+    prod = np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)
+    return prod.astype(np.int64) if dtype is np.float64 else prod
 
 
 def _height(num: np.ndarray) -> int:

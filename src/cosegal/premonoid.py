@@ -29,7 +29,7 @@ from .chain import (
     tensor_map,
     unit_complex,
 )
-from .field_linalg import Field, _common, _height, _int_product, _widen
+from .field_linalg import Field, Matrix, _common, _height, _int_product, _widen
 from .phi_epi import (
     Surjection,
     block_swap,
@@ -247,14 +247,14 @@ def _natural(d, a: Surjection, b: Surjection) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _square_plan(firsts: tuple) -> tuple[list, dict]:
+def _square_plan(firsts: tuple) -> tuple[tuple, dict]:
     """The squares (v, u) of `_functoriality_squares` in report order, and per
     (|source v|, |target v|, |target u|) their positions and the indices of
     v, u and u.v into `enumerate_surjections`, as the rows of one array."""
     index = {w: i for n in range(1, max([v.source_size for v in firsts], default=0) + 1)
              for m in range(1, n + 1) for i, w in enumerate(enumerate_surjections(n, m))}
-    squares = [(v, u) for v in firsts for k in range(1, v.target_size + 1)
-               for u in enumerate_surjections(v.target_size, k) if not u.is_identity()]
+    squares = tuple((v, u) for v in firsts for k in range(1, v.target_size + 1)
+                    for u in enumerate_surjections(v.target_size, k) if not u.is_identity())
     groups: dict = {}
     for s, (v, u) in enumerate(squares):
         groups.setdefault((v.source_size, v.target_size, u.target_size), []).append(
@@ -263,19 +263,20 @@ def _square_plan(firsts: tuple) -> tuple[list, dict]:
 
 
 def _functoriality_squares(d, firsts: tuple) -> list[Violation]:
-    """The failing squares F(v).F(u) = F(u.v) for v in `firsts` and every
-    non-identity u out of v's target, u by target size and then in
-    enumeration order.  Per degree and (|source v|, |target v|, |target u|)
-    the squares are decided in stacked products (batched BLAS), chunked by a
-    fixed byte budget; over Q each side's maps are over one denominator, and
-    num_v.num_u.den_uv = num_uv.den_v.den_u."""
+    """The failing squares F(v).F(u) = F(u.v), v in `firsts` and u out of v's
+    target and not the identity, by u's target size, then enumeration order.
+    Per degree and (|source v|, |target v|, |target u|) they are decided in
+    stacked products, chunked by a fixed byte budget; over Q each side's maps
+    share one denominator, and num_v.num_u.den_uv = num_uv.den_v.den_u."""
     squares, groups = _square_plan(firsts)
     fld, p, dims = d.field, d.field.characteristic, {n: c.dims for n, c in d.objects.items()}
     bad = np.zeros(len(squares), dtype=bool)
 
     @lru_cache(maxsize=None)
     def stack(n, m):  # F(w) in the loop's degree for every w : n ->> m, and height
-        maps = [d.structure_map(w).component(deg) for w in enumerate_surjections(n, m)]
+        eye = Matrix.identity(fld, dims[n][deg]) if n == m else None
+        maps = [eye if (f := d.structure.get(w)) is None else f.component(deg)
+                for w in enumerate_surjections(n, m)]
         nums, den = _common(fld, maps)
         return nums, den, 1 if p else max(map(_height, nums))
 
@@ -290,10 +291,10 @@ def _functoriality_squares(d, firsts: tuple) -> list[Violation]:
             step = max(1, 2**21 // (rows * inner + inner * cols + rows * cols))  # 16 MB chunks
             for s in (slice(x, x + step) for x in range(0, len(at), step)):
                 lhs = _int_product([a[i] for i in iv[s]], [b[i] for i in iu[s]], bound)
-                rhs = np.array([c[i] for i in iuv[s]])
-                if not p:
-                    lhs, rhs = _widen(lhs, bound * dc) * dc, _widen(rhs, hc * da * db) * (da * db)
-                bad[at[s]] |= (lhs % p != rhs if p else lhs != rhs).any(axis=(1, 2))
+                rhs = np.concatenate([c[i] for i in iuv[s]]).reshape(-1, rows, cols)
+                lhs = np.remainder(lhs, p, out=lhs) if p else _widen(lhs, bound * dc) * dc
+                rhs = rhs if p else _widen(rhs, hc * da * db) * (da * db)
+                bad[at[s]] |= (lhs != rhs).any(axis=(1, 2))
     return [Violation("functoriality", (v.map, u.map)) for (v, u), b in zip(squares, bad) if b]
 
 
@@ -328,9 +329,10 @@ def validate(f: LaxDiagram) -> list[Violation]:
     the squares for g and w along F((w + id).(g + id)) = F(g + id).F(w + id).
 
     The reduced check is complete, not approximate.  When a generator
-    square fails, every square is enumerated (naturality too, since its
+    square fails, every square is enumerated (naturality too, as its
     reduction needs functoriality), so the report lists each offending
-    square in the order of the exhaustive check.
+    square in the exhaustive order.  Functoriality squares are decided in
+    stacked products, chunked by a fixed byte budget.
     """
     n_max = f.level
     gens = set(generating_surjections(n_max))

@@ -237,9 +237,8 @@ def pushout_k2(
 
 
 def upsilon_morphism(f, e, eps: ChainMap, level: int) -> DiagramMorphism:
-    """The canonical premonoid morphism expand(f) -> expand(e): eps at level
-    1 and identities above.  f and e are 2-constant premonoids, or their
-    expansions at a level of at least `level`, cut down, not expanded again."""
+    """The canonical morphism expand(f) -> expand(e), eps at level 1 and the
+    identity above; f and e may come expanded, at a level >= `level`, to be cut."""
     src, tgt = (x.truncated(level) if isinstance(x, LaxDiagram) else expand_to_premonoid(x, level)
                 for x in (f, e))
     comps = {n: eps if n == 1 else ChainMap.identity(src.objects[n]) for n in src.objects}
