@@ -9,7 +9,7 @@
      dims {0: 3, 1: 1}, drawn from `Random(0)` until they have those shapes.
   3. Over F_2, level 4: the free diagram of the random tower of
      `free_timing.py --level 4 --dims 1,1` (`free_timing.random_tower`,
-     seed 0), whose structure maps reach dimension 725.
+     seed 0), whose level-4 complex has dimensions up to 950.
 
 For each it runs `validate` once and prints its seconds and the peak
 resident set size of the process so far, so the last case's peak is its
