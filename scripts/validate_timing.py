@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `validate` on three premonoids, smallest first.
+"""Time `validate` on four premonoids.
 
   1. Over Q, level 3: the expansion of the cylinder replacement
      (`cosegalify_two_constant`) of `random_two_constant(Random(0), QQ,
@@ -7,7 +7,11 @@
   2. Over F_2, level 4, shaped like the inputs of the benchmark's
      `cosegalify` workload: a base monoid with dims {0: 2} and an apex with
      dims {0: 3, 1: 1}, drawn from `Random(0)` until they have those shapes.
-  3. Over F_2, level 4: the free diagram of the random tower of
+  3. Over F_2, level 3: the constant premonoid of the group algebra of
+     Z/24, whose pair products are 576-dimensional and triple products
+     13,824-dimensional (`validate` forms neither the triple products nor
+     their associators).
+  4. Over F_2, level 4: the free diagram of the random tower of
      `free_timing.py --level 4 --dims 1,1` (`free_timing.random_tower`,
      seed 0), whose level-4 complex has dimensions up to 950.
 
@@ -28,8 +32,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from cosegal.field_linalg import GF2, QQ
 from cosegal.free_gamma import gamma_na
-from cosegal.premonoid import validate
-from cosegal.sampling import random_strict_monoid, random_two_constant
+from cosegal.premonoid import from_strict, validate
+from cosegal.sampling import monoid_algebra, random_strict_monoid, random_two_constant
 from cosegal.two_constant import cosegalify_two_constant, expand_to_premonoid
 from free_timing import random_tower  # the sibling script
 
@@ -50,6 +54,11 @@ def benchmark_shaped():
     return expand_to_premonoid(f, 4)
 
 
+def group_algebra_z24():
+    table = [[(i + j) % 24 for j in range(24)] for i in range(24)]
+    return from_strict(monoid_algebra(GF2, table), 3)
+
+
 def free_diagram():
     return gamma_na(random_tower(Random(0), 4, {0: 1, 1: 1}))[0]
 
@@ -58,6 +67,7 @@ def main() -> int:
     cases = [
         ("cylinder replacement over Q, level 3", cylinder_over_q),
         ("benchmark-shaped premonoid over F_2, level 4", benchmark_shaped),
+        ("group algebra of Z/24 over F_2, level 3", group_algebra_z24),
         ("free diagram of the {0: 1, 1: 1} tower over F_2, level 4", free_diagram),
     ]
     failed = False

@@ -25,7 +25,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .field_linalg import Field, InvariantError, Matrix, quotient
-from .field_linalg import _block_rows, _height, _section, _solve_rows, _trusted_matrix, _widen
+from .field_linalg import _block_rows, _height, _int_product, _section, _solve_rows
+from .field_linalg import _trusted_matrix, _widen
 
 __all__ = [
     "ChainComplex",
@@ -329,6 +330,40 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
         ]
         comps[n] = _written(f.field, tgt.dim(n), src.dim(n), blocks)
     return _trusted_map(src, tgt, comps)
+
+
+def _blocks(
+    phi: ChainMap, x: ChainComplex, y: ChainComplex, f: ChainMap | None = None,
+    g: ChainMap | None = None,
+) -> dict:
+    """phi . (f (x) g) block by block, for phi : x (x) y -> z, f : x' -> x and
+    g : y' -> y (None for the identity), without forming f (x) g (Van Loan,
+    "The ubiquitous Kronecker product", 2000).
+
+    Returns {(i, j): (num, den)} for the degrees i of x' and j of y': a
+    dim z_{i+j} x dim x'_i x dim y'_j array of numerators (reduced mod p over
+    F_p) and their denominator.  Block (i, j) of phi_n is phi_n[:, s] read as
+    a dim z_n x dim x_i x dim y_j array, s its slice in tensor(x, y)._layouts,
+    so phi's own source need only compare equal to tensor(x, y); then g_j and
+    f_i are contracted against its last and middle axes.
+    """
+    p, layouts = phi.field.characteristic, tensor(x, y)._layouts
+    out = {}
+    for i, a in (x if f is None else f.source).dims.items():
+        for j, b in (y if g is None else g.source).dims.items():
+            s, m = layouts.get(i + j, {}).get((i, j)), phi.components.get(i + j)
+            factors = [(axis, h.components.get(k))
+                       for axis, h, k in ((2, g, j), (1, f, i)) if h is not None]
+            if s is None or m is None or any(c is None for _, c in factors):
+                out[i, j] = np.zeros((phi.target.dim(i + j), a, b), dtype=np.int64), 1
+                continue
+            num, den = m.num[:, s].reshape(m.rows, x.dims[i], y.dims[j]), m.den
+            for axis, c in factors:
+                bound = (p - 1) ** 2 * c.rows if p else _height(num) * _height(c.num) * c.rows
+                num = _int_product(num.swapaxes(axis, 2), c.num, bound).swapaxes(axis, 2)
+                num, den = (np.asarray(num % p, dtype=np.int64), 1) if p else (num, den * c.den)
+            out[i, j] = num, den
+    return out
 
 
 def _written(field: Field, rows: int, cols: int, blocks: list) -> Matrix:

@@ -584,8 +584,9 @@ def _dense_product(a, b, rows, inner, cols, p):
     if a is None or b is None:
         return out
     for i in range(rows):
+        terms = [(k, a[i][k]) for k in range(inner) if a[i][k]]  # zero terms add nothing
         for j in range(cols):
-            s = sum(a[i][k] * b[k][j] for k in range(inner))
+            s = sum(x * b[k][j] for k, x in terms)
             out[i][j] = s % p if p else Fraction(s)
     return out
 
@@ -720,6 +721,179 @@ def oracle_lax_functor_failures(level, dims, structure, laxity, p):
                         if lhs != rhs:
                             out.append(("laxity-naturality", (lp, lq, pp, qq, a, b)))
                             break
+    return out
+
+
+# ---------------------------------------------------------------------------
+# monoidal axioms on whole maps
+# ---------------------------------------------------------------------------
+#
+# A map here is (source dims, target dims, {degree: rows}), as
+# `oracle_tensor_map` takes it; a factor in one degree is (rows, cols,
+# list of rows or None for zero).
+
+
+def _identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _identity_map(dims):
+    return dims, dims, {d: _identity(k) for d, k in dims.items()}
+
+
+def _at(f, n):
+    """The factor of the map f in degree n."""
+    src, tgt, comps = f
+    return tgt.get(n, 0), src.get(n, 0), comps.get(n)
+
+
+def _tensor_factor(f, g, n):
+    """The factor of f (x) g in degree n: the Kronecker products f_i (x) g_j
+    (`_kron`) placed at their blocks, by left degree ascending."""
+    (fs, ft, fc), (gs, gt, gc) = f, g
+    offsets, rows = {}, 0
+    for i in sorted(ft):
+        if n - i in gt:
+            offsets[i, n - i] = rows
+            rows += ft[i] * gt[n - i]
+    src = [(i, n - i) for i in sorted(fs) if n - i in gs]
+    out = [[0] * sum(fs[i] * gs[j] for i, j in src) for _ in range(rows)]
+    col = 0
+    for i, j in src:
+        if (i, j) in offsets and i in fc and j in gc:
+            for r, row in enumerate(_kron(fc[i], gc[j])):
+                out[offsets[i, j] + r][col : col + len(row)] = row
+        col += fs[i] * gs[j]
+    return rows, col, out
+
+
+def _product(factors, p):
+    """The product of the factors, the last one applied first, with entries
+    reduced mod p (or Fractions over Q)."""
+    rows, inner, out = factors[0]
+    for _, cols, m in factors[1:] or [(inner, inner, _identity(inner))]:
+        out, inner = _dense_product(out, m, rows, inner, cols, p), cols
+    return out
+
+
+def _oracle_associative(x, y, z, outer_l, inner_l, outer_r, inner_r, p):
+    """Whether outer_l.(inner_l (x) id) = outer_r.(id (x) inner_r).associator
+    in every degree of (x (x) y) (x) z, for the objects of dims x, y, z."""
+    left, right = tensor_dims(tensor_dims(x, y), z), tensor_dims(x, tensor_dims(y, z))
+    for n, cols in left.items():
+        lhs = _product([_at(outer_l, n), _tensor_factor(inner_l, _identity_map(z), n)], p)
+        assoc = (right.get(n, 0), cols, oracle_associator(x, y, z, n, p))
+        rhs = _product([_at(outer_r, n), _tensor_factor(_identity_map(x), inner_r, n), assoc], p)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _oracle_symmetric(x, y, swap, phi, psi, p):
+    """Whether swap.phi = psi.braiding for phi : x (x) y -> w, psi : y (x) x -> w."""
+    return all(
+        _product([_at(swap, n), _at(phi, n)], p)
+        == _product([_at(psi, n), (cols, cols, oracle_braiding(x, y, n, p))], p)
+        for n, cols in tensor_dims(x, y).items()
+    )
+
+
+def oracle_monoidal_failures(level, dims, structure, laxity, unit, p):
+    """Every failing laxity-associativity triple, laxity-symmetry pair and
+    diag-unitality square of a premonoid, in `validate`'s order, decided on
+    whole maps: list products of its maps with `oracle_associator`,
+    `oracle_braiding` and Kronecker products.
+
+    dims, structure and laxity are as for `oracle_lax_functor_failures`, and
+    unit is {degree: rows} for e : I -> level 1.  Returns
+    ("laxity-associativity", (a, b, c)) for
+    phi_{a+b,c}.(phi_{a,b} (x) id) != phi_{a,b+c}.(id (x) phi_{b,c}).associator,
+    ("laxity-symmetry", (a, b)) for F(s).phi_{a,b} != phi_{b,a}.braiding, s
+    the bijection sending i < b to a + i and the rest to i - b, and
+    ("diag-unitality", (1,)) for phi_{1,1}.(e (x) id) != F(0, 0).
+    """
+
+    def lax(a, b):
+        return tensor_dims(dims[a], dims[b]), dims[a + b], laxity[a, b]
+
+    out = []
+    for a in range(1, level - 1):
+        for b in range(1, level - a):
+            for c in range(1, level - a - b + 1):
+                x, y, z = dims[a], dims[b], dims[c]
+                if not _oracle_associative(x, y, z, lax(a + b, c), lax(a, b), lax(a, b + c),
+                                           lax(b, c), p):
+                    out.append(("laxity-associativity", (a, b, c)))
+    for a, b in sorted(laxity):
+        swap = dims[a + b], dims[a + b], structure[tuple(range(a, a + b)) + tuple(range(a))]
+        if not _oracle_symmetric(dims[a], dims[b], swap, lax(a, b), lax(b, a), p):
+            out.append(("laxity-symmetry", (a, b)))
+    e, u2 = ({0: 1}, dims[1], unit), (dims[1], dims[2], structure[0, 0])
+    if any(
+        _product([_at(lax(1, 1), n), _tensor_factor(e, _identity_map(dims[1]), n)], p)
+        != _product([_at(u2, n)], p)
+        for n in dims[1]
+    ):
+        out.append(("diag-unitality", (1,)))
+    return out
+
+
+def oracle_strict_failures(dims, mu, e, p):
+    """The failing axioms of a strict monoid (A, mu, e), in `validate_strict`'s
+    order, on whole maps as in `oracle_monoidal_failures`.  dims: {degree:
+    dim} of A; mu, e: {degree: rows} of mu : A (x) A -> A and e : I -> A."""
+    m, ident, unit = (tensor_dims(dims, dims), dims, mu), _identity_map(dims), ({0: 1}, dims, e)
+    out = []
+    if not _oracle_associative(dims, dims, dims, m, m, m, m, p):
+        out.append(("associativity", ()))
+    if not _oracle_symmetric(dims, dims, ident, m, m, p):
+        out.append(("commutativity", ()))
+    for name, f, g in (("left-unit", unit, ident), ("right-unit", ident, unit)):
+        if any(_product([_at(m, n), _tensor_factor(f, g, n)], p) != _product([_at(ident, n)], p)
+               for n in dims):
+            out.append((name, ()))
+    return out
+
+
+def oracle_morphism_failures(level, source, target, comps, p):
+    """Every failing naturality square, multiplicativity square and unit
+    triangle of a morphism s of premonoids, in `validate_morphism`'s order,
+    on whole maps as in `oracle_monoidal_failures`.
+
+    source, target: (dims, structure, laxity or None, unit or None), each as
+    for `oracle_monoidal_failures`; comps: level -> {degree: rows} of s.
+    Returns ("naturality", (v,)) for s_n.F(v) != G(v).s_m,
+    ("multiplicativity", (a, b)) for s_{a+b}.phi_{a,b} != psi_{a,b}.(s_a (x) s_b)
+    and ("unit-triangle", (1,)) for s_1.e != e'.
+    """
+    (fd, fs, fl, fe), (gd, gs, gl, ge) = source, target
+
+    def s(n):
+        return fd[n], gd[n], comps[n]
+
+    out = []
+    for n in range(1, level + 1):
+        for m in range(1, n + 1):
+            for v in oracle_surjections(n, m):
+                if v == tuple(range(n)):
+                    continue
+                fv, gv = (fd[m], fd[n], fs[v]), (gd[m], gd[n], gs[v])
+                if any(_product([_at(s(n), d), _at(fv, d)], p)
+                       != _product([_at(gv, d), _at(s(m), d)], p) for d in fd[m]):
+                    out.append(("naturality", (v,)))
+    if fl is None or gl is None:
+        return out
+    for a, b in sorted(fl):
+        phi = tensor_dims(fd[a], fd[b]), fd[a + b], fl[a, b]
+        psi = tensor_dims(gd[a], gd[b]), gd[a + b], gl[a, b]
+        if any(_product([_at(s(a + b), n), _at(phi, n)], p)
+               != _product([_at(psi, n), _tensor_factor(s(a), s(b), n)], p) for n in phi[0]):
+            out.append(("multiplicativity", (a, b)))
+    if fe is not None and ge is not None and (
+        _product([_at(s(1), 0), _at(({0: 1}, fd[1], fe), 0)], p)
+        != _product([_at(({0: 1}, gd[1], ge), 0)], p)
+    ):
+        out.append(("unit-triangle", (1,)))
     return out
 
 

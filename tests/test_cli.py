@@ -11,6 +11,7 @@ from cosegal.cli import main
 from cosegal.field_linalg import GF2, QQ
 from cosegal.premonoid import DiagramMorphism, from_strict
 from cosegal.sampling import (
+    monoid_algebra,
     random_strict_monoid,
     random_tower_diagram,
     random_two_constant,
@@ -581,8 +582,8 @@ def test_gamma_level_cap_is_exit2(tmp_path):
     assert run.stdout == ""
 
 
-def _run_limited(args, timeout):
-    """The CLI in a subprocess under a 1.5 GB address-space limit."""
+def _run_limited(args, timeout, cap=1536 << 20):
+    """The CLI in a subprocess under an address-space limit, 1.5 GB by default."""
     import os
     import resource
     import subprocess
@@ -591,7 +592,7 @@ def _run_limited(args, timeout):
     import cosegal
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = os.path.dirname(os.path.dirname(cosegal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -638,3 +639,17 @@ def test_pushout_k2_draws_from_a_huge_window_without_building_it(two_constant_fi
     assert run.returncode == 0, run.stderr
     assert "Traceback" not in run.stderr
     assert run.stdout.startswith("alpha_degree: ")
+
+
+def test_validate_answers_the_group_algebra_of_z24_under_one_gib(tmp_path):
+    # the constant level-3 premonoid of F_2[Z/24]: each pair product is
+    # 576-dimensional and each triple product 13,824-dimensional, so a dense
+    # associator component alone takes 1.42 GiB; validate reads the laxity
+    # maps block by block and builds neither
+    m = monoid_algebra(GF2, [[(i + j) % 24 for j in range(24)] for i in range(24)])
+    path = tmp_path / "z24.json"
+    path.write_text(docs.dump_document(from_strict(m, 3), "premonoid"))
+    run = _run_limited(["validate", str(path)], timeout=60, cap=1 << 30)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == f"OK {path}\n"

@@ -1,8 +1,10 @@
-"""Functoriality and laxity naturality are decided on generating squares;
-the verdict and every invalid report must match an exhaustive oracle that
-tries every square on plain lists."""
+"""Functoriality and laxity naturality are decided on generating squares,
+and the monoidal axioms block by block; the verdict and every invalid report
+must match exhaustive oracles that try every square, and build every
+associator, braiding and Kronecker product, on plain lists."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +14,19 @@ from cosegal.chain import ChainMap, cylinder_factorization, tensor_map
 from cosegal.field_linalg import GF2, GF3, GF5, QQ, Field, Matrix
 from cosegal.free_gamma import gamma_na
 from cosegal.phi_epi import compose, enumerate_surjections, generating_surjections
-from cosegal.premonoid import LaxDiagram, from_strict, h_star, validate
+from cosegal.premonoid import (
+    DiagramMorphism,
+    LaxDiagram,
+    StrictMonoid,
+    from_strict,
+    h_star,
+    validate,
+    validate_morphism,
+    validate_strict,
+)
 from cosegal.sampling import (
     exterior_monoid,
+    monoid_tensor,
     random_chain_map,
     random_strict_monoid,
     random_tower_diagram,
@@ -22,9 +34,15 @@ from cosegal.sampling import (
 )
 from cosegal.two_constant import expand_to_premonoid
 
-from oracles import oracle_lax_functor_failures, oracle_surjections
+from oracles import (
+    oracle_lax_functor_failures,
+    oracle_monoidal_failures,
+    oracle_morphism_failures,
+    oracle_strict_failures,
+    oracle_surjections,
+)
 
-SQUARE_AXIOMS = ("functoriality", "laxity-naturality")
+FIELDS = [GF2, GF3, GF5, Field(2**31 - 1), QQ]
 
 
 def _rows(m):
@@ -32,26 +50,33 @@ def _rows(m):
     return [[conv(x) for x in row] for row in m.tolist()]
 
 
-def _oracle(d, laxity: bool):
-    return oracle_lax_functor_failures(
-        d.level,
+def _maps(f):
+    return {deg: _rows(m) for deg, m in f.components.items()}
+
+
+def _lists(d):
+    """d's dims, structure, laxity and unit as the oracles take them."""
+    return (
         {n: dict(c.dims) for n, c in d.objects.items()},
-        {
-            tuple(v.map): {deg: _rows(m) for deg, m in f.components.items()}
-            for v, f in d.structure.items()
-        },
-        {
-            pq: {deg: _rows(m) for deg, m in f.components.items()}
-            for pq, f in d.laxity.items()
-        }
-        if laxity
-        else None,
-        d.field.characteristic,
+        {tuple(v.map): _maps(f) for v, f in d.structure.items()},
+        None if d.laxity is None else {pq: _maps(f) for pq, f in d.laxity.items()},
+        None if d.unit is None else _maps(d.unit),
     )
 
 
-def _squares(report):
-    return [(v.axiom, v.where) for v in report if v.axiom in SQUARE_AXIOMS]
+def _oracle(d, laxity: bool):
+    """The oracles' full report for d, read without its laxity maps unless
+    `laxity`."""
+    dims, structure, lax, unit = _lists(d)
+    p = d.field.characteristic
+    out = oracle_lax_functor_failures(d.level, dims, structure, lax if laxity else None, p)
+    if laxity and unit is not None:
+        out += oracle_monoidal_failures(d.level, dims, structure, lax, unit, p)
+    return out
+
+
+def _report(report):
+    return [(v.axiom, v.where) for v in report]
 
 
 def _other_map(rng, d, v, f: ChainMap) -> ChainMap:
@@ -73,35 +98,47 @@ def _other_map(rng, d, v, f: ChainMap) -> ChainMap:
     return random_chain_map(rng, f.source, f.target)
 
 
+def _scaled(f: ChainMap, c) -> ChainMap:
+    return ChainMap(f.source, f.target, {n: m.scale(c) for n, m in f.components.items()})
+
+
 def _perturb(rng, d, where: str):
-    """d with structure or laxity maps replaced: `where` is "generator",
-    "other" (surjections outside the generating set), "several" (any
-    surjections) or "laxity"."""
+    """d with structure or laxity maps or its unit replaced: `where` is
+    "generator", "other" (surjections outside the generating set), "several"
+    (any surjections), "laxity" (one laxity map), "unit", or "scaled" (every
+    laxity map times one scalar other than 1: 0 over F_2, 2 over F_p, 3/2
+    over Q, which keeps every axiom but diag-unitality)."""
     gens = set(generating_surjections(d.level))
     structure = dict(d.structure)
     laxity = dict(d.laxity)
+    unit = d.unit
     keys = sorted(structure)
+    picks = []
     if where == "generator":
         picks = rng.sample(sorted(v for v in keys if v in gens), 1)
     elif where == "other":
         picks = rng.sample(sorted(v for v in keys if v not in gens), 1)
     elif where == "several":
         picks = rng.sample(keys, rng.randint(2, 4))
-    else:
-        picks = []
+    elif where == "laxity":
         pq = rng.choice(sorted(laxity))
         laxity[pq] = random_chain_map(rng, laxity[pq].source, laxity[pq].target)
+    elif where == "unit":
+        unit = random_chain_map(rng, unit.source, unit.target)
+    else:
+        c = {GF2: 0, QQ: Fraction(3, 2)}.get(d.field, 2)
+        laxity = {pq: _scaled(f, c) for pq, f in laxity.items()}
     for v in picks:
         structure[v] = _other_map(rng, d, v, structure[v])
-    return LaxDiagram(d.level, d.objects, structure, laxity, d.unit)
+    return LaxDiagram(d.level, d.objects, structure, laxity, unit)
 
 
-def _premonoid(rng, field, level: int, kind: int):
+def _premonoid(rng, field, level: int, kind: int, graded: bool = False):
     if kind == 0:
-        return from_strict(random_strict_monoid(rng, field, allow_graded=False), level)
+        return from_strict(random_strict_monoid(rng, field, allow_graded=graded), level)
     if kind == 1:
         return expand_to_premonoid(random_two_constant(rng, field), level)
-    m = random_strict_monoid(rng, field, allow_graded=False)
+    m = random_strict_monoid(rng, field, allow_graded=graded)
     i, p = cylinder_factorization(ChainMap.identity(m.obj))
     return h_star(from_strict(m, level), p, i @ m.e)[0]
 
@@ -170,7 +207,7 @@ def test_perturbed_premonoids_match_exhaustive_oracle(field, level):
         where = ("generator", "other", "several", "laxity")[trial % 4]
         d = _perturb(rng, base, where)
         expected = _oracle(d, True)
-        got = _squares(validate(d))
+        got = _report(validate(d))
         assert got == expected, (where, trial)
         seen_invalid += bool(expected)
         seen_valid += not expected
@@ -191,9 +228,9 @@ def test_gamma_na_outputs_match_exhaustive_oracle(field):
         assert validate(LaxDiagram(g.level, g.objects, g.structure)) == [] == _oracle(g, False)
         for where in ("generator", "other", "several", "laxity"):
             bad = _perturb(rng, g, where)
-            assert _squares(validate(bad)) == _oracle(bad, True), where
+            assert _report(validate(bad)) == _oracle(bad, True), where
             plain = LaxDiagram(bad.level, bad.objects, bad.structure)
-            assert _squares(validate(plain)) == _oracle(bad, False), where
+            assert _report(validate(plain)) == _oracle(bad, False), where
 
 
 def test_rational_premonoid_matches_oracle():
@@ -201,7 +238,37 @@ def test_rational_premonoid_matches_oracle():
     base = from_strict(random_strict_monoid(rng, QQ, allow_graded=False), 3)
     for where in ("generator", "other", "several", "laxity"):
         d = _perturb(rng, base, where)
-        assert _squares(validate(d)) == _oracle(d, True), where
+        assert _report(validate(d)) == _oracle(d, True), where
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_monoidal_perturbations_match_the_whole_map_oracle(field):
+    rng = random.Random(500 + field.characteristic % 997)
+    wheres = ("laxity", "unit", "scaled", "multiplication")
+    seen = Counter()
+    for trial in range(12):
+        where, level = wheres[trial % 4], 3 + trial // 4 % 2
+        if where == "multiplication":
+            # a constant premonoid with one random mu' at every laxity entry; at
+            # level 3 on Lambda(x, y), whose odd generators anticommute, so that
+            # the braiding's Koszul sign decides symmetry
+            m = (monoid_tensor(exterior_monoid(field), exterior_monoid(field)) if level == 3
+                 else random_strict_monoid(rng, field, allow_graded=False))
+            base = from_strict(m, level)
+            mu = random_chain_map(rng, m.mu.source, m.mu.target)
+            d = LaxDiagram(level, base.objects, base.structure, dict.fromkeys(base.laxity, mu),
+                           base.unit)
+        else:
+            # the apex and the cylinder of a graded monoid are large, so those
+            # kinds are drawn at level 4 only
+            base = _premonoid(rng, field, level, trial % 3 if level == 4 else 0, graded=level == 3)
+            d = _perturb(rng, base, where)
+        assert validate(base) == [] == _oracle(base, True)
+        expected = _oracle(d, True)
+        assert _report(validate(d)) == expected, (where, trial)
+        seen.update({axiom for axiom, _ in expected})
+    assert seen["laxity-associativity"] and seen["laxity-symmetry"], seen
+    assert seen["diag-unitality"] >= 6, seen
 
 
 def _transported(d, g):
@@ -254,9 +321,12 @@ def test_rational_premonoid_with_huge_entries_matches_oracle():
     }
     assert any(2**52 <= b < 2**63 for b in bounds) and max(bounds) >= 2**63
     assert validate(base) == [] == _oracle(base, True)
-    for where in ("generator", "other", "several", "laxity"):
+    for where in ("generator", "other", "several", "laxity", "unit", "scaled"):
         d = _perturb(rng, base, where)
-        assert _squares(validate(d)) == _oracle(d, True), where
+        expected = _oracle(d, True)
+        assert _report(validate(d)) == expected, where
+        if where in ("laxity", "unit", "scaled"):
+            assert {"laxity-associativity", "diag-unitality"} & {a for a, _ in expected}, where
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
@@ -280,4 +350,58 @@ def test_absent_components_match_oracle(field):
             structure[v] = ChainMap(f.source, f.target, {0: f.component(0)})
         d = LaxDiagram(base.level, base.objects, structure, base.laxity, base.unit)
         expected = _oracle(d, True)
-        assert expected and _squares(validate(d)) == expected, vs
+        assert expected and _report(validate(d)) == expected, vs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_strict_monoid_checks_match_the_whole_map_oracle(field):
+    rng = random.Random(600 + field.characteristic % 997)
+    seen = Counter()
+    for trial in range(12):
+        m = random_strict_monoid(rng, field)
+        mu, e = m.mu, m.e
+        kind = trial % 4
+        if kind == 1:
+            mu = random_chain_map(rng, mu.source, mu.target)
+        elif kind == 2:
+            e = random_chain_map(rng, e.source, e.target)
+        elif kind == 3:
+            mu = _scaled(mu, {GF2: 0, QQ: Fraction(3, 2)}.get(field, 2))
+        expected = oracle_strict_failures(dict(m.obj.dims), _maps(mu), _maps(e),
+                                          field.characteristic)
+        assert _report(validate_strict(StrictMonoid(m.obj, mu, e))) == expected, trial
+        assert kind or not expected
+        seen.update(a for a, _ in expected)
+    assert seen["left-unit"] and seen["right-unit"] and seen["associativity"], seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_morphism_checks_match_the_whole_map_oracle(field):
+    # the canonical morphism of a rebasing along a cylinder projection, then
+    # a component, a laxity map or a unit of either end replaced
+    rng = random.Random(700 + field.characteristic % 997)
+    seen = Counter()
+    for trial in range(12):
+        m = random_strict_monoid(rng, field)
+        i, p = cylinder_factorization(ChainMap.identity(m.obj))
+        f = from_strict(m, 3 + trial % 2)
+        _, s = h_star(f, p, i @ m.e)
+        kind = trial % 4
+        if kind == 0:
+            comps = dict(s.components)
+            n = rng.randrange(1, f.level + 1)
+            comps[n] = random_chain_map(rng, comps[n].source, comps[n].target)
+            s = DiagramMorphism(s.source, s.target, comps)
+        elif kind in (1, 2):
+            where = ("laxity", "unit")[trial // 4 % 2]
+            if kind == 1:
+                s = DiagramMorphism(s.source, _perturb(rng, s.target, where), s.components)
+            else:
+                s = DiagramMorphism(_perturb(rng, s.source, where), s.target, s.components)
+        expected = oracle_morphism_failures(
+            f.level, _lists(s.source), _lists(s.target),
+            {n: _maps(c) for n, c in s.components.items()}, field.characteristic,
+        )
+        assert _report(validate_morphism(s)) == expected, trial
+        seen.update(a for a, _ in expected)
+    assert seen["multiplicativity"] and seen["naturality"] and seen["unit-triangle"], seen
