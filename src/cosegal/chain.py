@@ -359,9 +359,8 @@ def _blocks(
                 continue
             num, den = m.num[:, s].reshape(m.rows, x.dims[i], y.dims[j]), m.den
             for axis, c in factors:
-                bound = (p - 1) ** 2 * c.rows if p else _height(num) * _height(c.num) * c.rows
-                num = _int_product(num.swapaxes(axis, 2), c.num, bound).swapaxes(axis, 2)
-                num, den = (np.asarray(num % p, dtype=np.int64), 1) if p else (num, den * c.den)
+                num = _int_product(num.swapaxes(axis, 2), c.num, p).swapaxes(axis, 2)
+                den *= c.den
             out[i, j] = num, den
     return out
 

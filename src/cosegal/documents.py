@@ -13,8 +13,8 @@ that is not a chain map, a failed premonoid axiom) raises ValidationFailure
 carrying the named violations (CLI exit 1).  Every loader reads the shape of
 its document through four helpers and nothing else: `_object` (a JSON
 object), `_int` (an integer, optionally bounded below), `_entries` (an
-object's items with parsed keys) and `_degreewise` (matrices keyed by
-degree, for differentials and chain-map components).
+object's items with parsed keys, no two alike) and `_degreewise` (matrices
+keyed by degree, for differentials and chain-map components).
 """
 
 from __future__ import annotations
@@ -110,23 +110,35 @@ def _int(x, what: str, low: int | None = None) -> int:
     raise DocumentError(f"{what} must be an integer{bound}")
 
 
+def _integer_key(key: str) -> int:
+    """An integer key, or one part of an "a,b,..." key, in the writer's
+    grammar -?[0-9]+ (`int` also reads " 1", "+1", "1_0" and non-ASCII digits)."""
+    digits = key[1:] if key[:1] == "-" else key
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer")
+    return int(key)
+
+
 def _entries(raw, key, what: str) -> list:
     """The items of the object raw, each key parsed by key (a ValueError
-    from the parser is a schema problem)."""
-    out = []
-    for k, v in _object(raw, what).items():
+    from the parser is a schema problem, and so are two keys parsed alike)."""
+    out = {}
+    for count, (k, v) in enumerate(_object(raw, what).items(), 1):
         try:
-            out.append((key(k), v))
+            out[key(k)] = v
         except ValueError as exc:
             raise DocumentError(f"bad key {k!r} in {what}: {exc}") from exc
-    return out
+        if len(out) < count:
+            raise DocumentError(f"duplicate key {k!r} in {what}")
+    return list(out.items())
 
 
 def _degreewise(field: Field, raw, shape, what: str) -> dict:
     """{degree: Matrix} from an object of row lists keyed by degree, where
     shape(degree) is the (rows, columns) the matrix must have."""
     return {
-        n: _matrix_from_rows(field, rows, *shape(n)) for n, rows in _entries(raw, int, what)
+        n: _matrix_from_rows(field, rows, *shape(n))
+        for n, rows in _entries(raw, _integer_key, what)
     }
 
 
@@ -170,7 +182,7 @@ def complex_from_dict(d: dict, max_dim: int | None = None) -> ChainComplex:
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     dims = {}
-    for n, v in _entries(d.get("dims", {}), int, "dims"):
+    for n, v in _entries(d.get("dims", {}), _integer_key, "dims"):
         dims[n] = _int(v, f"dimension at degree {n}", 0)
         if max_dim is not None and v > max_dim:
             raise DocumentError(
@@ -226,12 +238,12 @@ def _surjection_key(v: Surjection) -> str:
 
 
 def _surjection_from_key(key: str) -> Surjection:
-    arr = [int(x) for x in key.split(",")]
+    arr = [_integer_key(x) for x in key.split(",")]
     return Surjection(len(arr), max(arr) + 1, tuple(arr))
 
 
 def _pair_from_key(key: str) -> tuple[int, int]:
-    p, q = (int(x) for x in key.split(","))
+    p, q = (_integer_key(x) for x in key.split(","))
     return p, q
 
 
@@ -239,7 +251,7 @@ def _level_objects(d: dict, max_dim: int | None) -> tuple[int, dict]:
     level = _int(d.get("level"), "level", 2)
     if level > MAX_LEVEL:
         raise DocumentError(f"level must be at most {MAX_LEVEL}, got {level}")
-    raw = dict(_entries(d.get("objects"), int, "objects"))
+    raw = dict(_entries(d.get("objects"), _integer_key, "objects"))
     if set(raw) != set(range(1, level + 1)):
         raise DocumentError("objects must cover levels 1..N")
     return level, {n: complex_from_dict(c, max_dim) for n, c in raw.items()}
@@ -334,7 +346,7 @@ def morphism_from_dict(d: dict, max_dim: int | None = None) -> DiagramMorphism:
     src = diagram_from_dict(d.get("source", {}), max_dim, "premonoid")
     tgt = diagram_from_dict(d.get("target", {}), max_dim, "premonoid")
     comps = {}
-    for n, comp in _entries(d.get("components"), int, "components"):
+    for n, comp in _entries(d.get("components"), _integer_key, "components"):
         if n not in src.objects or n not in tgt.objects:
             raise DocumentError(f"component level {n} out of range")
         comps[n] = _components_from(

@@ -99,21 +99,30 @@ QQ = Field(0)
 _INT64 = 2**63  # exclusive bound on the absolute value of an int64 numerator
 
 
-def _int_product(a: np.ndarray | list, b: np.ndarray | list, bound: int) -> np.ndarray:
-    """Exact product of two integer arrays, or stacks of them (also two lists
-    of equal-shaped arrays, stacked in the product's dtype in one copy), whose
-    dot products are at most `bound` in absolute value.
-
-    Integer matmul in numpy is not BLAS-backed: while the bound fits float64
-    exactly the float product is orders of magnitude faster; beyond int64
-    the product is taken over Python integers.
-    """
+def _int_product(a: np.ndarray | list, b: np.ndarray | list, p: int) -> np.ndarray:
+    """Exact product of integer arrays, or stacks of them (also lists of
+    equal-shaped arrays, stacked in the product's dtype in one copy), over F_p
+    reduced mod p as int64, over Q (p = 0) as is.  Its dot products are at
+    most (p - 1)^2 per term over F_p and the operands' heights (a list's
+    largest) per term over Q; numpy's integer matmul is not BLAS-backed, so
+    the product runs in float64 while that bound is exact there, in int64
+    while it fits, and over Python integers beyond."""
+    stacked = isinstance(a, list)
+    if p:
+        bound = (p - 1) ** 2
+    else:
+        bound = math.prod(max(map(_height, m)) if stacked else _height(m) for m in (a, b))
+    bound *= (a[0] if stacked else a).shape[-1]
     dtype = np.float64 if bound < 2**52 else np.int64 if bound < _INT64 else object
-    if isinstance(a, list):  # the bound says the entries fit the dtype
+    if stacked:  # the bound says the entries fit the dtype
         a, b = (np.concatenate(m, dtype=dtype, casting="unsafe").reshape(len(m), *m[0].shape)
                 for m in (a, b))
     prod = np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)
-    return prod.astype(np.int64) if dtype is np.float64 else prod
+    if dtype is np.float64:
+        prod = prod.astype(np.int64)
+    if p:  # reduced in place, except after a product over Python ints
+        prod = (prod % p).astype(np.int64) if dtype is object else np.remainder(prod, p, out=prod)
+    return prod
 
 
 def _height(num: np.ndarray) -> int:
@@ -125,6 +134,13 @@ def _height(num: np.ndarray) -> int:
 def _widen(num: np.ndarray, bound: int) -> np.ndarray:
     """num as Python ints when `bound` does not fit int64."""
     return num.astype(object) if bound >= _INT64 and num.dtype != object else num
+
+
+def _ratios_equal(a: np.ndarray, da: int, b: np.ndarray, db: int) -> np.ndarray:
+    """Entry by entry, whether a / da = b / db (integer arrays, da, db > 0)."""
+    if da == db:
+        return a == b
+    return _widen(a, _height(a) * db) * db == _widen(b, _height(b) * da) * da
 
 
 def _cleared(field: Field, data: np.ndarray) -> tuple[np.ndarray, int]:
@@ -281,18 +297,9 @@ class Matrix:
         self._check_field(other, "@")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        p = self.field.characteristic
-        if p:
-            # delayed reduction: a dot product is at most (p - 1)^2 * cols
-            # before the final mod
-            bound = (p - 1) * (p - 1) * self.cols
-        else:
-            bound = _height(self.num) * _height(other.num) * self.cols
-        prod = _int_product(self.num, other.num, bound)
-        if p:  # reduced to int64 also after a product over Python ints
-            return _trusted_matrix(self.field, np.asarray(prod % p, dtype=np.int64))
+        prod = _int_product(self.num, other.num, self.field.characteristic)
+        if self.field.characteristic:
+            return _trusted_matrix(self.field, prod)
         return Matrix(self.field, prod, self.den * other.den)
 
     def transpose(self) -> "Matrix":

@@ -28,7 +28,7 @@ from .chain import (
     tensor_map,
     unit_complex,
 )
-from .field_linalg import Field, Matrix, _common, _height, _int_product, _widen
+from .field_linalg import Field, Matrix, _common, _int_product, _ratios_equal
 from .phi_epi import (
     Surjection,
     block_swap,
@@ -237,14 +237,11 @@ class DiagramMorphism:
 
 
 def _same(p: int, a: tuple, b: tuple, sign: int = 1) -> bool:
-    """Whether the block a equals sign times the block b, both (numerators,
-    denominator) as `_blocks` returns them; over Q num_a.den_b = num_b.den_a."""
+    """Whether block a is sign times block b, both (numerators, den) from `_blocks`."""
     (na, da), (nb, db) = a, b
     if sign < 0:
         nb = (-nb) % p if p else -nb
-    if da != db:
-        na, nb = _widen(na, _height(na) * db) * db, _widen(nb, _height(nb) * da) * da
-    return bool((na == nb).all())
+    return bool(_ratios_equal(na, da, nb, db).all())
 
 
 def _agree(p: int, lhs: dict, rhs: dict) -> bool:
@@ -319,28 +316,23 @@ def _functoriality_squares(d, firsts: tuple) -> list[Violation]:
     bad = np.zeros(len(squares), dtype=bool)
 
     @lru_cache(maxsize=None)
-    def stack(n, m):  # F(w) in the loop's degree for every w : n ->> m, and height
+    def stack(n, m):  # F(w) in the loop's degree for every w : n ->> m
         eye = Matrix.identity(fld, dims[n][deg]) if n == m else None
-        maps = [eye if (f := d.structure.get(w)) is None else f.component(deg)
-                for w in enumerate_surjections(n, m)]
-        nums, den = _common(fld, maps)
-        return nums, den, 1 if p else max(map(_height, nums))
+        return _common(fld, [eye if (f := d.structure.get(w)) is None else f.component(deg)
+                             for w in enumerate_surjections(n, m)])
 
     for deg in sorted({x for c in dims.values() for x in c}):
         stack.cache_clear()  # hold one degree's maps at a time
         for (n, m, k), (at, iv, iu, iuv) in groups.items():
             if deg not in dims[n] or deg not in dims[k]:
                 continue
-            (a, da, ha), (b, db, hb), (c, dc, hc) = stack(n, m), stack(m, k), stack(n, k)
+            (a, da), (b, db), (c, dc) = stack(n, m), stack(m, k), stack(n, k)
             inner, rows, cols = dims[m].get(deg, 0), dims[n][deg], dims[k][deg]
-            bound = (p - 1) ** 2 * inner if p else ha * hb * inner
             step = max(1, 2**21 // (rows * inner + inner * cols + rows * cols))  # 16 MB chunks
             for s in (slice(x, x + step) for x in range(0, len(at), step)):
-                lhs = _int_product([a[i] for i in iv[s]], [b[i] for i in iu[s]], bound)
+                lhs = _int_product([a[i] for i in iv[s]], [b[i] for i in iu[s]], p)
                 rhs = np.concatenate([c[i] for i in iuv[s]]).reshape(-1, rows, cols)
-                lhs = np.remainder(lhs, p, out=lhs) if p else _widen(lhs, bound * dc) * dc
-                rhs = rhs if p else _widen(rhs, hc * da * db) * (da * db)
-                bad[at[s]] |= (lhs != rhs).any(axis=(1, 2))
+                bad[at[s]] |= ~_ratios_equal(lhs, da * db, rhs, dc).all(axis=(1, 2))
     return [Violation("functoriality", (v.map, u.map)) for (v, u), b in zip(squares, bad) if b]
 
 
@@ -543,22 +535,9 @@ def h_star(
         raise ValueError("diagram has no unit e : I -> F(1) to factor through h")
     if h @ e_tilde != f.unit:
         raise ValueError("unit factorization h . e_tilde = e fails")
-    m = h.source
-    objects = {n: (m if n == 1 else f.objects[n]) for n in range(1, f.level + 1)}
-    structure = {}
-    for v in all_surjections_upto(f.level):
-        base = f.structure_map(v)
-        structure[v] = base @ h if v.target_size == 1 else base
-    ident = {n: ChainMap.identity(f.objects[n]) for n in f.objects}
-    laxity = {}
-    for (p, q), phi in f.laxity.items():
-        left = h if p == 1 else ident[p]
-        right = h if q == 1 else ident[q]
-        if p == 1 or q == 1:
-            laxity[(p, q)] = phi @ tensor_map(left, right)
-        else:
-            laxity[(p, q)] = phi
-    g = LaxDiagram(f.level, objects, structure, laxity, e_tilde)
-    comps = {n: (h if n == 1 else ident[n]) for n in range(1, f.level + 1)}
-    can = DiagramMorphism(g, f, comps)
-    return g, can
+    k = {n: h if n == 1 else ChainMap.identity(f.objects[n]) for n in range(1, f.level + 1)}
+    structure = {v: base @ h if v.target_size == 1 else base for v, base in f.structure.items()}
+    laxity = {(p, q): phi @ tensor_map(k[p], k[q]) if 1 in (p, q) else phi
+              for (p, q), phi in f.laxity.items()}
+    g = LaxDiagram(f.level, {n: c.source for n, c in k.items()}, structure, laxity, e_tilde)
+    return g, DiagramMorphism(g, f, k)

@@ -95,6 +95,16 @@ def oracle_q_kron(a, b):
     return [[Fraction(x) * Fraction(y) for x in ra for y in rb] for ra in a for rb in b]
 
 
+def oracle_int_product(a, b, p=0):
+    """The product of integer matrices as lists of rows, or of stacks of them
+    (equally long lists of such matrices, multiplied pairwise), over Python
+    integers, each entry reduced to [0, p) when p is given."""
+    if a and a[0] and isinstance(a[0][0], list):
+        return [oracle_int_product(x, y, p) for x, y in zip(a, b)]
+    out = [[sum(x * row[j] for x, row in zip(r, b)) for j in range(len(b[0]))] for r in a]
+    return [[x % p for x in r] for r in out] if p else out
+
+
 def oracle_q_rref(rows, ncols, p=0):
     """Reduced row echelon form over Q (over F_p when p is given) and its
     pivot columns, by plain Gauss-Jordan elimination on `Fraction`s (on

@@ -215,6 +215,52 @@ def test_load_document_refuses_a_non_object(payload):
     assert str(err.value) == "document must be a JSON object"
 
 
+def _key_probes():
+    """(document, message): keys outside the writer's grammar -?[0-9]+, which
+    `int` read (" 1" as 1, "1_0" as 10, Arabic-Indic digits), and pairs of
+    keys that parse alike, of which the later silently replaced the earlier
+    (the first two loaded with d_1 = 0 and d_1 = 1 and validated OK)."""
+    cx = {"kind": "complex", "field": 2, "window": [0, 1], "dims": {"0": 1, "1": 1}}
+    probes = [
+        ({**cx, "diff": {"1": [[1]], "01": [[0]]}}, "duplicate key '01' in diff"),
+        ({**cx, "diff": {"01": [[0]], "1": [[1]]}}, "duplicate key '1' in diff"),
+        ({**cx, "dims": {"0": 1, "1": 1, " 1": 2}}, "bad key ' 1' in dims"),
+        ({**cx, "dims": {"0": 1, "1_0": 1, "\u0661": 3}}, "bad key '1_0' in dims"),
+        ({**cx, "dims": {"0": 1, "+1": 1}}, "bad key '+1' in dims"),
+        ({**cx, "dims": {"0": 1, "-0": 1}}, "duplicate key '-0' in dims"),
+    ]
+    g = expand_to_premonoid(random_two_constant(random.Random(29), GF2), 2)
+    for section, key, alias, message in [
+        ("structure", "0,0", "0,00", "duplicate key '0,00' in structure"),
+        ("structure", "0,0", "0, 0", "bad key '0, 0' in structure"),
+        ("laxity", "1,1", "1,01", "duplicate key '1,01' in laxity"),
+        ("laxity", "1,1", "1,+1", "bad key '1,+1' in laxity"),
+        ("objects", "2", "02", "duplicate key '02' in objects"),
+    ]:
+        doc = docs.diagram_to_dict(g, "premonoid")
+        doc[section][alias] = doc[section][key]
+        probes.append((doc, message))
+    doc = docs.diagram_to_dict(g, "premonoid")
+    doc["structure"]["0,0"]["-00"] = doc["structure"]["0,0"]["0"]
+    probes.append((doc, "duplicate key '-00' in components at ('structure', '0,0')"))
+    return probes
+
+
+@pytest.mark.parametrize("payload, message", _key_probes())
+def test_keys_outside_the_grammar_or_repeated_are_exit2_with_one_line(
+    payload, message, tmp_path, capsys
+):
+    with pytest.raises(docs.DocumentError) as err:
+        docs.load_document(payload)
+    assert str(err.value).startswith(message)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith(f"ERROR {path}: {message}") and out.out.count("\n") == 1
+    assert out.err == ""
+
+
 def test_max_dim_cap():
     with pytest.raises(docs.DocumentError):
         docs.complex_from_dict({"field": 2, "dims": {"0": 10}}, max_dim=4)

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosegal.field_linalg import GF2, GF3, GF5, QQ, Field, Matrix, quotient
+from cosegal.field_linalg import (
+    GF2, GF3, GF5, QQ, Field, Matrix, _int_product, _ratios_equal, quotient,
+)
 from cosegal.sampling import random_matrix
 
-from oracles import gauss_rank, oracle_q_kron, oracle_q_matmul, oracle_q_rref
+from oracles import (
+    gauss_rank, oracle_int_product, oracle_q_kron, oracle_q_matmul, oracle_q_rref,
+)
 
 FIELDS = [GF2, GF3, GF5, QQ]
 
@@ -343,3 +347,78 @@ def test_q_arithmetic_on_each_side_of_the_int64_switch(side):
     big = Matrix.from_rows(QQ, [[top, 1], [0, 1]])
     assert big == Matrix.from_rows(QQ, [[top, 1], [0, 1]])
     assert big != Matrix.from_rows(QQ, [[top - 1, 1], [0, 1]])
+
+
+# (p, height of both operands, inner size, the dtype the bound picks): over
+# F_p the bound is (p - 1)^2 per term, over Q the product of the heights
+PRODUCT_REGIMES = [
+    (2, 1, 5, "float64"), (3, 2, 4, "float64"),
+    (P31, P31 - 1, 1, "int64"), (P31, P31 - 1, 2, "int64"), (P31, P31 - 1, 3, "object"),
+    (0, 2**20, 3, "float64"), (0, 2**30, 3, "int64"), (0, 2**40, 3, "object"),
+    (0, 2**70, 2, "object"),
+]
+
+
+def _regime(bound):
+    return "float64" if bound < 2**52 else "int64" if bound < 2**63 else "object"
+
+
+def _int_matrices(rng, count, rows, cols, p, height):
+    """count rows x cols integer matrices as lists of rows: residues over
+    F_p; over Q entries up to 3 in absolute value, but of the given height in
+    the last matrix, so that a list's height is not its first array's."""
+    out = []
+    for i in range(count):
+        h = height if i == count - 1 else 3
+        out.append([[rng.randrange(p) if p else rng.randint(-h, h) for _ in range(cols)]
+                    for _ in range(rows)])
+    out[-1][0][0] = p - 1 if p else rng.choice([height, -height])
+    return out
+
+
+def _as_array(lists):
+    """lists as an int64 array, or of Python ints where an entry does not fit."""
+    arr = np.array(lists, dtype=object)
+    return arr if np.abs(arr).max() >= 2**63 else arr.astype(np.int64)
+
+
+@pytest.mark.parametrize("p, height, inner, regime", PRODUCT_REGIMES)
+def test_int_product_matches_python_ints_in_each_regime(p, height, inner, regime):
+    # the kernel works out its bound from p or from the operands' heights;
+    # every shape its callers pass is checked against Python-int products:
+    # matrices, stacks (also a strided view, as chain._blocks passes, and a
+    # stack times one matrix), and lists of matrices stacked in the kernel
+    bound = (p - 1) ** 2 * inner if p else height * height * inner
+    assert _regime(bound) == regime
+    rng = random.Random(2900 + p + inner + height.bit_length())
+    a, b = _int_matrices(rng, 4, 3, inner, p, height), _int_matrices(rng, 4, inner, 2, p, height)
+    strided = _as_array([list(map(list, zip(*m))) for m in a]).swapaxes(1, 2)
+    cases = [
+        (_as_array(a[-1]), _as_array(b[-1]), oracle_int_product(a[-1], b[-1], p)),
+        (_as_array(a), _as_array(b), oracle_int_product(a, b, p)),
+        (strided, _as_array(b), oracle_int_product(a, b, p)),
+        (_as_array(a), _as_array(b[-1]), oracle_int_product(a, [b[-1]] * 4, p)),
+        ([_as_array(m) for m in a], [_as_array(m) for m in b], oracle_int_product(a, b, p)),
+    ]
+    for x, y, want in cases:
+        got = _int_product(x, y, p)
+        assert got.tolist() == want
+        if p:
+            assert got.dtype == np.int64 and got.min() >= 0 and got.max() < p
+
+
+@pytest.mark.parametrize("field", [GF2, Field(P31), QQ])
+def test_products_with_an_empty_side_are_zero(field):
+    for (r, k), (_, c) in [((0, 3), (3, 2)), ((2, 0), (0, 2)), ((2, 3), (3, 0))]:
+        a = Matrix.from_rows(field, [[2**70 if field.is_rational else 1] * k] * r, k)
+        b = Matrix.from_rows(field, [[2**70 if field.is_rational else 1] * c] * k, c)
+        assert a @ b == Matrix.zeros(field, r, c)
+
+
+def test_ratios_equal_cross_multiplies_exactly():
+    rng = random.Random(2901)
+    for da, db in [(1, 1), (6, 4), (3**40, 2**70), (2**70, 2**70)]:
+        a = [rng.choice([0, 1, -5, 2**62, -(2**70)]) * da for _ in range(6)]
+        b = [x // da * db if rng.random() < 0.5 else x // da * db + 1 for x in a]
+        got = _ratios_equal(_as_array(a), da, _as_array(b), db).tolist()
+        assert got == [Fraction(x, da) == Fraction(y, db) for x, y in zip(a, b)]
