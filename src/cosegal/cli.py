@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from random import Random
 
 from . import documents as docs
@@ -24,7 +25,7 @@ from .documents import DocumentError, ValidationFailure, canonical_dumps
 from .field_linalg import Field, InvariantError
 from .free_gamma import gamma_na
 from .phi_epi import enumerate_surjections
-from .premonoid import LaxDiagram, validate, validate_morphism
+from .premonoid import LaxDiagram, validate, validate_morphism, validate_strict
 from .sampling import random_k2_instruction
 from .two_constant import (
     TwoConstantPremonoid,
@@ -65,14 +66,24 @@ def _characteristic(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _unique_members(pairs: list) -> dict:
+    """One JSON object, refusing a repeated key (`json.load` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return obj
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_members)
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         # an undecodable file, or nesting beyond the parser's recursion limit
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a syntax error, a repeated key, or an integer past int's digit limit
         raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -124,7 +135,7 @@ def cmd_validate(args) -> int:
             elif kind == "morphism":
                 violations = validate_morphism(obj)
             elif kind == "two_constant":
-                violations = obj.validate()
+                violations = validate_strict(obj.base)
         except ValidationFailure as exc:
             violations = exc.violations
         except DocumentError as exc:

@@ -26,7 +26,7 @@ from functools import partial
 
 from .chain import ChainComplex, ChainMap, GeneratingCofibration, tensor, unit_complex
 from .field_linalg import Field, Matrix
-from .phi_epi import Surjection
+from .phi_epi import Surjection, laxity_pairs
 from .premonoid import (
     DiagramMorphism,
     LaxDiagram,
@@ -303,7 +303,7 @@ def _laxity_from(d: dict, level: int, objects: dict) -> dict:
     laxity = {}
     for (p, q), comps in _entries(d.get("laxity"), _pair_from_key, "laxity"):
         key = f"{p},{q}"
-        if p < 1 or q < 1 or p + q > level:
+        if (p, q) not in laxity_pairs(level):
             raise DocumentError(f"laxity key {key!r} out of range")
         laxity[(p, q)] = _components_from(
             objects[1].field, comps, tensor(objects[p], objects[q]), objects[p + q],
@@ -383,10 +383,7 @@ def two_constant_from_dict(d: dict, max_dim: int | None = None) -> TwoConstantPr
     fld = a.field
     mu = _components_from(fld, base_raw.get("mu", {}), tensor(a, a), a, ("base", "mu"))
     e = _components_from(fld, base_raw.get("e", {}), unit_complex(fld), a, ("base", "e"))
-    try:
-        base = StrictMonoid(a, mu, e)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    base = StrictMonoid(a, mu, e)  # mu and e were read with its endpoints
     apex = complex_from_dict(d.get("apex", {}), max_dim)
     h = _components_from(fld, d.get("h", {}), apex, a, ("h",))
     unit = _components_from(fld, d.get("unit", {}), unit_complex(fld), apex, ("unit",))

@@ -25,6 +25,7 @@ __all__ = [
     "unique_to_one",
     "identity_surjection",
     "block_swap",
+    "laxity_pairs",
     "PairObject",
     "PlusObject",
     "ShapeArrow",
@@ -103,6 +104,12 @@ def enumerate_surjections(m: int, n: int) -> tuple[Surjection, ...]:
         for arr in product(range(n), repeat=m)
         if set(arr) == targets
     )
+
+
+@lru_cache(maxsize=16)
+def laxity_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The laxity keys at level n: (p, q) with p, q >= 1 and p + q <= n, in order."""
+    return tuple((p, q) for p in range(1, n) for q in range(1, n - p + 1))
 
 
 @lru_cache(maxsize=16)
@@ -217,7 +224,7 @@ def _factor(s: Surjection, t: Surjection) -> tuple | None:
 @lru_cache(maxsize=16)
 def _latching_shape(n: int, classical: bool) -> LatchingDiagramShape:
     # pair objects by (p, q, surjection), then plus objects by (p, surjection)
-    sums = [] if classical else [(p, q) for p in range(1, n) for q in range(1, n - p + 1)]
+    sums = () if classical else laxity_pairs(n)
     objects: list = [PairObject(p, q, v) for p, q in sums for v in enumerate_surjections(n, p + q)]
     first_plus = len(objects)
     objects += [PlusObject(p, v) for p in range(1, n) for v in enumerate_surjections(n, p)]

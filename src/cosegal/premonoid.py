@@ -36,6 +36,7 @@ from .phi_epi import (
     disjoint_sum,
     enumerate_surjections,
     generating_surjections,
+    laxity_pairs,
     unique_to_one,
 )
 
@@ -144,37 +145,29 @@ class LaxDiagram:
             raise ValueError(f"truncation level must be at least {lowest}")
         if set(self.objects) != set(range(1, n_max + 1)):
             raise ValueError("objects must cover levels 1..N")
-        fld = self.objects[1].field
-        if any(c.field != fld for c in self.objects.values()):
-            raise ValueError("field mismatch among objects")
-        structure = {}
-        for v, f in self.structure.items():
-            if not isinstance(v, Surjection) or v.is_identity():
-                raise ValueError(f"structure key {v} is an identity or not a surjection")
-            if v.source_size > n_max:
-                raise ValueError(f"structure map beyond level {n_max}: {v}")
-            if f.source != self.objects[v.target_size] or f.target != self.objects[v.source_size]:
-                raise ValueError(f"structure map for {v} has wrong endpoints")
-            structure[v] = f
-        for v in all_surjections_upto(n_max):
-            if v not in structure:
+        # the level fixes the keys; the maps F(1) -> F(n) make one field
+        obj, keys = self.objects, all_surjections_upto(n_max)
+        for v in keys:
+            if (f := self.structure.get(v)) is None:
                 raise ValueError(f"missing structure map for {v}")
-        self.structure = structure
+            if f.source != obj[v.target_size] or f.target != obj[v.source_size]:
+                raise ValueError(f"structure map for {v} has wrong endpoints")
+        if len(self.structure) != len(keys):
+            v = next(v for v in self.structure if v not in keys)
+            raise ValueError(f"structure key {v!r} is an identity, not a surjection "
+                             f"or beyond level {n_max}")
         if self.laxity is not None:
-            expected = {
-                (p, q)
-                for p in range(1, n_max)
-                for q in range(1, n_max - p + 1)
-            }
-            if set(self.laxity) != expected:
-                raise ValueError("laxity maps must cover exactly {p,q >= 1, p+q <= N}")
-            for (p, q), f in self.laxity.items():
-                if f.source != tensor(self.objects[p], self.objects[q]):
-                    raise ValueError(f"laxity ({p},{q}) has wrong source")
-                if f.target != self.objects[p + q]:
-                    raise ValueError(f"laxity ({p},{q}) has wrong target")
+            pairs = laxity_pairs(n_max)
+            for p, q in pairs:
+                if (f := self.laxity.get((p, q))) is None:
+                    raise ValueError(f"missing laxity map ({p},{q})")
+                if f.source != tensor(obj[p], obj[q]) or f.target != obj[p + q]:
+                    raise ValueError(f"laxity ({p},{q}) has wrong endpoints")
+            if len(self.laxity) != len(pairs):
+                pq = next(pq for pq in self.laxity if pq not in pairs)
+                raise ValueError(f"laxity key {pq!r} is not a pair p, q >= 1 with p + q <= {n_max}")
         if self.unit is not None and (
-            self.unit.source != unit_complex(fld) or self.unit.target != self.objects[1]
+            self.unit.source != unit_complex(self.field) or self.unit.target != obj[1]
         ):
             raise ValueError("unit has wrong endpoints")
 
@@ -194,7 +187,7 @@ class LaxDiagram:
         """The diagram on the levels up to `level`, at most self.level."""
         objects = {n: self.objects[n] for n in range(1, level + 1)}
         structure = {v: f for v, f in self.structure.items() if v.source_size <= level}
-        lax = self.laxity and {pq: f for pq, f in self.laxity.items() if sum(pq) <= level}
+        lax = self.laxity and {pq: self.laxity[pq] for pq in laxity_pairs(level)}
         return LaxDiagram(level, objects, structure, lax, self.unit)
 
 
@@ -407,11 +400,10 @@ def validate(f: LaxDiagram) -> list[Violation]:
         return out
 
     char, objects = f.field.characteristic, f.objects
-    for p in range(1, n_max - 1):
-        for q in range(1, n_max - p):
-            for r in range(1, n_max - p - q + 1):
-                if not _associative(char, objects, f.laxity, p, q, r):
-                    out.append(Violation("laxity-associativity", (p, q, r)))
+    for p, q in laxity_pairs(n_max - 1):
+        for r in range(1, n_max - p - q + 1):
+            if not _associative(char, objects, f.laxity, p, q, r):
+                out.append(Violation("laxity-associativity", (p, q, r)))
 
     # symmetry: F(swap) . phi_{p,q} = phi_{q,p} . braiding
     for (p, q) in sorted(f.laxity):
@@ -478,20 +470,9 @@ def from_strict(m: StrictMonoid, level: int) -> LaxDiagram:
     """The constant premonoid: identity structure maps, laxity the multiplication."""
     if validate_strict(m):
         raise ValueError("invalid strict monoid")
-    return _constant_diagram(m, level)
-
-
-def _constant_diagram(m: StrictMonoid, level: int) -> LaxDiagram:
-    """`from_strict` without its check, for callers that checked m already."""
-    a = m.obj
-    objects = {n: a for n in range(1, level + 1)}
-    structure = dict.fromkeys(all_surjections_upto(level), ChainMap.identity(a))
-    laxity = {
-        (p, q): m.mu
-        for p in range(1, level)
-        for q in range(1, level - p + 1)
-    }
-    return LaxDiagram(level, objects, structure, laxity, m.e)
+    return LaxDiagram(level, dict.fromkeys(range(1, level + 1), m.obj),
+                      dict.fromkeys(all_surjections_upto(level), ChainMap.identity(m.obj)),
+                      dict.fromkeys(laxity_pairs(level), m.mu), m.e)
 
 
 def to_strict(f: LaxDiagram) -> StrictMonoid | None:

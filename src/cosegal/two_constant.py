@@ -35,7 +35,6 @@ from .premonoid import (
     DiagramMorphism,
     LaxDiagram,
     StrictMonoid,
-    _constant_diagram,
     _require_valid,
     from_strict,
     h_star,
@@ -80,9 +79,6 @@ class TwoConstantPremonoid:
     @property
     def field(self):
         return self.apex.field
-
-    def validate(self):
-        return validate_strict(self.base)
 
     def is_cosegal(self, level: int) -> bool:
         """Whether the expansion at `level` is co-Segal: its maps
@@ -139,19 +135,17 @@ def expand_to_premonoid(f: TwoConstantPremonoid, level: int) -> LaxDiagram:
         axiom precomposed with k_p (x) k_q (x) k_r or k_p (x) k_q, moved
         past the associator or the braiding by naturality;
       - diag-unitality: phi_{1,1}.(e~ (x) id) = mu.(e (x) id).h = h = G(u_2).
-    The constructor checks h.e~ = e, `_level_map` checks the base and the
-    level, and `package_two_constant` matches a `premonoid` input entry
-    by entry with this expansion; `cosegal validate` stays the full check.
+    The constructor checks h.e~ = e, `from_strict` the base, `LaxDiagram` the
+    level, and `package_two_constant` matches a `premonoid` input entry by
+    entry with this expansion; `cosegal validate` stays the full check.
     """
-    _level_map(f, level)
-    g, _ = h_star(_constant_diagram(f.base, level), f.h, f.unit_map)
-    return g
+    return h_star(from_strict(f.base, level), f.h, f.unit_map)[0]
 
 
 def _level_map(f: TwoConstantPremonoid, level: int) -> ChainMap:
     """The map F(1) -> F(n) shared by every 2 <= n <= level of the expansion
     of f, which is h; refused where `expand_to_premonoid` refuses."""
-    if f.validate():
+    if validate_strict(f.base):
         raise ValueError("invalid base monoid")
     if level < 2:
         raise ValueError("truncation level must be at least 2")

@@ -261,6 +261,30 @@ def test_keys_outside_the_grammar_or_repeated_are_exit2_with_one_line(
     assert out.err == ""
 
 
+def test_a_repeated_json_key_is_exit2_with_one_line(tmp_path, capsys):
+    # json.load keeps the last of two equal keys: this loaded with d_1 = 0
+    # and validated OK; a Python dict cannot hold it, so it is file text
+    path = tmp_path / "repeated.json"
+    path.write_text('{"kind":"complex","field":2,"window":[0,1],"dims":{"0":1,"1":1},'
+                    '"diff":{"1":[[1]],"1":[[0]]}}')
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == f"ERROR {path}: malformed JSON in {path}: repeated key '1'\n"
+    assert out.err == ""
+
+
+def test_an_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # int's 4,300-digit limit raised a plain ValueError out of json.load: one
+    # "ERROR:" line without the path, exit 1, and the next path never read
+    big, good = tmp_path / "big.json", tmp_path / "two_constant.json"
+    big.write_text('{"kind":"complex","field":1' + "0" * 4999 + ',"window":[0,0],"dims":{}}')
+    good.write_text(docs.dump_document(random_two_constant(random.Random(30), GF2), "two_constant"))
+    assert main(["validate", str(big), str(good)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[1] == f"OK {good}"
+    assert out[0].startswith(f"ERROR {big}: malformed JSON in {big}: Exceeds the limit")
+
+
 def test_max_dim_cap():
     with pytest.raises(docs.DocumentError):
         docs.complex_from_dict({"field": 2, "dims": {"0": 10}}, max_dim=4)

@@ -10,6 +10,7 @@ from cosegal.chain import (
     unit_complex,
 )
 from cosegal.field_linalg import GF2, GF3, QQ, Matrix
+from cosegal.phi_epi import Surjection, identity_surjection, unique_to_one
 from cosegal.premonoid import (
     DiagramMorphism,
     LaxDiagram,
@@ -287,6 +288,33 @@ def test_diagram_constructors_refuse_mismatched_levels():
     beyond[unique_to_one(3)] = ident
     with pytest.raises(ValueError, match="beyond level 2"):
         LaxDiagram(2, f2.objects, beyond)
+
+
+_I2 = unit_complex(GF2)
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("structure", identity_surjection(2), ChainMap.identity(_I2), repr(identity_surjection(2))),
+    ("structure", "0,0", ChainMap.identity(_I2), "'0,0'"),
+    ("structure", unique_to_one(4), ChainMap.identity(_I2), repr(unique_to_one(4))),
+    ("structure", Surjection(2, 2, (1, 0)), None, repr(Surjection(2, 2, (1, 0)))),
+    ("laxity", (2, 2), unit_monoid(GF2).mu, "(2, 2)"),
+    ("laxity", (1, 2), None, "(1,2)"),
+    # F(2) over F_3 with every map over F_2: F(u_2) has the wrong target
+    ("objects", 2, unit_complex(GF3), f"{unique_to_one(2)!r} has wrong endpoints"),
+])
+def test_lax_diagram_refusal_names_the_key(section, key, value, named):
+    # one pass over the keys that the level fixes names the first offending
+    # or missing key (value None drops the key from the level-3 diagram)
+    f = from_strict(unit_monoid(GF2), 3)
+    data = {"objects": dict(f.objects), "structure": dict(f.structure), "laxity": dict(f.laxity)}
+    if value is None:
+        del data[section][key]
+    else:
+        data[section][key] = value
+    with pytest.raises(ValueError) as err:
+        LaxDiagram(3, data["objects"], data["structure"], data["laxity"], f.unit)
+    assert named in str(err.value)
 
 
 def test_lax_diagram_stages():
